@@ -1,11 +1,12 @@
 """Exact-arithmetic wall-and-chamber and ADE singularity computations
 on the algebraic Mukai lattice of a K3 surface."""
 
-from .errors import (CapExceeded, DomainError, Inconsistent, InvalidTwist,
-                     MarkNotOne, MarksMismatch, NonIsotropicV,
-                     NonPositivePolarization, NotAffineADE, NotDefinite,
-                     NotFiniteADE, NotMinusTwo, RankZeroImage, SchemaError,
-                     TriplePoint, UOnUPrime, WrongSignature)
+from .errors import (CapExceeded, DomainError, Inconsistent, InvalidMukaiVector,
+                     InvalidTwist, InvariantError, MarkNotOne, MarksMismatch,
+                     NodeOutOfRange, NonIsotropicV, NonPositivePolarization,
+                     NotAffineADE, NotDefinite, NotFiniteADE, NotMinusTwo,
+                     RankZeroImage, SchemaError, TriplePoint, UOnUPrime,
+                     WrongSignature)
 from .lattice import (PicardLattice, Sublattice, enumerate_norm_vectors,
                       is_negative_definite, orthogonal_complement, pairing,
                       saturate, signature)

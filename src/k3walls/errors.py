@@ -3,7 +3,9 @@
 ``DomainError`` covers every mathematically meaningful failure (the CLI maps
 it to exit code 3); malformed input documents raise ``SchemaError`` (exit
 code 2).  Plain ``ValueError`` is reserved for caller bugs such as dimension
-mismatches.
+mismatches.  ``InvariantError`` flags a broken internal invariant, a bug in
+the library rather than bad input; it is raised by explicit checks, so it
+survives ``python -O``.
 """
 
 
@@ -78,3 +80,18 @@ class NonPositivePolarization(DomainError):
 
 class WrongSignature(DomainError):
     """Wall enumeration needs a lattice of signature (1, rank-1)."""
+
+
+class InvalidMukaiVector(DomainError, ValueError):
+    """Wall enumeration needs an integral, primitive Mukai vector of positive rank.
+
+    Also a ValueError, which is what these checks raised before they had a type.
+    """
+
+
+class NodeOutOfRange(DomainError):
+    """Node deletion requested at an index outside the stratum list."""
+
+
+class InvariantError(RuntimeError):
+    """A mathematical invariant of a computation failed to hold."""

@@ -6,8 +6,6 @@ integer Gram matrix with labelled basis vectors.  Vectors are plain tuples of
 lattice basis.  All arithmetic is exact.
 """
 
-from fractions import Fraction
-
 from . import linalg
 from .errors import NotDefinite
 from .linalg import normalize_number, normalize_vector, vec_is_integral
@@ -173,24 +171,30 @@ def saturate(sub):
     return Sublattice(sub.ambient, closure, saturated=True)
 
 
+def _definite_form(sub):
+    """``(sign, form)``: ``form`` factors ``sign * G`` of the restricted Gram G.
+
+    ``sign`` is +1 or -1 when that form is positive definite, read off the
+    pivot signs of one fraction-free factorization; ``(0, None)`` when G is
+    indefinite or degenerate.  Rank 0 counts as positive definite.
+    """
+    gram = sub.restricted_gram()
+    for sign in (1, -1):
+        try:
+            return sign, linalg.QuadraticForm([[sign * e for e in row] for row in gram])
+        except ValueError:
+            pass
+    return 0, None
+
+
 def definiteness(sub):
     """+1 positive definite, -1 negative definite, 0 neither.  Rank 0 gives +1."""
-    if sub.rank == 0:
-        return 1
-    pos, neg, null = linalg.signature(sub.restricted_gram())
-    if null == 0 and neg == 0:
-        return 1
-    if null == 0 and pos == 0:
-        return -1
-    return 0
+    return _definite_form(sub)[0]
 
 
 def is_negative_definite(sub):
     """True iff the restricted form is negative definite (vacuously for rank 0)."""
-    if sub.rank == 0:
-        return True
-    pos, neg, null = linalg.signature(sub.restricted_gram())
-    return pos == 0 and null == 0
+    return sub.rank == 0 or _definite_form(sub)[0] == -1
 
 
 def enumerate_norm_vectors(sub, norm_min, norm_max):
@@ -203,24 +207,18 @@ def enumerate_norm_vectors(sub, norm_min, norm_max):
     """
     if norm_min > norm_max:
         raise ValueError("norm_min exceeds norm_max")
-    sign = definiteness(sub)
+    sign, form = _definite_form(sub)
     if sign == 0:
         raise NotDefinite("sublattice is not definite")
     out = []
     if norm_min <= 0 <= norm_max:
         out.append(sub.ambient.zero())
-    if sub.rank:
-        if sign > 0:
-            gram = sub.restricted_gram()
-            lo, hi = norm_min, norm_max
-        else:
-            gram = [[-e for e in row] for row in sub.restricted_gram()]
-            lo, hi = -norm_max, -norm_min
-        if hi > 0:
-            seen = set()
-            for coeffs, value in linalg.short_vectors(gram, hi):
-                if value < lo:
-                    continue
-                seen.add(linalg.sign_normalize(sub.from_coefficients(coeffs)))
-            out.extend(seen)
+    lo, hi = (norm_min, norm_max) if sign > 0 else (-norm_max, -norm_min)
+    if sub.rank and hi > 0:
+        seen = set()
+        for coeffs, value in linalg.short_vectors(form, hi):
+            if value < lo:
+                continue
+            seen.add(linalg.sign_normalize(sub.from_coefficients(coeffs)))
+        out.extend(seen)
     return sorted(out)

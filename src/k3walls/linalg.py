@@ -3,12 +3,17 @@
 Everything in this module works on plain lists/tuples of ``int`` and
 ``fractions.Fraction``; there is no floating point anywhere.  Matrices are
 lists of row lists.  These are the primitives the lattice layer is built on:
-integer kernels (always saturated), rational Gaussian elimination, and the
-inertia (signature) of a symmetric matrix by rational symmetric reduction.
+integer systems reduced once for their saturated kernel and integer
+solutions, rational Gaussian elimination, the inertia (signature) of a
+symmetric matrix, and :class:`QuadraticForm`, a positive definite integer
+form factored once by fraction-free LDL^T and shared by the definiteness
+test, centre solving and the short/coset vector descent, which runs on
+integers.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import index
 
 
 def vec_add(x, y):
@@ -33,15 +38,15 @@ def vec_is_integral(x):
 
 def normalize_number(q):
     """Return an ``int`` when ``q`` is an integer-valued rational, else ``q``."""
-    if isinstance(q, Fraction):
-        if q.denominator == 1:
-            return int(q)
+    if type(q) is int:
         return q
+    if isinstance(q, Fraction) and q.denominator == 1:
+        return int(q)
     return q
 
 
 def normalize_vector(x):
-    return tuple(normalize_number(Fraction(a)) for a in x)
+    return tuple(a if type(a) is int else normalize_number(Fraction(a)) for a in x)
 
 
 def content(x):
@@ -52,20 +57,8 @@ def content(x):
     return g
 
 
-def primitive_part(x):
-    """Divide an integer vector by its content; zero vector is returned as is."""
-    g = content(x)
-    if g == 0:
-        return tuple(x)
-    return tuple(int(a) // g for a in x)
-
-
 def mat_mul_vec(m, x):
     return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in m)
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
 
 
 def identity_matrix(n):
@@ -101,27 +94,65 @@ def _euclid_sweep(rows, aux, col, start):
             return True
 
 
+class IntegerSystem:
+    """The integer system ``A x = b`` in ``n_cols`` unknowns for a fixed ``A``, reduced once.
+
+    Unimodular row operations on ``A^T``, mirrored on an identity matrix,
+    bring it to echelon form.  The zero rows give a basis of the integer
+    kernel, which generates a saturated (primitive) sublattice of Z^n; the
+    pivot rows give one integer solution per right-hand side by forward
+    substitution with divisibility checks.
+    """
+
+    __slots__ = ("echelon", "transform", "pivot_cols")
+
+    def __init__(self, a_rows, n_cols):
+        m = len(a_rows)
+        t = [[int(a_rows[i][j]) for i in range(m)] for j in range(n_cols)]
+        u = identity_matrix(n_cols)
+        pivot_cols = []
+        for col in range(m):
+            if len(pivot_cols) >= n_cols:
+                break
+            if _euclid_sweep(t, u, col, len(pivot_cols)):
+                pivot_cols.append(col)
+        self.echelon = t
+        self.transform = u
+        self.pivot_cols = tuple(pivot_cols)
+
+    def kernel(self):
+        """Basis of ``{x in Z^n : A x = 0}`` in canonical sign and order; empty when trivial."""
+        t, u = self.echelon, self.transform
+        basis = [sign_normalize(u[r]) for r in range(len(self.pivot_cols), len(u))
+                 if not any(t[r])]
+        basis.sort()
+        return basis
+
+    def solve(self, b):
+        """One integer solution of ``A x = b``, or None when none exists."""
+        t, u = self.echelon, self.transform
+        residual = [int(v) for v in b]
+        z = []
+        for row, col in enumerate(self.pivot_cols):
+            piv = t[row][col]
+            if residual[col] % piv:
+                return None
+            q = residual[col] // piv
+            z.append(q)
+            if q:
+                residual = [a - q * e for a, e in zip(residual, t[row])]
+        if any(residual):
+            return None
+        return tuple(sum(u[j][i] * q for j, q in enumerate(z)) for i in range(len(u)))
+
+
 def integer_kernel(a_rows, n_cols):
     """Basis of ``{x in Z^n : A x = 0}`` for an integer matrix ``A``.
 
-    The basis is produced by unimodular row operations on ``[A^T | I]``, so it
-    generates a saturated (primitive) sublattice of Z^n.  Rows of the result
-    are the kernel vectors; the list is empty for a trivial kernel.
+    Rows of the result are the kernel vectors, generating a saturated
+    sublattice; the list is empty for a trivial kernel (see :class:`IntegerSystem`).
     """
-    m = len(a_rows)
-    t = [[int(a_rows[i][j]) for i in range(m)] for j in range(n_cols)]
-    u = identity_matrix(n_cols)
-    row = 0
-    for col in range(m):
-        if row >= n_cols:
-            break
-        if _euclid_sweep(t, u, col, row):
-            row += 1
-    basis = [tuple(u[r]) for r in range(row, n_cols) if all(v == 0 for v in t[r])]
-    # Canonical sign/order so callers get deterministic output.
-    basis = [sign_normalize(b) for b in basis]
-    basis.sort()
-    return basis
+    return IntegerSystem(a_rows, n_cols).kernel()
 
 
 def sign_normalize(x):
@@ -132,36 +163,8 @@ def sign_normalize(x):
 
 
 def solve_integer(a_rows, b):
-    """One integer solution of ``A x = b``, or None when none exists.
-
-    Row-reduces ``A^T`` with unimodular operations and forward-substitutes
-    with divisibility checks.
-    """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    t = [[int(a_rows[i][j]) for i in range(m)] for j in range(n)]
-    u = identity_matrix(n)
-    row = 0
-    pivots = []
-    for col in range(m):
-        if row >= n:
-            break
-        if _euclid_sweep(t, u, col, row):
-            pivots.append((row, col))
-            row += 1
-    z = [0] * n
-    residual = [int(v) for v in b]
-    for rr, cc in pivots:
-        piv = t[rr][cc]
-        if residual[cc] % piv:
-            return None
-        q = residual[cc] // piv
-        z[rr] = q
-        for col in range(m):
-            residual[col] -= q * t[rr][col]
-    if any(residual):
-        return None
-    return tuple(sum(u[j][i] * z[j] for j in range(n)) for i in range(n))
+    """One integer solution of ``A x = b``, or None when none exists."""
+    return IntegerSystem(a_rows, len(a_rows[0]) if a_rows else 0).solve(b)
 
 
 def solve_rational(a_rows, b):
@@ -280,116 +283,155 @@ def signature(gram):
 
 
 def ldlt(gram):
-    """LDL^T of a positive definite symmetric rational matrix.
+    """Fraction-free LDL^T of a positive definite symmetric integer matrix.
 
-    Returns ``(diag, lower)`` with unit lower-triangular ``lower`` so that
-    ``Q(x) = sum_i d_i (x_i + sum_{j>i} lower[j][i] x_j)^2``.  Raises
-    ValueError when a non-positive pivot shows up.
+    Symmetric Bareiss elimination (*Math. Comp.* 22, 1968) without pivoting,
+    every division exact.  Returns ``(minors, upper)``: ``minors[i]`` is the
+    leading principal minor of size i + 1, and ``upper[i]`` is the i-th
+    eliminated row, integer, zero left of the diagonal, with
+    ``upper[i][i] == minors[i]``.  With ``minors[-1] := 1`` they give
+
+        Q(x) = x^T G x = sum_i (upper[i] . x)^2 / (minors[i-1] * minors[i]),
+
+    i.e. the LDL^T factors ``d_i = minors[i] / minors[i-1]`` and
+    ``L[j][i] = upper[i][j] / minors[i]``: integer numerators over one
+    denominator per level.  Raises ValueError when a leading minor is not
+    positive, which happens exactly when G is not positive definite, and
+    TypeError for a non-integer entry.
     """
     n = len(gram)
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for i in range(n):
-        d = Fraction(gram[i][i]) - sum(diag[k] * lower[i][k] * lower[i][k] for k in range(i))
-        if d <= 0:
+    a = [[index(e) for e in row] for row in gram]
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
             raise ValueError("matrix is not positive definite")
-        diag[i] = d
-        lower[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            v = Fraction(gram[j][i]) - sum(diag[k] * lower[j][k] * lower[i][k] for k in range(i))
-            lower[j][i] = v / d
-    return diag, lower
+        row_k = a[k]
+        # Only the upper triangle is updated: the trailing block stays
+        # symmetric, so row_k[i] stands for the eliminated column entry.
+        for i in range(k + 1, n):
+            row_i, f = a[i], row_k[i]
+            for j in range(i, n):
+                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
+        prev = pivot
+    upper = tuple(tuple(a[i][j] if j >= i else 0 for j in range(n)) for i in range(n))
+    return tuple(a[i][i] for i in range(n)), upper
 
 
-def floor_sqrt_fraction(q):
-    """floor(sqrt(q)) for a rational q >= 0."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    num, den = q.numerator, q.denominator
-    return isqrt(num * den) // den
+class QuadraticForm:
+    """A positive definite integer quadratic form ``Q(x) = x^T G x``, factored once.
 
-
-def short_vectors(gram, bound):
-    """All integer x with 0 < x^T Q x <= bound for positive definite Q.
-
-    Yields ``(x, norm)`` pairs; both x and -x appear, the zero vector does
-    not.  Plain recursive bound propagation on the exact LDL^T factors; no
-    basis reduction, which is unnecessary at the ranks this library targets.
+    Holds the fraction-free factors of :func:`ldlt`; centre solving and the
+    short/coset vector descent all read them, so nothing refactors ``G``.
+    Raises ValueError unless ``G`` is positive definite.
     """
-    n = len(gram)
-    if n == 0 or bound < 0:
-        return
-    diag, lower = ldlt(gram)
-    total = Fraction(bound)
-    x = [0] * n
-    centers = [Fraction(0)] * n
 
-    def descend(i, remaining):
-        c = centers[i]
-        ratio = remaining / diag[i]
-        # Over-approximate sqrt(ratio); candidates are filtered exactly below.
-        s_up = Fraction(isqrt(ratio.numerator * ratio.denominator) + 1, ratio.denominator)
-        lo_i = (-c - s_up).__ceil__()
-        hi_i = (-c + s_up).__floor__()
-        for xi in range(lo_i, hi_i + 1):
-            term = diag[i] * (xi + c) ** 2
-            if term > remaining:
-                continue
-            x[i] = xi
-            if i == 0:
-                if any(v != 0 for v in x):
-                    yield tuple(x), total - (remaining - term)
-            else:
-                for k in range(i):
-                    centers[k] += lower[i][k] * xi
-                yield from descend(i - 1, remaining - term)
-                for k in range(i):
-                    centers[k] -= lower[i][k] * xi
-        x[i] = 0
+    __slots__ = ("minors", "upper")
 
-    yield from descend(n - 1, total)
+    def __init__(self, gram):
+        self.minors, self.upper = ldlt(gram)
+
+    @property
+    def rank(self):
+        return len(self.minors)
+
+    def solve(self, b):
+        """Exact ``G^{-1} b`` for a rational ``b``, by forward and back substitution.
+
+        The forward pass is Bareiss elimination of the extra column ``b``;
+        the back pass solves for ``det(G) * x``, an integer vector (Cramer),
+        so every division is exact and one Fraction is built per entry.
+        """
+        n = self.rank
+        minors, upper = self.minors, self.upper
+        q = lcm(*(Fraction(c).denominator for c in b))
+        y = [int(Fraction(c) * q) for c in b]
+        prev = 1
+        for k in range(n):
+            pivot, row, yk = minors[k], upper[k], y[k]
+            for i in range(k + 1, n):
+                y[i] = (pivot * y[i] - row[i] * yk) // prev
+            prev = pivot
+        det = prev
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = upper[i]
+            x[i] = (det * y[i] - sum(row[j] * x[j] for j in range(i + 1, n))) // minors[i]
+        return tuple(normalize_number(Fraction(v, q * det)) for v in x)
 
 
-def coset_vectors(gram, center, bound):
-    """All integer x with ``Q(x + center) <= bound`` for positive definite Q.
+def _coset_descent(form, center, bound):
+    """Fincke-Pohst descent over ``{x : Q(x + center) <= bound}`` on integers.
 
-    ``center`` may be rational.  Yields ``(x, value)`` pairs including, when
-    the center is integral, the point ``x = -center``.  This is the shifted
-    (closest-vector style) variant of :func:`short_vectors`.
+    With ``center = p / q`` and ``w_i = q * upper[i] . (x + center)``, level i
+    contributes ``w_i^2 / (q^2 minors[i-1] minors[i])``; every level is
+    rescaled to one common denominator ``scale``, so the budget, the terms
+    and the coordinate ranges are integers.  Coordinates are fixed from the
+    last to the first, each in increasing order; one Fraction is built per
+    yielded vector, for its value.
     """
-    n = len(gram)
+    n = form.rank
     bound = Fraction(bound)
     if bound < 0:
         return
     if n == 0:
         yield (), Fraction(0)
         return
-    diag, lower = ldlt(gram)
-    shift = [Fraction(c) for c in center]
-    base = [shift[i] + sum(lower[j][i] * shift[j] for j in range(i + 1, n))
-            for i in range(n)]
+    minors, upper = form.minors, form.upper
+    center = [Fraction(c) for c in center]
+    q = lcm(*(c.denominator for c in center))
+    p = [c.numerator * (q // c.denominator) for c in center]
+    dens = [q * q * a * b for a, b in zip((1,) + minors, minors)]
+    scale = bound.denominator * lcm(*dens)
+    weight = [scale // d for d in dens]
+    step = [q * m for m in minors]
+    # shift[k] is w_k without its own term q * minors[k] * x_k; fixing x_i
+    # (i > k) adds q * upper[k][i] * x_i to it.
+    shift = [sum(upper[k][j] * p[j] for j in range(k, n)) for k in range(n)]
+    cols = [[q * upper[k][i] for k in range(i)] for i in range(n)]
+    total = bound.numerator * (scale // bound.denominator)
     x = [0] * n
-    centers = list(base)
 
     def descend(i, remaining):
-        c = centers[i]
-        ratio = remaining / diag[i]
-        s_up = Fraction(isqrt(ratio.numerator * ratio.denominator) + 1, ratio.denominator)
-        lo_i = (-c - s_up).__ceil__()
-        hi_i = (-c + s_up).__floor__()
-        for xi in range(lo_i, hi_i + 1):
-            term = diag[i] * (xi + c) ** 2
-            if term > remaining:
-                continue
+        t, st, wt, col = shift[i], step[i], weight[i], cols[i]
+        w_max = isqrt(remaining // wt)
+        # Exactly the x_i with |st * x_i + t| <= w_max, i.e. wt * w^2 <= remaining.
+        for xi in range(-((w_max + t) // st), (w_max - t) // st + 1):
+            w = st * xi + t
+            rest = remaining - wt * w * w
             x[i] = xi
             if i == 0:
-                yield tuple(x), bound - (remaining - term)
+                yield tuple(x), Fraction(total - rest, scale)
             else:
                 for k in range(i):
-                    centers[k] += lower[i][k] * xi
-                yield from descend(i - 1, remaining - term)
+                    shift[k] += col[k] * xi
+                yield from descend(i - 1, rest)
                 for k in range(i):
-                    centers[k] -= lower[i][k] * xi
+                    shift[k] -= col[k] * xi
         x[i] = 0
 
-    yield from descend(n - 1, bound)
+    yield from descend(n - 1, total)
+
+
+def short_vectors(form, bound):
+    """All integer x with ``0 < Q(x) <= bound`` for a :class:`QuadraticForm`.
+
+    Yields ``(x, Q(x))`` pairs; both x and -x appear, the zero vector does
+    not.  This is the centre-0 coset of :func:`coset_vectors` without the
+    origin; no basis reduction, which is unnecessary at the ranks this
+    library targets.
+    """
+    for x, value in _coset_descent(form, (0,) * form.rank, bound):
+        if value:
+            yield x, value
+
+
+def coset_vectors(form, center, bound):
+    """All integer x with ``Q(x + center) <= bound`` for a :class:`QuadraticForm`.
+
+    ``center`` and ``bound`` may be rational.  Yields ``(x, value)`` pairs,
+    ``value = Q(x + center)`` as a Fraction, including, when the centre is
+    integral, the point ``x = -center``.  The descent runs on integers over
+    the form's stored factors.
+    """
+    yield from _coset_descent(form, center, bound)

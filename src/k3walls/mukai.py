@@ -191,11 +191,6 @@ class TwistParameter:
         return f"TwistParameter({self.alpha!r})"
 
 
-def twist_from_divisor(v, h, d):
-    """Build the twist parameter ``delta(D)`` for ``D`` rational and H-orthogonal."""
-    return TwistParameter(delta_map(v, d), v, h)
-
-
 def twisted_comparator(w, h, x, y):
     """Order numerical twisted Hilbert slopes of ``x`` and ``y``: -1, 0 or +1.
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import CapExceeded, MarkNotOne, NotAffineADE, NotFiniteADE
+from .errors import (CapExceeded, InvariantError, MarkNotOne, NotAffineADE,
+                     NotFiniteADE)
 
 ORBIT_CAP = 10 ** 6
 GROUP_CAP = 10 ** 7
@@ -313,7 +314,8 @@ def classify_affine(matrix):
     _verify_perm(matrix, perm, standard_affine_matrix(family, rank), err)
     marks = _kernel_marks(matrix)
     diagram = AffineDiagram(family, rank, perm, marks, matrix)
-    assert marks[diagram.affine_node] == 1
+    if marks[diagram.affine_node] != 1:
+        raise InvariantError(f"affine node has mark {marks[diagram.affine_node]}, expected 1")
     return diagram
 
 
@@ -450,7 +452,8 @@ def highest_root(diagram):
     """The unique positive root dominating all others coefficient-wise."""
     roots = positive_roots(diagram)
     top = max(roots, key=sum)
-    assert all(all(t >= b for t, b in zip(top, root)) for root in roots)
+    if not all(all(t >= b for t, b in zip(top, root)) for root in roots):
+        raise InvariantError(f"root {top} of greatest height does not dominate all roots")
     return top
 
 
@@ -551,7 +554,7 @@ def reduce_to_fundamental(diagram, values):
         word.append(j + 1)
         guard += 1
         if guard > 10 ** 6:
-            raise AssertionError("chamber reduction failed to terminate")
+            raise InvariantError("chamber reduction failed to terminate")
     word.reverse()
     return tuple(word), values, any(v == 0 for v in values)
 

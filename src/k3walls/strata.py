@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from . import mukai as mk
 from . import roots
-from .errors import Inconsistent, MarksMismatch, TriplePoint
+from .errors import (Inconsistent, InvariantError, MarksMismatch, NodeOutOfRange,
+                     TriplePoint)
 from .lattice import pairing as picard_pairing
 
 
@@ -114,6 +115,13 @@ def retained_vectors(data, deleted=0):
     return tuple(u for k, u in enumerate(data.vectors) if k != deleted)
 
 
+def _check_node(data, deleted):
+    """The deleted node must index the stratum list; negative indices do not wrap."""
+    if not 0 <= deleted < len(data.strata):
+        raise NodeOutOfRange(
+            f"node {deleted} is out of range; the stratum has nodes 0..{len(data.strata) - 1}")
+
+
 def classify_singularity(data, deleted_node=0):
     """Affine type, finite type after node deletion, and the dual graph.
 
@@ -124,6 +132,7 @@ def classify_singularity(data, deleted_node=0):
     genuinely depend on this choice only up to diagram symmetry, so the
     choice is surfaced rather than hidden.
     """
+    _check_node(data, deleted_node)
     matrix = cartan_matrix_of(data)
     affine = roots.classify_affine(matrix)
     if affine.marks != data.multiplicities:
@@ -196,6 +205,7 @@ def psi_sets(data, deleted=0):
     lists are re-verified to be (-2)-classes with rank strictly between 0 and
     rk v.  Output is ordered by the root coefficient vectors.
     """
+    _check_node(data, deleted)
     matrix = cartan_matrix_of(data)
     affine = roots.classify_affine(matrix)
     if affine.marks[deleted] != 1:
@@ -216,6 +226,8 @@ def psi_sets(data, deleted=0):
         psi_plus.append(total)
     complement = [v - u for u in psi_plus]
     for u in psi_plus + complement:
-        assert mk.mukai_square(u) == -2
-        assert 0 < u.r < v.r
+        if mk.mukai_square(u) != -2:
+            raise InvariantError(f"Psi element {u!r} has <u, u> = {mk.mukai_square(u)}")
+        if not 0 < u.r < v.r:
+            raise InvariantError(f"Psi element {u!r} has rank outside (0, rk v)")
     return psi_plus, complement

@@ -18,8 +18,9 @@ from . import lattice as lat
 from . import linalg
 from . import mukai as mk
 from . import roots
-from .errors import (NonIsotropicV, NonPositivePolarization, NotMinusTwo,
-                     RankZeroImage, UOnUPrime, WrongSignature)
+from .errors import (InvalidMukaiVector, InvariantError, NonIsotropicV,
+                     NonPositivePolarization, NotMinusTwo, RankZeroImage,
+                     UOnUPrime, WrongSignature)
 
 
 @dataclass(frozen=True)
@@ -72,11 +73,11 @@ class CurveClass:
 
 def _check_context(p, h, v):
     if not v.is_integral():
-        raise ValueError("wall enumeration needs an integral Mukai vector")
+        raise InvalidMukaiVector("wall enumeration needs an integral Mukai vector")
     if v.r <= 0:
-        raise ValueError("wall enumeration needs rk v > 0")
+        raise InvalidMukaiVector("wall enumeration needs rk v > 0")
     if not mk.is_primitive(v):
-        raise ValueError("wall enumeration needs a primitive Mukai vector")
+        raise InvalidMukaiVector("wall enumeration needs a primitive Mukai vector")
     if mk.mukai_square(v) != 0:
         raise NonIsotropicV(f"<v, v> = {mk.mukai_square(v)}, expected 0")
     if lat.pairing(p, h, h) <= 0:
@@ -96,7 +97,9 @@ def enumerate_walls(p, h, v):
     each rank ``s`` the search therefore enumerates that congruence coset of
     H-perp directly (shifted bound propagation), recovers ``eta`` by the
     exact division, fixes ``b`` from ``<u, u> = -2``, and keeps u exactly
-    when ``<v, u> <= 0``.
+    when ``<v, u> <= 0``.  The form on the congruence sublattice is factored
+    and the congruence system reduced once, before the loop over ``s``; each
+    ``s`` only solves for its particular solution and its centre.
     """
     _check_context(p, h, v)
     r = int(v.r)
@@ -111,40 +114,44 @@ def enumerate_walls(p, h, v):
     rho = p.rank
 
     # D = W c over the H-perp basis; the congruence c1-part condition
-    # "W c = -s xi (mod r)" is handled per s: one particular solution plus
-    # the fixed sublattice {c : W c = 0 (mod r)}.
+    # "W c = -s xi (mod r)" is one integer system, reduced once: per s it
+    # gives a particular solution, and its kernel gives the fixed sublattice
+    # {c : W c = 0 (mod r)} with basis lam_basis.
     w_cols = h_perp.basis
     a_rows = [[w_cols[j][i] for j in range(k)] + [r if t == i else 0 for t in range(rho)]
               for i in range(rho)]
-    kernel = linalg.integer_kernel(a_rows, k + rho)
-    lam_basis = [vec[:k] for vec in kernel]
-    assert len(lam_basis) == k
+    system = linalg.IntegerSystem(a_rows, k + rho)
+    lam_basis = [vec[:k] for vec in system.kernel()]
+    if len(lam_basis) != k:
+        raise InvariantError(f"congruence sublattice has rank {len(lam_basis)}, expected {k}")
     gw = [[-e for e in row] for row in h_perp.restricted_gram()]
-    qpp = [[sum(bi[a] * gw[a][b] * bj[b] for a in range(k) for b in range(k))
-            for bj in lam_basis] for bi in lam_basis]
+    lam_gw = [[sum(bi[a] * gw[a][b] for a in range(k)) for b in range(k)] for bi in lam_basis]
+    form = linalg.QuadraticForm([[sum(row[b] * bj[b] for b in range(k)) for bj in lam_basis]
+                                 for row in lam_gw])
 
     results = []
     for s in range(1, r):
-        sol = linalg.solve_integer(a_rows, [-s * x for x in xi])
+        sol = system.solve([-s * x for x in xi])
         if sol is None:
             continue
         c0 = sol[:k]
-        lin = [sum(bi[a] * gw[a][b] * c0[b] for a in range(k) for b in range(k))
-               for bi in lam_basis]
+        lin = [sum(row[b] * c0[b] for b in range(k)) for row in lam_gw]
         const = sum(c0[a] * gw[a][b] * c0[b] for a in range(k) for b in range(k))
-        center = linalg.solve_rational(qpp, lin) if k else ()
+        center = form.solve(lin)
         floor_const = const - sum(t * l for t, l in zip(center, lin))
         budget = 2 * r * r - floor_const
-        for z, value in linalg.coset_vectors(qpp, center, budget):
+        for z, value in linalg.coset_vectors(form, center, budget):
             q = value + floor_const
-            assert q == int(q)
+            if q != int(q):
+                raise InvariantError(f"-(D, D) = {q} is not an integer")
             d2 = -int(q)
             c = [a + sum(zj * bj[idx] for zj, bj in zip(z, lam_basis))
                  for idx, a in enumerate(c0)]
             d = h_perp.from_coefficients(c)
             d_xi = sum(d[i] * g_xi[i] for i in range(rho) if d[i])
             num = d2 + 2 * s * d_xi + s * s * xi_sq
-            assert num % (r * r) == 0 and (d_xi + s * xi_sq) % r == 0
+            if num % (r * r) or (d_xi + s * xi_sq) % r:
+                raise InvariantError(f"divisor {d} is not congruent to -s c1(v) mod rk v")
             eta_sq = num // (r * r)
             if (eta_sq + 2) % (2 * s):
                 continue
@@ -248,7 +255,8 @@ def cross_wall(v, u):
     if pv == 0:
         raise UOnUPrime("wall passes through the origin; crossing is undefined")
     v_prime = reflect(uu, v)
-    assert mk.mukai_square(v_prime) == 0
+    if mk.mukai_square(v_prime) != 0:
+        raise InvariantError(f"reflected vector {v_prime!r} is not isotropic")
     return v_prime
 
 
@@ -285,7 +293,8 @@ def curve_classes(v, strata_basis, word):
         if image.r == 0:
             raise RankZeroImage(f"Weyl image of {b!r} has rank 0")
         rep = normalize_mod_v(v, -image)
-        assert mk.mukai_pairing(v, rep) == 0
+        if mk.mukai_pairing(v, rep) != 0:
+            raise InvariantError(f"curve class {rep!r} is not orthogonal to v")
         side = "from" if image.r > 0 else "to"
         out.append(CurveClass(rep, side, image))
     return out

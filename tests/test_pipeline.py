@@ -224,3 +224,27 @@ def test_cli_deterministic_across_hash_seeds(tmp_path):
         assert res.returncode == 0
         outputs.add(res.stdout)
     assert len(outputs) == 1
+
+
+def test_cli_invalid_mukai_vector_is_domain_error(tmp_path):
+    bad = {"non-primitive": {"r": 4, "c1": [2, 6], "s": 2},
+           "rank-zero": {"r": 0, "c1": [0, 1], "s": 1},
+           "non-integral": {"r": 2, "c1": [1, 3], "s": "1/2"}}
+    for name, vector in bad.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(ELLIPTIC_DOC, mukai_vector=vector)))
+        for command in ("walls", "classify"):
+            res = run_cli([command, str(path)])
+            assert res.returncode == 3, (name, command, res.stderr)
+            assert "InvalidMukaiVector" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_cli_delete_node_out_of_range(tmp_path):
+    path = tmp_path / "a2.json"
+    path.write_text(run_cli(["example", "--family", "A", "--n", "2", "--r", "1",
+                             "--a", "1", "--alpha", "1"]).stdout)
+    for command in ("classify", "chamber", "dual-graph"):
+        for node in ("7", "-1"):
+            res = run_cli([command, str(path), "--delete-node", node])
+            assert res.returncode == 3, (command, node, res.stderr)
+            assert "NodeOutOfRange" in res.stderr and "Traceback" not in res.stderr

@@ -4,7 +4,8 @@ from k3walls import lattice as lat
 from k3walls import mukai as mk
 from k3walls import roots
 from k3walls import strata as st
-from k3walls.errors import Inconsistent, MarkNotOne, MarksMismatch, NotAffineADE, TriplePoint
+from k3walls.errors import (Inconsistent, MarkNotOne, MarksMismatch, NodeOutOfRange,
+                            NotAffineADE, TriplePoint)
 
 
 def two_configurations():
@@ -71,6 +72,15 @@ def test_classify_alternative_deleted_node(a2_instance):
     assert rep.dual_graph.nodes == (0, 1)
     with pytest.raises(MarkNotOne):
         st.classify_singularity(_d4_stratum_center_request(), deleted_node=2)
+
+
+def test_deleted_node_out_of_range(a2_instance):
+    data = a2_instance.stratum()
+    for node in (3, 7, -1):
+        with pytest.raises(NodeOutOfRange):
+            st.classify_singularity(data, deleted_node=node)
+        with pytest.raises(NodeOutOfRange):
+            st.psi_sets(data, node)
 
 
 def _d4_stratum_center_request():

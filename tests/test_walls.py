@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles
 from k3walls import families
@@ -9,9 +12,9 @@ from k3walls import lattice as lat
 from k3walls import mukai as mk
 from k3walls import strata as st
 from k3walls import walls as wl
-from k3walls.errors import (NonIsotropicV, NonPositivePolarization,
-                            NotMinusTwo, RankZeroImage, UOnUPrime,
-                            WrongSignature)
+from k3walls.errors import (InvalidMukaiVector, NonIsotropicV,
+                            NonPositivePolarization, NotMinusTwo,
+                            RankZeroImage, UOnUPrime, WrongSignature)
 
 
 def wall_constraints_hold(p, h, v, wall):
@@ -59,6 +62,38 @@ def test_walls_match_brute_force(elliptic):
         assert wall_constraints_hold(p, h, v, w)
 
 
+def random_wall_context(rng, rho):
+    """A random even lattice of signature (1, rho - 1) with ``H^2 > 0`` and an
+    isotropic primitive ``v`` of rank 2..6; lattices without such data are redrawn."""
+    while True:
+        gram = [[0] * rho for _ in range(rho)]
+        for i in range(rho):
+            gram[i][i] = 2 * rng.randint(-2, 2)
+            for j in range(i + 1, rho):
+                gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+        if oracles.signature_by_charpoly(gram) != (1, rho - 1, 0):
+            continue
+        p = lat.PicardLattice(gram)
+        hs = [h for h in (tuple(rng.randint(-2, 2) for _ in range(rho)) for _ in range(50))
+              if lat.pairing(p, h, h) > 0]
+        for _ in range(200):
+            r = rng.randint(2, 6)
+            xi = tuple(rng.randint(-3, 3) for _ in range(rho))
+            sq = lat.pairing(p, xi, xi)
+            if hs and sq % (2 * r) == 0 and gcd(r, sq // (2 * r), *xi) == 1:
+                return p, hs[0], mk.MukaiVector(r, xi, sq // (2 * r), p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.integers(0, 10 ** 6), hst.integers(1, 3))
+def test_walls_match_brute_force_on_random_lattices(seed, rho):
+    p, h, v = random_wall_context(random.Random(seed), rho)
+    walls = wl.enumerate_walls(p, h, v)
+    assert {w.u for w in walls} == oracles.brute_force_walls(p, h, v)
+    assert len(walls) == len({w.u for w in walls})
+    assert all(wall_constraints_hold(p, h, v, w) for w in walls)
+
+
 def test_walls_constraints_reverified(a2_instance, d4_instance):
     for inst in (a2_instance, d4_instance):
         walls = wl.enumerate_walls(inst.lattice, inst.polarization, inst.v)
@@ -99,6 +134,14 @@ def test_walls_preconditions(elliptic):
     pos = lat.PicardLattice([[2, 0], [0, 2]])
     with pytest.raises(WrongSignature):
         wl.enumerate_walls(pos, (1, 0), mk.MukaiVector(1, (0, 0), 0, pos))
+
+
+def test_invalid_mukai_vector_is_domain_error(elliptic):
+    p, h, v = elliptic
+    bad = (2 * v, mk.MukaiVector(0, (0, 1), 1, p), mk.MukaiVector(2, (1, 3), Fraction(1, 2), p))
+    for u in bad:
+        with pytest.raises(InvalidMukaiVector):
+            wl.enumerate_walls(p, h, u)
 
 
 def test_u_prime(elliptic, a1_instance):
