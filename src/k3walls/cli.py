@@ -199,7 +199,8 @@ def build_parser():
     p = sub.add_parser("example", parents=[common],
                        help="generate a verified diagonal model instance")
     p.add_argument("--family", required=True, choices=("A", "D", "E"))
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=int,
+                   help=f"diagram rank, at most {families.EXAMPLE_N_CAP} (exit 3 above)")
     p.add_argument("--r", required=True, type=int)
     p.add_argument("--a", required=True, type=int)
     p.add_argument("--alpha", type=str, default=None, metavar="SCALE",

@@ -47,7 +47,7 @@ class MarksMismatch(DomainError):
 
 
 class CapExceeded(DomainError):
-    """An orbit or group enumeration outgrew its cap."""
+    """An orbit or group enumeration, or a requested example rank, outgrew its cap."""
 
 
 class NotMinusTwo(DomainError):

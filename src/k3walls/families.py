@@ -18,12 +18,19 @@ from . import lattice as lat
 from . import linalg
 from . import mukai as mk
 from . import roots
+from .errors import CapExceeded
 from .strata import StratumData
 
 EMBEDDING_CAVEAT = (
     "assumes N embeds primitively into the K3 lattice (-E8)^2 + U^3; known for "
     "extended A/D types of rank <= 18 and the extended E types, not verified here"
 )
+
+#: Largest diagram rank ``n`` that :func:`generate_example` builds.  The
+#: verification grows like n^3: on a 2-vCPU VM (CPython 3.11) an instance of
+#: rank 64 takes 0.4 s, and a whole ``example --alpha`` CLI process 1.9 s
+#: (6.8 s at rank 100).  The sweep stops at 18.
+EXAMPLE_N_CAP = 64
 
 #: (family, n) pairs covered by the standard sweep.
 SWEEP_TYPES = ([("A", n) for n in range(1, 19)]
@@ -75,8 +82,10 @@ def _check(verification, name, ok):
         raise RuntimeError(f"model instance identity failed: {name}")
 
 
-def generate_example(spec):
-    """Build and verify one diagonal model instance."""
+def generate_example(spec, cap=EXAMPLE_N_CAP):
+    """Build and verify one diagonal model instance; CapExceeded when ``spec.n > cap``."""
+    if spec.n > cap:
+        raise CapExceeded(f"example rank n = {spec.n} exceeds cap {cap}")
     matrix = roots.standard_affine_matrix(spec.family, spec.n)
     marks = roots.classify_affine(matrix).marks
     n_nodes = matrix.n_nodes

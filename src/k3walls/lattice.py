@@ -6,9 +6,12 @@ integer Gram matrix with labelled basis vectors.  Vectors are plain tuples of
 lattice basis.  All arithmetic is exact.
 """
 
+from fractions import Fraction
+from math import lcm, prod
+
 from . import linalg
 from .errors import NotDefinite
-from .linalg import normalize_number, normalize_vector, vec_is_integral
+from .linalg import normalize_number, normalize_vector
 
 
 class PicardLattice:
@@ -91,20 +94,30 @@ def signature(lattice):
 
 
 class Sublattice:
-    """A sublattice given by an independent integer basis in ambient coordinates."""
+    """A sublattice given by an independent integer basis in ambient coordinates.
 
-    __slots__ = ("ambient", "basis", "saturated")
+    The basis is reduced once, by unimodular row operations, to an integer
+    row echelon basis of the same lattice (``echelon``: ``(col, row)`` pivot
+    pairs); the independence check and every membership test read it.
+    """
+
+    __slots__ = ("ambient", "basis", "saturated", "echelon")
 
     def __init__(self, ambient, basis, saturated=False):
         basis = tuple(tuple(int(a) for a in v) for v in basis)
         for v in basis:
             if len(v) != ambient.rank:
                 raise ValueError("basis vector length does not match ambient rank")
-        if basis and linalg.integer_kernel([list(v) for v in zip(*basis)], len(basis)):
-            raise ValueError("sublattice basis is linearly dependent")
+        echelon = ()
+        if basis:
+            system = linalg.IntegerSystem([list(v) for v in zip(*basis)], len(basis))
+            if len(system.pivot_cols) < len(basis):
+                raise ValueError("sublattice basis is linearly dependent")
+            echelon = system.pivot_rows()
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "saturated", bool(saturated))
+        object.__setattr__(self, "echelon", echelon)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sublattice is immutable")
@@ -118,7 +131,8 @@ class Sublattice:
 
     def restricted_gram(self):
         """Gram matrix of the basis under the ambient form."""
-        return [[pairing(self.ambient, v, w) for w in self.basis] for v in self.basis]
+        gram_basis = [linalg.mat_mul_vec(self.ambient.gram, w) for w in self.basis]
+        return [[sum(a * b for a, b in zip(v, gw)) for gw in gram_basis] for v in self.basis]
 
     def from_coefficients(self, coeffs):
         """Map a coefficient vector on the basis to ambient coordinates."""
@@ -130,18 +144,25 @@ class Sublattice:
                     out[j] += c * v[j]
         return normalize_vector(out)
 
-    def coefficients_of(self, x):
-        """Rational coefficients of ``x`` on the basis, or None when outside the span."""
-        if not self.basis:
-            return () if linalg.vec_is_zero(x) else None
-        cols = [list(col) for col in zip(*self.basis)]
-        return linalg.solve_rational(cols, list(x))
-
     def contains(self, x, over_z=True):
-        c = self.coefficients_of(x)
-        if c is None:
+        """Whether ``x`` lies in the sublattice, or with ``over_z=False`` in its rational span.
+
+        Over Z: forward substitution on the echelon rows with a divisibility
+        check at each pivot.  Over Q: the same test on ``x`` times the lcm of
+        its denominators and the product of the pivots, which clears every
+        denominator a rational solution can have.
+        """
+        if len(x) != self.ambient.rank:
+            raise ValueError(f"vector length does not match ambient rank {self.ambient.rank}")
+        scale = 1
+        if not all(type(a) is int for a in x):
+            scale = lcm(*(Fraction(a).denominator for a in x))
+        if not over_z:
+            scale *= prod(row[col] for col, row in self.echelon)
+        elif scale != 1:
             return False
-        return vec_is_integral(c) if over_z else True
+        y = x if scale == 1 else [a * scale for a in x]
+        return linalg.echelon_coefficients(self.echelon, y) is not None
 
 
 def full_sublattice(lattice):

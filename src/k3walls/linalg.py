@@ -128,22 +128,42 @@ class IntegerSystem:
         basis.sort()
         return basis
 
+    def pivot_rows(self):
+        """``((col, row), ...)``: the nonzero echelon rows with their pivot columns.
+
+        Over Z they are a basis of the lattice spanned by the rows of ``A^T``,
+        in the shape :func:`echelon_coefficients` reads.
+        """
+        return tuple((col, tuple(self.echelon[r])) for r, col in enumerate(self.pivot_cols))
+
     def solve(self, b):
         """One integer solution of ``A x = b``, or None when none exists."""
-        t, u = self.echelon, self.transform
-        residual = [int(v) for v in b]
-        z = []
-        for row, col in enumerate(self.pivot_cols):
-            piv = t[row][col]
-            if residual[col] % piv:
-                return None
-            q = residual[col] // piv
-            z.append(q)
-            if q:
-                residual = [a - q * e for a, e in zip(residual, t[row])]
-        if any(residual):
+        z = echelon_coefficients(zip(self.pivot_cols, self.echelon), b)
+        if z is None:
             return None
+        u = self.transform
         return tuple(sum(u[j][i] * q for j, q in enumerate(z)) for i in range(len(u)))
+
+
+def echelon_coefficients(pivot_rows, b):
+    """Integers ``z`` with ``b = sum_r z_r row_r``, or None when there are none.
+
+    ``pivot_rows`` holds ``(col, row)`` pairs of an integer row echelon form
+    (each row zero left of its pivot column ``col``).  Forward substitution
+    with a divisibility check at each pivot; no back-transform, no Fraction.
+    """
+    residual = [int(v) for v in b]
+    z = []
+    for col, row in pivot_rows:
+        q, rem = divmod(residual[col], row[col])
+        if rem:
+            return None
+        z.append(q)
+        if q:
+            residual = [a - q * e for a, e in zip(residual, row)]
+    if any(residual):
+        return None
+    return z
 
 
 def integer_kernel(a_rows, n_cols):
@@ -202,29 +222,6 @@ def solve_rational(a_rows, b):
     for r, col in enumerate(piv_cols):
         x[col] = mat[r][n]
     return normalize_vector(x)
-
-
-def invert_rational(a_rows):
-    """Exact inverse of a nonsingular rational matrix, or None if singular."""
-    n = len(a_rows)
-    mat = [[Fraction(a_rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        sel = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            return None
-        mat[col], mat[sel] = mat[sel], mat[col]
-        p = mat[col][col]
-        mat[col] = [v / p for v in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[col])]
-    return [row[n:] for row in mat]
 
 
 def signature(gram):

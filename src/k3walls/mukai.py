@@ -25,9 +25,9 @@ class MukaiVector:
         c1 = normalize_vector(c1)
         if len(c1) != lattice.rank:
             raise ValueError("c1 length does not match Picard rank")
-        object.__setattr__(self, "r", normalize_number(Fraction(r)))
+        object.__setattr__(self, "r", r if type(r) is int else normalize_number(Fraction(r)))
         object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "s", normalize_number(Fraction(s)))
+        object.__setattr__(self, "s", s if type(s) is int else normalize_number(Fraction(s)))
         object.__setattr__(self, "lattice", lattice)
 
     def __setattr__(self, name, value):
@@ -85,8 +85,7 @@ def unit(lattice):
 def mukai_pairing(x, y):
     """<x, y> = (c1 x, c1 y) - r(x) s(y) - s(x) r(y); symmetric, exact."""
     x._check_ambient(y)
-    return normalize_number(
-        Fraction(picard_pairing(x.lattice, x.c1, y.c1)) - x.r * y.s - x.s * y.r)
+    return normalize_number(picard_pairing(x.lattice, x.c1, y.c1) - x.r * y.s - x.s * y.r)
 
 
 def mukai_square(x):
@@ -95,7 +94,7 @@ def mukai_square(x):
 
 def euler_pairing(x, y):
     """Euler form chi(x, y) = -<x, y>."""
-    return normalize_number(-Fraction(mukai_pairing(x, y)))
+    return -mukai_pairing(x, y)
 
 
 def mukai_vector_from_chern(rank, c1, c2, lattice):

@@ -81,15 +81,65 @@ def signature_by_charpoly(gram):
     return pos, neg, null
 
 
+def invert_rational(a_rows):
+    """Exact inverse of a nonsingular rational matrix by Gauss-Jordan, or None if singular."""
+    n = len(a_rows)
+    mat = [[Fraction(a_rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        sel = None
+        for r in range(col, n):
+            if mat[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            return None
+        mat[col], mat[sel] = mat[sel], mat[col]
+        p = mat[col][col]
+        mat[col] = [v / p for v in mat[col]]
+        for r in range(n):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [v - f * w for v, w in zip(mat[r], mat[col])]
+    return [row[n:] for row in mat]
+
+
 def ellipsoid_bounds(gram_pd, radius):
     """Per-coordinate bounds |x_i| <= sqrt(radius * (G^-1)_ii) for x^T G x <= radius."""
-    from k3walls.linalg import invert_rational
     inv = invert_rational(gram_pd)
     bounds = []
     for i in range(len(gram_pd)):
         q = Fraction(radius) * inv[i][i]
         bounds.append(isqrt(q.numerator * q.denominator) // q.denominator)
     return bounds
+
+
+def span_membership(basis, x):
+    """``(in_z, in_q)``: whether ``x`` is an integer / rational combination of ``basis``.
+
+    Cramer's rule on the first nonsingular k x k minor (rows taken in
+    lexicographic order of their coordinate indices) gives the only possible
+    coefficients; ``x`` is in the rational span iff they reproduce every
+    coordinate, and in the lattice iff they are moreover integers.
+    """
+    x = [Fraction(a) for a in x]
+    k = len(basis)
+    if k == 0:
+        zero = all(a == 0 for a in x)
+        return zero, zero
+    for rows in itertools.combinations(range(len(x)), k):
+        minor = [[basis[c][i] for c in range(k)] for i in rows]
+        det = det_fraction(minor)
+        if det != 0:
+            break
+    else:
+        raise ValueError("basis is linearly dependent")
+    coeffs = []
+    for c in range(k):
+        replaced = [[x[i] if cc == c else basis[cc][i] for cc in range(k)] for i in rows]
+        coeffs.append(det_fraction(replaced) / det)
+    in_q = all(sum(coeffs[c] * basis[c][i] for c in range(k)) == x[i] for i in range(len(x)))
+    return in_q and all(c.denominator == 1 for c in coeffs), in_q
 
 
 def box_norm_vectors(sub, norm_min, norm_max):

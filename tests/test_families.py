@@ -2,8 +2,10 @@ import pytest
 
 from k3walls import families
 from k3walls import lattice as lat
+from k3walls import linalg
 from k3walls import mukai as mk
 from k3walls import strata as st
+from k3walls.errors import CapExceeded
 
 
 def test_rank1_instance(a1_instance):
@@ -109,3 +111,24 @@ def test_sweep_types_listing():
     assert ("D", 18) in families.SWEEP_TYPES
     assert ("E", 8) in families.SWEEP_TYPES
     assert len(families.SWEEP_TYPES) == 18 + 15 + 3
+
+
+def test_sweep_path_runs_no_rational_elimination(monkeypatch):
+    # Membership and definiteness read integer echelons and fraction-free
+    # factors; a rational Gauss-Jordan creeping back in fails here first.
+    def refuse(*args):
+        raise AssertionError("solve_rational called on the sweep path")
+
+    monkeypatch.setattr(linalg, "solve_rational", refuse)
+    for family, n in [("A", 3), ("D", 5), ("E", 6)]:
+        inst = families.generate_example(families.ExampleSpec(family, n, 2, 1))
+        assert len(inst.verification) == 11
+        assert all(inst.verification.values())
+
+
+def test_example_rank_cap():
+    assert families.EXAMPLE_N_CAP >= max(n for _, n in families.SWEEP_TYPES)
+    spec = families.ExampleSpec("D", 5, 1, 1)
+    with pytest.raises(CapExceeded):
+        families.generate_example(spec, cap=4)
+    assert all(families.generate_example(spec, cap=5).verification.values())

@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -223,3 +224,72 @@ def test_saturate_properties():
             assert sub.contains(b, over_z=False)
         sat2 = lat.saturate(sat)
         assert sorted(sat2.basis) == sorted(sat.basis)
+
+
+def diagonal_lattice(n):
+    return lat.PicardLattice([[2 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_contains_against_cramer_oracle(n, data):
+    """Z- and Q-membership against Cramer's rule on a nonsingular minor.
+
+    The basis has rank <= 4; one vector may be scaled by ``m`` (non-saturated
+    when m > 1), and ``x`` is a rational combination of the basis, that basis
+    vector's primitive multiple, or neither (an integer offset).
+    """
+    k = data.draw(st.integers(0, min(4, n)))
+    basis = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=k, max_size=k))
+    if k:
+        minors = [oracles.det_fraction([[b[i] for b in basis] for i in rows])
+                  for rows in itertools.combinations(range(n), k)]
+        assume(any(minors))
+    m = data.draw(st.integers(1, 3))
+    scaled = [[m * a for a in basis[0]]] + basis[1:] if k else []
+    coeffs = data.draw(st.lists(st.one_of(st.integers(-3, 3), small_rationals),
+                                min_size=k, max_size=k))
+    offset = data.draw(st.one_of(st.just([0] * n),
+                                 st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    x = [sum(c * b[i] for c, b in zip(coeffs, basis)) + o for i, o in enumerate(offset)]
+    x = linalg.normalize_vector(x)
+    sub = lat.Sublattice(diagonal_lattice(n), scaled)
+    in_z, in_q = oracles.span_membership(scaled, x)
+    event(f"rank {k}: in Z {in_z}, in Q {in_q}")
+    assert sub.contains(x) == in_z
+    assert sub.contains(x, over_z=False) == in_q
+
+
+def test_contains_non_saturated_and_empty():
+    p = diagonal_lattice(3)
+    sub = lat.Sublattice(p, [(2, 0, 0), (0, 1, 1)])
+    for x, in_z, in_q in [((1, 0, 0), False, True), ((2, 3, 3), True, True),
+                          ((0, 1, 0), False, False), ((Fraction(1, 2), 0, 0), False, True),
+                          ((Fraction(1, 3), 1, 2), False, False)]:
+        assert oracles.span_membership(sub.basis, x) == (in_z, in_q)
+        assert sub.contains(x) == in_z
+        assert sub.contains(x, over_z=False) == in_q
+    empty = lat.Sublattice(p, [])
+    assert empty.contains((0, 0, 0)) and empty.contains((0, 0, 0), over_z=False)
+    assert not empty.contains((0, 1, 0)) and not empty.contains((0, 1, 0), over_z=False)
+    with pytest.raises(ValueError):
+        sub.contains((1, 0))
+
+
+def test_restricted_gram_matches_pairing():
+    rng = random.Random(31)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        p = random_even_lattice(rng, n)
+        basis = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n))]
+        try:
+            sub = lat.Sublattice(p, basis)
+        except ValueError:
+            continue
+        gram = sub.restricted_gram()
+        assert gram == [[lat.pairing(p, v, w) for w in basis] for v in basis]
+        assert all(type(e) is int for row in gram for e in row)

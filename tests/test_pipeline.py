@@ -248,3 +248,10 @@ def test_cli_delete_node_out_of_range(tmp_path):
             res = run_cli([command, str(path), "--delete-node", node])
             assert res.returncode == 3, (command, node, res.stderr)
             assert "NodeOutOfRange" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_cli_example_over_rank_cap_is_domain_error():
+    res = run_cli(["example", "--family", "A", "--n", str(families.EXAMPLE_N_CAP + 1),
+                   "--r", "1", "--a", "1"])
+    assert res.returncode == 3, res.stderr
+    assert "CapExceeded" in res.stderr and "Traceback" not in res.stderr
