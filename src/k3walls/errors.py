@@ -47,7 +47,7 @@ class MarksMismatch(DomainError):
 
 
 class CapExceeded(DomainError):
-    """An orbit or group enumeration, or a requested example rank, outgrew its cap."""
+    """An orbit or group enumeration, an example rank or a wall search's rk v outgrew its cap."""
 
 
 class NotMinusTwo(DomainError):

@@ -8,6 +8,7 @@ lattice basis.  All arithmetic is exact.
 
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 
 from . import linalg
 from .errors import NotDefinite
@@ -52,8 +53,8 @@ class PicardLattice:
         raise AttributeError("PicardLattice is immutable")
 
     def __eq__(self, other):
-        return (isinstance(other, PicardLattice)
-                and self.gram == other.gram and self.basis_labels == other.basis_labels)
+        return self is other or (isinstance(other, PicardLattice) and self.gram == other.gram
+                                 and self.basis_labels == other.basis_labels)
 
     def __hash__(self):
         return hash((self.gram, self.basis_labels))
@@ -73,19 +74,11 @@ def pairing(lattice, x, y):
     n = lattice.rank
     if len(x) != n or len(y) != n:
         raise ValueError(f"vector length does not match lattice rank {n}")
-    gram = lattice.gram
     total = 0
-    for i in range(n):
-        xi = x[i]
-        if xi == 0:
-            continue
-        row = gram[i]
-        total += xi * sum(row[j] * y[j] for j in range(n) if y[j] != 0)
+    for xi, row in zip(x, lattice.gram):
+        if xi != 0:
+            total += xi * sum(map(mul, row, y))
     return normalize_number(total)
-
-
-def norm(lattice, x):
-    return pairing(lattice, x, x)
 
 
 def signature(lattice):

@@ -28,10 +28,6 @@ def vec_scale(c, x):
     return tuple(c * a for a in x)
 
 
-def vec_is_zero(x):
-    return all(a == 0 for a in x)
-
-
 def vec_is_integral(x):
     return all(a == int(a) for a in x)
 

@@ -12,6 +12,7 @@ equality after permutation, so a malformed shape can never be mislabelled.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import linalg
 from .errors import (CapExceeded, InvariantError, MarkNotOne, NotAffineADE,
@@ -386,12 +387,7 @@ def classify_finite(matrix):
         raise err
 
     perm = tuple(perm)
-    std = standard_finite_matrix(family, rank)
-    npm = tuple(p - 1 for p in perm)
-    for i in range(n):
-        for j in range(n):
-            if matrix.entries[i][j] != std.entries[npm[i]][npm[j]]:
-                raise err
+    _verify_perm(matrix, [p - 1 for p in perm], standard_finite_matrix(family, rank), err)
     return FiniteDiagram(family, rank, perm, matrix)
 
 
@@ -430,20 +426,22 @@ def positive_roots(diagram):
     root away from one of height h, and for simply laced types b + e_i is a
     root exactly when (b, alpha_i) = -1.
     """
-    matrix = diagram.matrix
-    n = matrix.n_nodes
+    entries = diagram.matrix.entries
+    n = len(entries)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     roots = set(simple)
-    frontier = list(simple)
+    # Each root travels with its pairings C b against the simple roots; C is
+    # symmetric, so C (b + e_i) = C b + entries[i].
+    frontier = list(zip(simple, entries))
     while frontier:
         nxt = []
-        for b in frontier:
-            for i in range(n):
-                if _pairing_with_simple(matrix, b, i) == -1:
-                    cand = tuple(c + 1 if j == i else c for j, c in enumerate(b))
+        for b, cb in frontier:
+            for i, p in enumerate(cb):
+                if p == -1:
+                    cand = b[:i] + (b[i] + 1,) + b[i + 1:]
                     if cand not in roots:
                         roots.add(cand)
-                        nxt.append(cand)
+                        nxt.append((cand, tuple(map(add, cb, entries[i]))))
         frontier = nxt
     return tuple(sorted(roots))
 
@@ -490,24 +488,28 @@ def apply_word_dual(diagram, word, values):
     return tuple(values)
 
 
-def weyl_orbit(diagram, x, cap=ORBIT_CAP):
-    """BFS closure of a root-coordinate vector under all simple reflections."""
+def _closure(diagram, reflection, start, cap, what):
+    """Breadth-first closure of ``start`` under ``reflection(diagram, i, .)`` for all i."""
     n = diagram.matrix.n_nodes
-    start = tuple(x)
-    orbit = {start}
+    seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for b in frontier:
+        for x in frontier:
             for i in range(1, n + 1):
-                image = simple_reflection(diagram, i, b)
-                if image not in orbit:
-                    orbit.add(image)
-                    if len(orbit) > cap:
-                        raise CapExceeded(f"orbit exceeded cap {cap}")
+                image = reflection(diagram, i, x)
+                if image not in seen:
+                    seen.add(image)
+                    if len(seen) > cap:
+                        raise CapExceeded(f"{what} exceeded cap {cap}")
                     nxt.append(image)
         frontier = nxt
-    return frozenset(orbit)
+    return seen
+
+
+def weyl_orbit(diagram, x, cap=ORBIT_CAP):
+    """BFS closure of a root-coordinate vector under all simple reflections."""
+    return frozenset(_closure(diagram, simple_reflection, tuple(x), cap, "orbit"))
 
 
 def weyl_group_order(diagram, cap=GROUP_CAP):
@@ -516,22 +518,8 @@ def weyl_group_order(diagram, cap=GROUP_CAP):
     Computed as the orbit size of a regular dominant value vector (all
     pairings 1), whose stabilizer is trivial.
     """
-    n = diagram.matrix.n_nodes
-    start = (1,) * n
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for i in range(1, n + 1):
-                image = dual_reflection(diagram, i, t)
-                if image not in orbit:
-                    orbit.add(image)
-                    if len(orbit) > cap:
-                        raise CapExceeded(f"group enumeration exceeded cap {cap}")
-                    nxt.append(image)
-        frontier = nxt
-    return len(orbit)
+    start = (1,) * diagram.matrix.n_nodes
+    return len(_closure(diagram, dual_reflection, start, cap, "group enumeration"))
 
 
 def reduce_to_fundamental(diagram, values):

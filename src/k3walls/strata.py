@@ -10,12 +10,12 @@ dual graph of the exceptional curves with intersection numbers
 """
 
 from dataclasses import dataclass
+from operator import mul, sub
 
 from . import mukai as mk
 from . import roots
 from .errors import (Inconsistent, InvariantError, MarksMismatch, NodeOutOfRange,
                      TriplePoint)
-from .lattice import pairing as picard_pairing
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,12 @@ def validate_stratum(data):
 def cartan_matrix_of(data):
     """The candidate affine Cartan matrix ``(-<u_i, u_j>)`` in input order."""
     vecs = data.vectors
-    return roots.CartanMatrix([[-mk.mukai_pairing(x, y) for y in vecs] for x in vecs])
+    n = len(vecs)
+    rows = [[0] * n for _ in vecs]
+    for i, x in enumerate(vecs):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = -mk.mukai_pairing(x, vecs[j])
+    return roots.CartanMatrix(rows)
 
 
 def retained_vectors(data, deleted=0):
@@ -201,30 +206,33 @@ def no_triple_point_check(data, deleted=0):
 def psi_sets(data, deleted=0):
     """The origin walls inside the stratum span: ``Psi_+`` and ``v - Psi_+``.
 
-    ``Psi_+`` is the positive-root combinations of the retained classes; both
-    lists are re-verified to be (-2)-classes with rank strictly between 0 and
-    rk v.  Output is ordered by the root coefficient vectors.
+    ``Psi_+`` holds ``u = sum_k b_k u_k`` over the positive roots ``b`` of the
+    finite diagram left by :func:`roots.delete_node` (which also checks that
+    the deleted node has mark 1), in the order of the root coefficient
+    vectors.  Each component of ``u`` is one integer dot product of ``b``
+    with the column of that component over the retained classes, so each
+    element is a single :class:`MukaiVector`; its partner ``v - u`` is built
+    the same way.  Every element of both lists is re-verified on the vector
+    built, by the Mukai pairing itself: ``<u, u> = -2`` and ``0 < rk u < rk v``.
     """
     _check_node(data, deleted)
-    matrix = cartan_matrix_of(data)
-    affine = roots.classify_affine(matrix)
-    if affine.marks[deleted] != 1:
-        raise MarksMismatch(f"node {deleted} has mark {affine.marks[deleted]}, expected 1")
-    keep = [k for k in range(len(data.strata)) if k != deleted]
-    sub = roots.CartanMatrix(
-        tuple(tuple(matrix.entries[a][b] for b in keep) for a in keep))
-    finite = roots.classify_finite(sub)
-    vecs = data.vectors
+    finite = roots.delete_node(cartan_matrix_of(data), deleted)
+    retained = retained_vectors(data, deleted)
     v = data.v
+    for u in retained:
+        v._check_ambient(u)
+    r_col = [u.r for u in retained]
+    s_col = [u.s for u in retained]
+    c1_cols = list(zip(*(u.c1 for u in retained)))
     psi_plus = []
-    for coeffs in roots.positive_roots(finite):
-        total = None
-        for c, k in zip(coeffs, keep):
-            if c:
-                term = c * vecs[k]
-                total = term if total is None else total + term
-        psi_plus.append(total)
-    complement = [v - u for u in psi_plus]
+    complement = []
+    for b in roots.positive_roots(finite):
+        r = sum(map(mul, b, r_col))
+        c1 = [sum(map(mul, b, col)) for col in c1_cols]
+        s = sum(map(mul, b, s_col))
+        psi_plus.append(mk.MukaiVector(r, c1, s, v.lattice))
+        complement.append(mk.MukaiVector(v.r - r, list(map(sub, v.c1, c1)), v.s - s,
+                                         v.lattice))
     for u in psi_plus + complement:
         if mk.mukai_square(u) != -2:
             raise InvariantError(f"Psi element {u!r} has <u, u> = {mk.mukai_square(u)}")

@@ -6,6 +6,7 @@ searches with ellipsoid coordinate bounds, saturation indices from a small
 Smith-form routine.  Keep it dumb; that's the point.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import isqrt
@@ -174,8 +175,13 @@ def box_norm_vectors(sub, norm_min, norm_max):
     return sorted(found)
 
 
+@functools.lru_cache(maxsize=None)
 def box_positive_roots(entries):
-    """All b >= 0 with b^T C b == 2 by exhaustive box search."""
+    """All b >= 0 with b^T C b == 2 by exhaustive box search.
+
+    ``entries`` is a tuple of row tuples.  The answer is cached per matrix:
+    the E8 box alone takes seconds, and several tests ask for it.
+    """
     n = len(entries)
     bounds = ellipsoid_bounds([list(r) for r in entries], 2)
     roots = set()
@@ -184,7 +190,7 @@ def box_positive_roots(entries):
             continue
         if sum(b[i] * entries[i][j] * b[j] for i in range(n) for j in range(n)) == 2:
             roots.add(b)
-    return roots
+    return frozenset(roots)
 
 
 def brute_force_walls(p, h, v):

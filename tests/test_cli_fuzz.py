@@ -1,0 +1,78 @@
+"""Exit-code contract of the CLI under mutated input documents.
+
+Valid A~2 and D~4 documents (with strata and alpha) are mutated by
+hypothesis: values replaced by wrong types, floats, bools, ``"1/0"`` and
+other junk, keys and list entries dropped, strata duplicated.  Whatever the
+document, ``cli.main`` run in-process must return 0, 2 or 3 and let no
+exception escape.
+"""
+
+import contextlib
+import copy
+import io
+import json
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from k3walls import cli, families, pipeline
+
+SEED_DOCS = {
+    name: pipeline.instance_document(
+        families.generate_example(families.ExampleSpec(family, n, 1, 1)), alpha_scale=1)
+    for name, family, n in (("A~2", "A", 2), ("D~4", "D", 4))
+}
+
+JUNK = (None, True, False, 0, -1, 2, 10 ** 6, 1.5, -0.0, "1/0", "3/2", "x", "",
+        [], {}, [1], {"r": 1})
+
+COMMANDS = (("walls",), ("classify",), ("classify", "--format", "text"), ("chamber",),
+            ("dual-graph",), ("reflect", "--u-index", "0"))
+
+
+def _slots(node, out):
+    """Every ``(container, key)`` pair of a JSON tree."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, child in items:
+        out.append((node, key))
+        _slots(child, out)
+    return out
+
+
+def _mutate(doc, data):
+    kind = data.draw(hst.sampled_from(("replace", "replace", "drop", "duplicate", "whole")))
+    if kind == "whole":
+        return copy.deepcopy(data.draw(hst.sampled_from(JUNK)))
+    strata = doc.get("strata") if isinstance(doc, dict) else None
+    if kind == "duplicate" and isinstance(strata, list) and strata:
+        strata.append(copy.deepcopy(data.draw(hst.sampled_from(strata))))
+        return doc
+    slots = _slots(doc, [])
+    if not slots:
+        return doc
+    container, key = data.draw(hst.sampled_from(slots))
+    if kind == "drop":
+        del container[key]
+    else:
+        container[key] = copy.deepcopy(data.draw(hst.sampled_from(JUNK)))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.sampled_from(sorted(SEED_DOCS)), hst.sampled_from(COMMANDS),
+       hst.integers(1, 3), hst.data())
+def test_cli_exit_contract_on_mutated_documents(seed, command, mutations, data):
+    doc = copy.deepcopy(SEED_DOCS[seed])
+    for _ in range(mutations):
+        doc = _mutate(doc, data)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command[0], "-", *command[1:]])
+    assert code in (0, 2, 3), (code, err.getvalue())

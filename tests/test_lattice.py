@@ -42,6 +42,15 @@ def test_constructor_rejects_bad_gram():
         lat.PicardLattice([[0, 1], [1, 0]], ["x", "x"])
 
 
+def test_equality_is_structural(elliptic):
+    p, _, _ = elliptic
+    twin = lat.PicardLattice([[-2, 1], [1, 0]], ["sigma", "f"])
+    assert twin is not p and twin == p and hash(twin) == hash(p)
+    assert twin != lat.PicardLattice([[-2, 1], [1, 0]], ["s", "f"])
+    assert twin != lat.PicardLattice([[-2, 1], [1, 2]], ["sigma", "f"])
+    assert twin != [[-2, 1], [1, 0]]
+
+
 def test_pairing_examples(elliptic):
     p, h, _ = elliptic
     assert lat.pairing(p, h, h) == 4

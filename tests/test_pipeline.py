@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from k3walls import cli, families, pipeline
+from k3walls import cli, families, pipeline, walls
 from k3walls.errors import InvalidTwist, SchemaError
 
 ELLIPTIC_DOC = {
@@ -255,3 +255,15 @@ def test_cli_example_over_rank_cap_is_domain_error():
                    "--r", "1", "--a", "1"])
     assert res.returncode == 3, res.stderr
     assert "CapExceeded" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_cli_over_wall_rank_cap_is_domain_error(tmp_path):
+    # primitive isotropic: (1, r + 1)^2 = 2r = 2 * r * s on the elliptic lattice
+    r = walls.WALL_RANK_CAP + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(ELLIPTIC_DOC,
+                                    mukai_vector={"r": r, "c1": [1, r + 1], "s": 1})))
+    for command in ("walls", "classify"):
+        res = run_cli([command, str(path)])
+        assert res.returncode == 3, (command, res.stderr)
+        assert "CapExceeded" in res.stderr and "Traceback" not in res.stderr

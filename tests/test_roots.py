@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles
 from k3walls import roots
@@ -133,6 +135,27 @@ def test_positive_root_counts_with_box_oracle():
         got = roots.positive_roots(diagram)
         assert len(got) == expected, (family, n)
         assert set(got) == oracles.box_positive_roots(diagram.matrix.entries), (family, n)
+
+
+FINITE_UP_TO_8 = ([("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+                  + [("E", n) for n in (6, 7, 8)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from(FINITE_UP_TO_8), hst.data())
+def test_positive_roots_on_permuted_matrices(type_, data):
+    # Input node i of the standard matrix becomes node perm[i]; the box
+    # oracle's roots of the standard matrix move with it.
+    std = roots.standard_finite_matrix(*type_)
+    perm = data.draw(hst.permutations(range(std.n_nodes)))
+    expected = set()
+    for b in oracles.box_positive_roots(std.entries):
+        moved = [0] * std.n_nodes
+        for i, p in enumerate(perm):
+            moved[p] = b[i]
+        expected.add(tuple(moved))
+    diagram = roots.classify_finite(permuted(std, perm))
+    assert roots.positive_roots(diagram) == tuple(sorted(expected))
 
 
 def test_highest_root():

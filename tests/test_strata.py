@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import oracles
 from k3walls import lattice as lat
 from k3walls import mukai as mk
 from k3walls import roots
@@ -181,3 +184,91 @@ def test_marks_equal_multiplicities_and_dimension_identity(a2_instance, d4_insta
         # dual graph edges symmetric with multiplicity one
         for i, j, m in rep.dual_graph.edges:
             assert m == 1 and i < j
+
+
+def test_mark_two_node_is_mark_not_one_for_both_calls():
+    # node 2 of the D~4 instance is the centre, of mark 2
+    data = _d4_stratum_center_request()
+    assert data.multiplicities[2] == 2
+    with pytest.raises(MarkNotOne):
+        st.classify_singularity(data, deleted_node=2)
+    with pytest.raises(MarkNotOne):
+        st.psi_sets(data, 2)
+
+
+def _written_out_pairing(gram, x, y):
+    """Mukai pairing of ``(r, c1, s)`` triples, spelled out on the Gram matrix."""
+    (rx, cx, sx), (ry, cy, sy) = x, y
+    n = len(gram)
+    return (sum(cx[i] * gram[i][j] * cy[j] for i in range(n) for j in range(n))
+            - rx * sy - sx * ry)
+
+
+def _combination(coeffs, triples):
+    r = sum(b * t[0] for b, t in zip(coeffs, triples))
+    c1 = tuple(sum(b * t[1][i] for b, t in zip(coeffs, triples))
+               for i in range(len(triples[0][1])))
+    s = sum(b * t[2] for b, t in zip(coeffs, triples))
+    return r, c1, s
+
+
+def test_psi_sets_against_box_oracle():
+    # Every sweep type of Picard rank <= 9, every mark-1 node, strata shuffled.
+    # The oracle roots are found in the instance's own node order; the
+    # expected Psi elements are the same set in any order, listed by their
+    # coefficient vectors in the shuffled order.
+    from k3walls import families
+    rng = random.Random(4)
+    for family, n in families.SWEEP_TYPES:
+        if n + 1 > 9:
+            continue
+        inst = families.generate_example(families.ExampleSpec(family, n, 2, 1))
+        gram = inst.lattice.gram
+        v = (inst.v.r, inst.v.c1, inst.v.s)
+        triples = [(u.r, u.c1, u.s) for u in inst.v_list]
+        order = list(range(len(triples)))
+        rng.shuffle(order)
+        data = st.StratumData(inst.lattice, inst.polarization, inst.v,
+                              tuple(inst.stratum().strata[k] for k in order))
+        for node, k in enumerate(order):
+            if inst.marks[k] != 1:
+                continue
+            kept = [j for j in range(len(triples)) if j != k]
+            cartan = tuple(tuple(-_written_out_pairing(gram, triples[a], triples[b])
+                                 for b in kept) for a in kept)
+            shuffled = [order[m] for m in range(len(order)) if m != node]
+            expected = []
+            for b in oracles.box_positive_roots(cartan):
+                by_index = dict(zip(kept, b))
+                key = tuple(by_index[j] for j in shuffled)
+                expected.append((key, _combination(b, [triples[j] for j in kept])))
+            expected.sort()
+            psi_want = [u for _, u in expected]
+            comp_want = [(v[0] - r, tuple(a - c for a, c in zip(v[1], c1)), v[2] - s)
+                         for r, c1, s in psi_want]
+            for u in psi_want + comp_want:
+                assert _written_out_pairing(gram, u, u) == -2
+                assert 0 < u[0] < v[0]
+            psi, comp = st.psi_sets(data, node)
+            assert [(u.r, u.c1, u.s) for u in psi] == psi_want, (family, n, node)
+            assert [(u.r, u.c1, u.s) for u in comp] == comp_want, (family, n, node)
+
+
+def test_psi_sets_builds_no_mukai_sums(monkeypatch):
+    # Each Psi element is one integer dot product per component; a chain of
+    # MukaiVector sums and scalings creeping back in fails here first.
+    from k3walls import families
+
+    def refuse(*args):
+        raise AssertionError("MukaiVector arithmetic on the Psi-set path")
+
+    cases = []
+    for family, n in [("A", 3), ("D", 5), ("E", 6)]:
+        inst = families.generate_example(families.ExampleSpec(family, n, 2, 1))
+        cases.append((inst, len(roots.positive_roots(roots.classify_finite(
+            roots.standard_finite_matrix(family, n))))))
+    monkeypatch.setattr(mk.MukaiVector, "__add__", refuse)
+    monkeypatch.setattr(mk.MukaiVector, "__rmul__", refuse)
+    for inst, count in cases:
+        psi, comp = st.psi_sets(inst.stratum())
+        assert len(psi) == len(comp) == count

@@ -12,7 +12,7 @@ from k3walls import lattice as lat
 from k3walls import mukai as mk
 from k3walls import strata as st
 from k3walls import walls as wl
-from k3walls.errors import (InvalidMukaiVector, NonIsotropicV,
+from k3walls.errors import (CapExceeded, InvalidMukaiVector, NonIsotropicV,
                             NonPositivePolarization, NotMinusTwo,
                             RankZeroImage, UOnUPrime, WrongSignature)
 
@@ -60,6 +60,22 @@ def test_walls_match_brute_force(elliptic):
     assert len(walls) == 2
     for w in walls:
         assert wall_constraints_hold(p, h, v, w)
+
+
+def test_wall_rank_cap(a2_instance, monkeypatch):
+    # D~18 with r = 3 has the largest rk v of the sweep: 3 * 34 = 102
+    assert wl.WALL_RANK_CAP >= 50 * 102
+    inst = a2_instance
+    assert inst.v.r == 3
+    full = wl.enumerate_walls(inst.lattice, inst.polarization, inst.v)
+    assert wl.enumerate_walls(inst.lattice, inst.polarization, inst.v, cap=3) == full
+
+    def refuse(*args):
+        raise AssertionError("wall search started above the cap")
+
+    monkeypatch.setattr(lat, "orthogonal_complement", refuse)
+    with pytest.raises(CapExceeded):
+        wl.enumerate_walls(inst.lattice, inst.polarization, inst.v, cap=2)
 
 
 def random_wall_context(rng, rho):
