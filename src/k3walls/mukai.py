@@ -68,9 +68,6 @@ class MukaiVector:
         return (self.r == int(self.r) and self.s == int(self.s)
                 and all(c == int(c) for c in self.c1))
 
-    def is_zero(self):
-        return self.r == 0 and self.s == 0 and all(c == 0 for c in self.c1)
-
 
 def rho(lattice):
     """The point class (0, 0, 1)."""

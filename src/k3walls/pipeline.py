@@ -250,7 +250,7 @@ def pipeline_classify(doc, deleted_node=0):
     psi_count = None
     deleted_json = None
     stratum = parsed.stratum_data()
-    basis = None
+    result = None
     if stratum is not None:
         violations = st.validate_stratum(stratum)
         validation = {"ok": not violations, "violations": violations}
@@ -266,20 +266,19 @@ def pipeline_classify(doc, deleted_node=0):
                 "edges": [list(e) for e in result.dual_graph.edges],
                 "self_intersection": result.dual_graph.self_intersection,
             }
-            psi_plus, _ = st.psi_sets(stratum, deleted_node)
+            psi_plus, _ = result.psi_sets()
             psi_count = len(psi_plus)
-            basis = st.retained_vectors(stratum, deleted_node)
 
     chamber_json = None
     twist = parsed.twist()
     if twist is not None:
-        position = wl.locate(twist, wall_list, parsed.v, strata_basis=basis)
+        position = wl.locate(twist, wall_list, parsed.v, singularity=result)
         chamber_json = {
             "signs": list(position.signs),
             "on_walls": list(position.on_walls),
             "generic": position.is_generic,
         }
-        if basis is not None:
+        if result is not None:
             chamber_json["weyl_word"] = list(position.weyl_word)
             chamber_json["reduced_values"] = [rational_to_json(t)
                                               for t in position.reduced_values]

@@ -178,8 +178,8 @@ def _is_connected(adj):
     return len(seen) == n
 
 
-def _arms(adj, center):
-    """Paths walking outward from ``center``; fails on branching arms."""
+def _arms(adj, center, err):
+    """Paths walking outward from ``center``, shortest first; ``err`` on a branch."""
     arms = []
     for first in adj[center]:
         arm = [first]
@@ -189,11 +189,38 @@ def _arms(adj, center):
             if not nxt:
                 break
             if len(nxt) > 1 or len(adj[cur]) > 2:
-                return None
+                raise err
             prev, cur = cur, nxt[0]
             arm.append(cur)
         arms.append(arm)
+    arms.sort(key=lambda a: (len(a), a[0]))
     return arms
+
+
+# E-type star: sorted arm lengths -> (rank, labels outward along each arm); centre is 4.
+_AFFINE_E_ARMS = {
+    (2, 2, 2): (6, ((3, 1), (5, 6), (2, 0))),
+    (1, 3, 3): (7, ((2,), (3, 1, 0), (5, 6, 7))),
+    (1, 2, 5): (8, ((2,), (3, 1), (5, 6, 7, 8, 0))),
+}
+_FINITE_E_ARMS = {
+    (1, 2, 2): (6, ((2,), (3, 1), (5, 6))),
+    (1, 2, 3): (7, ((2,), (3, 1), (5, 6, 7))),
+    (1, 2, 4): (8, ((2,), (3, 1), (5, 6, 7, 8))),
+}
+
+
+def _label_e_star(perm, center, arms, table, err):
+    """Write the E-type labels of a star into ``perm``; returns the rank."""
+    entry = table.get(tuple(len(a) for a in arms))
+    if entry is None:
+        raise err
+    rank, labels = entry
+    perm[center] = 4
+    for arm, stds in zip(arms, labels):
+        for node, std in zip(arm, stds):
+            perm[node] = std
+    return rank
 
 
 def _kernel_marks(matrix):
@@ -239,7 +266,6 @@ def classify_affine(matrix):
     n_edges = sum(degrees) // 2
 
     perm = [None] * n
-    family = rank = None
     if n_edges == n:
         # simple cycle: extended A
         if any(d != 2 for d in degrees):
@@ -289,23 +315,8 @@ def classify_affine(matrix):
             perm[leaves2[0]], perm[leaves2[1]] = rank - 1, rank
         elif len(deg3) == 1 and not deg4:
             center = deg3[0]
-            arms = _arms(adj, center)
-            if arms is None:
-                raise err
-            arms.sort(key=lambda a: (len(a), a[0]))
-            lengths = tuple(len(a) for a in arms)
-            arm_labels = {
-                (2, 2, 2): ("E", 6, [(3, 1), (5, 6), (2, 0)]),
-                (1, 3, 3): ("E", 7, [(2,), (3, 1, 0), (5, 6, 7)]),
-                (1, 2, 5): ("E", 8, [(2,), (3, 1), (5, 6, 7, 8, 0)]),
-            }
-            if lengths not in arm_labels:
-                raise err
-            family, rank, labels = arm_labels[lengths]
-            perm[center] = 4
-            for arm, stds in zip(arms, labels):
-                for node, std in zip(arm, stds):
-                    perm[node] = std
+            family, rank = "E", _label_e_star(perm, center, _arms(adj, center, err),
+                                              _AFFINE_E_ARMS, err)
         else:
             raise err
     else:
@@ -355,12 +366,8 @@ def classify_finite(matrix):
                 perm[node] = std
     elif len(deg3) == 1:
         center = deg3[0]
-        arms = _arms(adj, center)
-        if arms is None:
-            raise err
-        arms.sort(key=lambda a: (len(a), a[0]))
-        lengths = tuple(len(a) for a in arms)
-        if lengths[0] == 1 and lengths[1] == 1:
+        arms = _arms(adj, center, err)
+        if len(arms[1]) == 1:
             family, rank = "D", n
             perm[center] = n - 2
             short_a, short_b = sorted((arms[0][0], arms[1][0]))
@@ -371,18 +378,7 @@ def classify_finite(matrix):
                 for offset, node in enumerate(arms[2]):
                     perm[node] = n - 3 - offset
         else:
-            arm_labels = {
-                (1, 2, 2): ("E", 6, [(2,), (3, 1), (5, 6)]),
-                (1, 2, 3): ("E", 7, [(2,), (3, 1), (5, 6, 7)]),
-                (1, 2, 4): ("E", 8, [(2,), (3, 1), (5, 6, 7, 8)]),
-            }
-            if lengths not in arm_labels:
-                raise err
-            family, rank, labels = arm_labels[lengths]
-            perm[center] = 4
-            for arm, stds in zip(arms, labels):
-                for node, std in zip(arm, stds):
-                    perm[node] = std
+            family, rank = "E", _label_e_star(perm, center, arms, _FINITE_E_ARMS, err)
     else:
         raise err
 
@@ -400,23 +396,19 @@ def marks(matrix):
     return classify_affine(matrix).marks
 
 
-def delete_node(matrix, i):
-    """Delete a mark-1 node from an affine matrix and classify the remainder."""
-    diagram = classify_affine(matrix)
+def delete_node(diagram, i):
+    """Delete mark-1 node ``i`` of an affine diagram; classify the rest in input order."""
     if diagram.marks[i] != 1:
         raise MarkNotOne(f"node {i} has mark {diagram.marks[i]}, expected 1")
-    keep = [k for k in range(matrix.n_nodes) if k != i]
-    sub = CartanMatrix(tuple(tuple(matrix.entries[a][b] for b in keep) for a in keep))
+    entries = diagram.matrix.entries
+    keep = [k for k in range(len(entries)) if k != i]
+    sub = CartanMatrix(tuple(tuple(entries[a][b] for b in keep) for a in keep))
     return classify_finite(sub)
 
 
 def _pairing_with_simple(matrix, x, i):
     """(x, alpha_i) for x in root coordinates."""
     return sum(matrix.entries[i][j] * x[j] for j in range(len(x)) if x[j] != 0)
-
-
-def root_norm(matrix, x):
-    return sum(x[i] * _pairing_with_simple(matrix, x, i) for i in range(len(x)) if x[i] != 0)
 
 
 def positive_roots(diagram):

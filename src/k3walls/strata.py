@@ -10,6 +10,7 @@ dual graph of the exceptional curves with intersection numbers
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from operator import mul, sub
 
 from . import mukai as mk
@@ -55,11 +56,54 @@ class DualGraph:
 
 @dataclass(frozen=True)
 class SingularityReport:
+    """One classification of a stratum; Psi-sets and chamber location read it.
+
+    ``finite.matrix`` is ``(-<u_i, u_j>)`` on the retained classes in input order.
+    """
+
     affine: roots.AffineDiagram
     deleted_node: int
     finite: roots.FiniteDiagram
     marks: tuple
     dual_graph: DualGraph
+    data: StratumData
+
+    @property
+    def retained(self):
+        """The retained classes ``u_i``, in input order."""
+        return retained_vectors(self.data, self.deleted_node)
+
+    def psi_sets(self):
+        """The origin walls inside the stratum span: ``Psi_+`` and ``v - Psi_+``.
+
+        ``Psi_+`` holds ``u = sum_k b_k u_k`` over the positive roots ``b`` of
+        the finite diagram, ordered by ``b``; each component of ``u`` (and of
+        ``v - u``) is one integer dot product of ``b`` with a column of the
+        retained classes.  Every element is re-verified on the vector built:
+        ``<u, u> = -2`` and ``0 < rk u < rk v``.
+        """
+        retained = self.retained
+        v = self.data.v
+        for u in retained:
+            v._check_ambient(u)
+        r_col = [u.r for u in retained]
+        s_col = [u.s for u in retained]
+        c1_cols = list(zip(*(u.c1 for u in retained)))
+        psi_plus = []
+        complement = []
+        for b in roots.positive_roots(self.finite):
+            r = sum(map(mul, b, r_col))
+            c1 = [sum(map(mul, b, col)) for col in c1_cols]
+            s = sum(map(mul, b, s_col))
+            psi_plus.append(mk.MukaiVector(r, c1, s, v.lattice))
+            complement.append(mk.MukaiVector(v.r - r, list(map(sub, v.c1, c1)), v.s - s,
+                                             v.lattice))
+        for u in psi_plus + complement:
+            if mk.mukai_square(u) != -2:
+                raise InvariantError(f"Psi element {u!r} has <u, u> = {mk.mukai_square(u)}")
+            if not 0 < u.r < v.r:
+                raise InvariantError(f"Psi element {u!r} has rank outside (0, rk v)")
+        return psi_plus, complement
 
 
 def validate_stratum(data):
@@ -120,11 +164,11 @@ def retained_vectors(data, deleted=0):
     return tuple(u for k, u in enumerate(data.vectors) if k != deleted)
 
 
-def _check_node(data, deleted):
+def check_node(strata, deleted):
     """The deleted node must index the stratum list; negative indices do not wrap."""
-    if not 0 <= deleted < len(data.strata):
+    if not 0 <= deleted < len(strata):
         raise NodeOutOfRange(
-            f"node {deleted} is out of range; the stratum has nodes 0..{len(data.strata) - 1}")
+            f"node {deleted} is out of range; the stratum has nodes 0..{len(strata) - 1}")
 
 
 def classify_singularity(data, deleted_node=0):
@@ -137,24 +181,19 @@ def classify_singularity(data, deleted_node=0):
     genuinely depend on this choice only up to diagram symmetry, so the
     choice is surfaced rather than hidden.
     """
-    _check_node(data, deleted_node)
-    matrix = cartan_matrix_of(data)
-    affine = roots.classify_affine(matrix)
+    check_node(data.strata, deleted_node)
+    affine = roots.classify_affine(cartan_matrix_of(data))
     if affine.marks != data.multiplicities:
         raise MarksMismatch(
             f"multiplicities {data.multiplicities} differ from marks {affine.marks}")
-    finite = roots.delete_node(matrix, deleted_node)
+    finite = roots.delete_node(affine, deleted_node)
+    entries = affine.matrix.entries
     retained = [k for k in range(len(data.strata)) if k != deleted_node]
-    vecs = data.vectors
-    edges = []
-    for a in range(len(retained)):
-        for b in range(a + 1, len(retained)):
-            i, j = retained[a], retained[b]
-            m = mk.mukai_pairing(vecs[i], vecs[j])
-            if m > 0:
-                edges.append((i, j, int(m)))
+    edges = [(i, j, -entries[i][j])
+             for a, i in enumerate(retained) for j in retained[a + 1:]
+             if entries[i][j] < 0]
     graph = DualGraph(tuple(retained), tuple(edges))
-    return SingularityReport(affine, deleted_node, finite, affine.marks, graph)
+    return SingularityReport(affine, deleted_node, finite, affine.marks, graph, data)
 
 
 def strata_orthogonality(first, second):
@@ -188,54 +227,19 @@ def no_triple_point_check(data, deleted=0):
     """Assert no three retained classes pair like a triangle.
 
     ``<(u_i + u_j + u_k)^2> = 0`` forces three mutual edges, which ADE dual
-    graphs exclude; anything >= 0 is reported as :class:`TriplePoint`.
+    graphs exclude; anything >= 0 is reported as :class:`TriplePoint`.  A
+    node outside the stratum list raises :class:`NodeOutOfRange`.
     """
+    check_node(data.strata, deleted)
     vecs = retained_vectors(data, deleted)
-    n = len(vecs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = vecs[i] + vecs[j] + vecs[k]
-                sq = mk.mukai_square(total)
-                if sq >= 0:
-                    raise TriplePoint(
-                        f"<(u_{i}+u_{j}+u_{k})^2> = {sq}; not negative definite data")
+    for (i, x), (j, y), (k, z) in combinations(enumerate(vecs), 3):
+        sq = mk.mukai_square(x + y + z)
+        if sq >= 0:
+            raise TriplePoint(f"<(u_{i}+u_{j}+u_{k})^2> = {sq}; not negative definite data")
     return True
 
 
 def psi_sets(data, deleted=0):
-    """The origin walls inside the stratum span: ``Psi_+`` and ``v - Psi_+``.
-
-    ``Psi_+`` holds ``u = sum_k b_k u_k`` over the positive roots ``b`` of the
-    finite diagram left by :func:`roots.delete_node` (which also checks that
-    the deleted node has mark 1), in the order of the root coefficient
-    vectors.  Each component of ``u`` is one integer dot product of ``b``
-    with the column of that component over the retained classes, so each
-    element is a single :class:`MukaiVector`; its partner ``v - u`` is built
-    the same way.  Every element of both lists is re-verified on the vector
-    built, by the Mukai pairing itself: ``<u, u> = -2`` and ``0 < rk u < rk v``.
-    """
-    _check_node(data, deleted)
-    finite = roots.delete_node(cartan_matrix_of(data), deleted)
-    retained = retained_vectors(data, deleted)
-    v = data.v
-    for u in retained:
-        v._check_ambient(u)
-    r_col = [u.r for u in retained]
-    s_col = [u.s for u in retained]
-    c1_cols = list(zip(*(u.c1 for u in retained)))
-    psi_plus = []
-    complement = []
-    for b in roots.positive_roots(finite):
-        r = sum(map(mul, b, r_col))
-        c1 = [sum(map(mul, b, col)) for col in c1_cols]
-        s = sum(map(mul, b, s_col))
-        psi_plus.append(mk.MukaiVector(r, c1, s, v.lattice))
-        complement.append(mk.MukaiVector(v.r - r, list(map(sub, v.c1, c1)), v.s - s,
-                                         v.lattice))
-    for u in psi_plus + complement:
-        if mk.mukai_square(u) != -2:
-            raise InvariantError(f"Psi element {u!r} has <u, u> = {mk.mukai_square(u)}")
-        if not 0 < u.r < v.r:
-            raise InvariantError(f"Psi element {u!r} has rank outside (0, rk v)")
-    return psi_plus, complement
+    """``Psi_+`` and ``v - Psi_+``: :meth:`SingularityReport.psi_sets` of the
+    classified stratum, so the errors of :func:`classify_singularity` apply."""
+    return classify_singularity(data, deleted).psi_sets()

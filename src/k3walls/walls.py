@@ -21,6 +21,7 @@ from . import roots
 from .errors import (CapExceeded, InvalidMukaiVector, InvariantError, NonIsotropicV,
                      NonPositivePolarization, NotMinusTwo, RankZeroImage,
                      UOnUPrime, WrongSignature)
+from .strata import check_node
 
 #: Largest ``rk v`` that :func:`enumerate_walls` searches.  The search solves
 #: one congruence and runs one coset descent per rank ``s < rk v``, so its time
@@ -58,9 +59,6 @@ class ChamberPosition:
     @property
     def is_generic(self):
         return not self.on_walls
-
-    def sign_of(self, wall):
-        return self.signs[self.walls.index(wall)]
 
 
 @dataclass(frozen=True)
@@ -191,13 +189,13 @@ def is_generic_polarization(p, h, v):
     return not enumerate_walls(p, h, v)
 
 
-def locate(alpha, walls, v, strata_basis=None):
+def locate(alpha, walls, v, singularity=None):
     """Exact chamber position of a twist parameter against a wall list.
 
-    With ``strata_basis`` (the retained stratum vectors ``v_1..v_n``, e.g.
-    from :func:`k3walls.strata.retained_vectors`), the position also carries
-    the Weyl word reducing ``alpha`` into the closed fundamental chamber of
-    the corresponding finite geometry.
+    With ``singularity`` (a :class:`k3walls.strata.SingularityReport`), the
+    position also carries the Weyl word reducing ``alpha`` into the closed
+    fundamental chamber of the report's finite diagram; the values reduced
+    are the pairings of ``alpha`` with the report's retained classes.
     """
     a = alpha.alpha if isinstance(alpha, mk.TwistParameter) else alpha
     signs = []
@@ -209,11 +207,10 @@ def locate(alpha, walls, v, strata_basis=None):
         if sign == 0:
             on.append(k)
     word = reduced = on_chamber_wall = None
-    if strata_basis is not None:
-        values = [mk.mukai_pairing(b, a) for b in strata_basis]
-        gram = [[-mk.mukai_pairing(x, y) for y in strata_basis] for x in strata_basis]
-        diagram = roots.classify_finite(roots.CartanMatrix(gram))
-        word, reduced, on_chamber_wall = roots.reduce_to_fundamental(diagram, values)
+    if singularity is not None:
+        values = [mk.mukai_pairing(b, a) for b in singularity.retained]
+        word, reduced, on_chamber_wall = roots.reduce_to_fundamental(
+            singularity.finite, values)
     return ChamberPosition(tuple(walls), tuple(signs), tuple(on),
                            word, reduced, on_chamber_wall)
 
@@ -317,7 +314,10 @@ def slope_condition(alpha, v, strata, deleted=0):
     the one removed from the extended diagram.  Checks, for every retained i,
 
         <v_i, alpha>/rk v_i  >  <v + sum_j a_j v_j, alpha> / rk(v + sum a_j v_j).
+
+    A node outside ``range(len(strata))`` raises :class:`NodeOutOfRange`.
     """
+    check_node(strata, deleted)
     a = alpha.alpha if isinstance(alpha, mk.TwistParameter) else alpha
     retained = [(u, m) for k, (u, m) in enumerate(strata) if k != deleted]
     total = v

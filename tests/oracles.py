@@ -175,6 +175,20 @@ def box_norm_vectors(sub, norm_min, norm_max):
     return sorted(found)
 
 
+def mukai_pairing(gram, x, y):
+    """Mukai pairing of ``(r, c1, s)`` triples, spelled out on the Gram matrix."""
+    (rx, cx, sx), (ry, cy, sy) = x, y
+    n = len(gram)
+    return (sum(cx[i] * gram[i][j] * cy[j] for i in range(n) for j in range(n))
+            - rx * sy - sx * ry)
+
+
+def root_norm(entries, x):
+    """``x^T C x`` for the Cartan matrix with rows ``entries``, in root coordinates."""
+    n = len(x)
+    return sum(x[i] * entries[i][j] * x[j] for i in range(n) for j in range(n))
+
+
 @functools.lru_cache(maxsize=None)
 def box_positive_roots(entries):
     """All b >= 0 with b^T C b == 2 by exhaustive box search.
@@ -182,13 +196,12 @@ def box_positive_roots(entries):
     ``entries`` is a tuple of row tuples.  The answer is cached per matrix:
     the E8 box alone takes seconds, and several tests ask for it.
     """
-    n = len(entries)
     bounds = ellipsoid_bounds([list(r) for r in entries], 2)
     roots = set()
     for b in itertools.product(*[range(0, bd + 1) for bd in bounds]):
         if all(c == 0 for c in b):
             continue
-        if sum(b[i] * entries[i][j] * b[j] for i in range(n) for j in range(n)) == 2:
+        if root_norm(entries, b) == 2:
             roots.add(b)
     return frozenset(roots)
 

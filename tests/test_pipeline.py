@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from k3walls import cli, families, pipeline, walls
+import oracles
+from k3walls import cli, families, linalg, pipeline, roots, walls
+from k3walls import strata as st
 from k3walls.errors import InvalidTwist, SchemaError
 
 ELLIPTIC_DOC = {
@@ -30,7 +33,6 @@ def test_round_trip_idempotent():
 
 def test_rational_codec():
     assert pipeline.rational_to_json(4) == 4
-    from fractions import Fraction
     assert pipeline.rational_to_json(Fraction(4, 2)) == 2
     assert pipeline.rational_to_json(Fraction(-3, 4)) == "-3/4"
     assert pipeline.rational_from_json("7/2", "$") == Fraction(7, 2)
@@ -113,8 +115,64 @@ def test_report_deterministic():
     assert len(blobs) == 1
 
 
+def test_one_classification_pass_per_report(monkeypatch):
+    # The report classifies its stratum once; Psi-sets and chamber location
+    # read the diagrams it holds.  A second pass creeping back in fails here
+    # before it shows up as time.
+    inst = families.generate_example(families.ExampleSpec("A", 3, 1, 1))
+    doc = pipeline.instance_document(inst, alpha_scale=1)
+    calls = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(roots, "classify_affine")
+    count(roots, "classify_finite")
+    count(st, "cartan_matrix_of")
+    report = pipeline.pipeline_classify(pipeline.parse_instance(doc))
+    assert report["finite"]["type"] == "A3"
+    assert report["psi_plus_count"] == 6
+    assert report["chamber"]["weyl_word"] == []
+    assert calls == {"classify_affine": 1, "classify_finite": 1, "cartan_matrix_of": 1}
+
+
+def test_weyl_word_through_the_pipeline():
+    # Shuffled strata, deleted node 2 and a twist whose retained pairings have
+    # mixed signs: the chamber data of the report must be the reduction of
+    # those pairings in the finite diagram of the retained Gram matrix, both
+    # written out here from the document's own numbers.
+    inst = families.generate_example(families.ExampleSpec("A", 3, 1, 1))
+    gram = inst.lattice.gram
+    strata = tuple(inst.stratum().strata[k] for k in (2, 0, 3, 1))
+    deleted = 2
+    pairings = [3, -2, 5]
+    target = [-sum(m * t for m, t in zip(inst.marks[1:], pairings))] + pairings
+    d = linalg.solve_rational([list(r) for r in gram], target)
+    doc = pipeline.serialize_instance(pipeline.ParsedInstance(
+        inst.lattice, inst.polarization, inst.v, strata, tuple(d)))
+    report = pipeline.pipeline_classify(pipeline.parse_instance(doc), deleted_node=deleted)
+
+    v = (inst.v.r, inst.v.c1, inst.v.s)
+    alpha = (0, tuple(d), Fraction(oracles.mukai_pairing(gram, (0, d, 0), (0, v[1], 0))) / v[0])
+    retained = [(u.r, u.c1, u.s) for k, (u, _) in enumerate(strata) if k != deleted]
+    values = [oracles.mukai_pairing(gram, u, alpha) for u in retained]
+    assert min(values) < 0 < max(values)
+    cartan = roots.CartanMatrix([[-oracles.mukai_pairing(gram, x, y) for y in retained]
+                                 for x in retained])
+    word, reduced, on_wall = roots.reduce_to_fundamental(roots.classify_finite(cartan), values)
+    assert word
+    chamber = report["chamber"]
+    assert chamber["weyl_word"] == list(word)
+    assert chamber["reduced_values"] == [pipeline.rational_to_json(t) for t in reduced]
+    assert chamber["on_chamber_wall"] is on_wall
+
+
 def test_dot_output(a2_instance):
-    from k3walls import strata as st
     rep = st.classify_singularity(a2_instance.stratum())
     dot = pipeline.dot_graph(rep.dual_graph)
     assert dot.startswith("graph dual_graph {")

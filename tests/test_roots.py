@@ -86,26 +86,26 @@ def test_marks_kernel_property():
 
 
 def test_delete_node_examples():
-    a2 = roots.standard_affine_matrix("A", 2)
+    a2 = roots.classify_affine(roots.standard_affine_matrix("A", 2))
     for node in range(3):
         assert roots.delete_node(a2, node).type_name() == "A2"
-    assert roots.delete_node(roots.standard_affine_matrix("A", 1), 0).type_name() == "A1"
-    e8 = roots.standard_affine_matrix("E", 8)
-    one = roots.classify_affine(e8).marks.index(1)
+    a1 = roots.classify_affine(roots.standard_affine_matrix("A", 1))
+    assert roots.delete_node(a1, 0).type_name() == "A1"
+    e8 = roots.classify_affine(roots.standard_affine_matrix("E", 8))
+    one = e8.marks.index(1)
     assert roots.delete_node(e8, one).type_name() == "E8"
 
 
 def test_delete_node_every_mark_one():
     for family, n in ALL_AFFINE:
-        m = roots.standard_affine_matrix(family, n)
-        marks = roots.marks(m)
-        for i, mark in enumerate(marks):
+        diagram = roots.classify_affine(roots.standard_affine_matrix(family, n))
+        for i, mark in enumerate(diagram.marks):
             if mark == 1:
-                fin = roots.delete_node(m, i)
+                fin = roots.delete_node(diagram, i)
                 assert (fin.family, fin.rank) == (family, n)
             else:
                 with pytest.raises(MarkNotOne):
-                    roots.delete_node(m, i)
+                    roots.delete_node(diagram, i)
 
 
 def test_classify_finite_rejects():
@@ -180,7 +180,7 @@ def test_simple_reflection():
         i = rng.randint(1, 5)
         y = roots.simple_reflection(d5, i, x)
         assert roots.simple_reflection(d5, i, y) == x
-        assert roots.root_norm(d5.matrix, y) == roots.root_norm(d5.matrix, x)
+        assert oracles.root_norm(d5.matrix.entries, y) == oracles.root_norm(d5.matrix.entries, x)
         if roots._pairing_with_simple(d5.matrix, x, i - 1) == 0:
             assert y == x
     with pytest.raises(ValueError):

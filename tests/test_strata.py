@@ -153,6 +153,13 @@ def test_no_triple_point_rejects_triangle():
         st.no_triple_point_check(data, deleted=0)
 
 
+def test_no_triple_point_check_node_out_of_range(a2_instance):
+    data = a2_instance.stratum()
+    for node in (-1, len(data.strata), 7):
+        with pytest.raises(NodeOutOfRange):
+            st.no_triple_point_check(data, deleted=node)
+
+
 def test_psi_sets(a1_instance, a2_instance):
     psi, comp = st.psi_sets(a1_instance.stratum())
     assert psi == [a1_instance.v_list[1]]
@@ -196,14 +203,6 @@ def test_mark_two_node_is_mark_not_one_for_both_calls():
         st.psi_sets(data, 2)
 
 
-def _written_out_pairing(gram, x, y):
-    """Mukai pairing of ``(r, c1, s)`` triples, spelled out on the Gram matrix."""
-    (rx, cx, sx), (ry, cy, sy) = x, y
-    n = len(gram)
-    return (sum(cx[i] * gram[i][j] * cy[j] for i in range(n) for j in range(n))
-            - rx * sy - sx * ry)
-
-
 def _combination(coeffs, triples):
     r = sum(b * t[0] for b, t in zip(coeffs, triples))
     c1 = tuple(sum(b * t[1][i] for b, t in zip(coeffs, triples))
@@ -234,7 +233,7 @@ def test_psi_sets_against_box_oracle():
             if inst.marks[k] != 1:
                 continue
             kept = [j for j in range(len(triples)) if j != k]
-            cartan = tuple(tuple(-_written_out_pairing(gram, triples[a], triples[b])
+            cartan = tuple(tuple(-oracles.mukai_pairing(gram, triples[a], triples[b])
                                  for b in kept) for a in kept)
             shuffled = [order[m] for m in range(len(order)) if m != node]
             expected = []
@@ -247,7 +246,7 @@ def test_psi_sets_against_box_oracle():
             comp_want = [(v[0] - r, tuple(a - c for a, c in zip(v[1], c1)), v[2] - s)
                          for r, c1, s in psi_want]
             for u in psi_want + comp_want:
-                assert _written_out_pairing(gram, u, u) == -2
+                assert oracles.mukai_pairing(gram, u, u) == -2
                 assert 0 < u[0] < v[0]
             psi, comp = st.psi_sets(data, node)
             assert [(u.r, u.c1, u.s) for u in psi] == psi_want, (family, n, node)

@@ -12,8 +12,8 @@ from k3walls import lattice as lat
 from k3walls import mukai as mk
 from k3walls import strata as st
 from k3walls import walls as wl
-from k3walls.errors import (CapExceeded, InvalidMukaiVector, NonIsotropicV,
-                            NonPositivePolarization, NotMinusTwo,
+from k3walls.errors import (CapExceeded, InvalidMukaiVector, NodeOutOfRange,
+                            NonIsotropicV, NonPositivePolarization, NotMinusTwo,
                             RankZeroImage, UOnUPrime, WrongSignature)
 
 
@@ -339,6 +339,15 @@ def test_slope_condition(a1_instance, a2_instance):
                                                 inst.lattice),
                                  inst.v, inst.polarization)
         assert not wl.slope_condition(zero, inst.v, inst.stratum().strata)
+
+
+def test_slope_condition_node_out_of_range(a2_instance):
+    inst = a2_instance
+    alpha = families.fundamental_alpha(inst)
+    strata = inst.stratum().strata
+    for node in (-1, len(strata), 7):
+        with pytest.raises(NodeOutOfRange):
+            wl.slope_condition(alpha, inst.v, strata, node)
 
 
 def test_slope_condition_skewed(a2_instance):
