@@ -27,8 +27,8 @@ from .walls import (ChamberPosition, CurveClass, WallVector, apply_weyl_word,
                     fm_cohomological, is_generic_polarization, is_small_twist,
                     locate, normalize_mod_v, reflect, slope_condition,
                     small_twist_violations, u_prime)
-from .families import (ExampleInstance, ExampleSpec, build_n1_lattice,
-                       fundamental_alpha, generate_example)
+from .families import (ExampleInstance, ExampleSpec, fundamental_alpha,
+                       generate_example)
 from .pipeline import (dot_graph, dumps_report, parse_instance,
                        pipeline_classify, serialize_instance)
 

@@ -28,8 +28,8 @@ EMBEDDING_CAVEAT = (
 
 #: Largest diagram rank ``n`` that :func:`generate_example` builds.  The
 #: verification grows like n^3: on a 2-vCPU VM (CPython 3.11) an instance of
-#: rank 64 takes 0.4 s, and a whole ``example --alpha`` CLI process 1.9 s
-#: (6.8 s at rank 100).  The sweep stops at 18.
+#: rank 64 takes 0.25 s and a whole ``example --alpha`` CLI process 0.5-0.6 s;
+#: an instance of rank 100 takes 1.1 s.  The sweep stops at 18.
 EXAMPLE_N_CAP = 64
 
 #: (family, n) pairs covered by the standard sweep.
@@ -138,29 +138,6 @@ def generate_example(spec, cap=EXAMPLE_N_CAP):
            lat.enumerate_norm_vectors(phi_image, 2, 2) == [])
 
     return ExampleInstance(spec, lattice, h, v_list, v, matrix, marks, verification)
-
-
-def build_n1_lattice(family, n):
-    """The abstract rank n+2 lattice hosting the embedding construction.
-
-    Basis ``beta_0..beta_n, sigma`` with ``(beta_i, beta_j) = -a_ij``,
-    ``(sigma, beta_0) = 1``, ``(sigma, beta_i) = 0`` for i > 0 and
-    ``(sigma, sigma) = 0``.  Its signature is (1, n+1), which is what lets a
-    positive-square vector be split off orthogonally.
-    """
-    matrix = roots.standard_affine_matrix(family, n)
-    size = matrix.n_nodes + 1
-    gram = [[0] * size for _ in range(size)]
-    for i in range(matrix.n_nodes):
-        for j in range(matrix.n_nodes):
-            gram[i][j] = -matrix.entries[i][j]
-    gram[matrix.n_nodes][0] = gram[0][matrix.n_nodes] = 1
-    labels = [f"beta{i}" for i in range(matrix.n_nodes)] + ["sigma"]
-    lattice = lat.PicardLattice(gram, labels)
-    sig = lat.signature(lattice)
-    if sig != (1, matrix.n_nodes, 0):
-        raise RuntimeError(f"embedding lattice has signature {sig}, expected (1, {matrix.n_nodes}, 0)")
-    return lattice
 
 
 def fundamental_alpha(instance, scale=1):

@@ -6,8 +6,6 @@ integer Gram matrix with labelled basis vectors.  Vectors are plain tuples of
 lattice basis.  All arithmetic is exact.
 """
 
-from fractions import Fraction
-from math import lcm, prod
 from operator import mul
 
 from . import linalg
@@ -141,21 +139,16 @@ class Sublattice:
         """Whether ``x`` lies in the sublattice, or with ``over_z=False`` in its rational span.
 
         Over Z: forward substitution on the echelon rows with a divisibility
-        check at each pivot.  Over Q: the same test on ``x`` times the lcm of
-        its denominators and the product of the pivots, which clears every
-        denominator a rational solution can have.
+        check at each pivot.  Over Q: the same test on ``x`` scaled by
+        :func:`k3walls.linalg.clear_pivot_denominators`.
         """
         if len(x) != self.ambient.rank:
             raise ValueError(f"vector length does not match ambient rank {self.ambient.rank}")
-        scale = 1
-        if not all(type(a) is int for a in x):
-            scale = lcm(*(Fraction(a).denominator for a in x))
         if not over_z:
-            scale *= prod(row[col] for col, row in self.echelon)
-        elif scale != 1:
+            x = linalg.clear_pivot_denominators(self.echelon, x)[1]
+        elif linalg.clear_denominators(x)[0] != 1:
             return False
-        y = x if scale == 1 else [a * scale for a in x]
-        return linalg.echelon_coefficients(self.echelon, y) is not None
+        return linalg.echelon_coefficients(self.echelon, x) is not None
 
 
 def full_sublattice(lattice):

@@ -1,18 +1,16 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything in this module works on plain lists/tuples of ``int`` and
-``fractions.Fraction``; there is no floating point anywhere.  Matrices are
-lists of row lists.  These are the primitives the lattice layer is built on:
-integer systems reduced once for their saturated kernel and integer
-solutions, rational Gaussian elimination, the inertia (signature) of a
-symmetric matrix, and :class:`QuadraticForm`, a positive definite integer
-form factored once by fraction-free LDL^T and shared by the definiteness
-test, centre solving and the short/coset vector descent, which runs on
-integers.
+Plain lists/tuples of ``int`` and ``fractions.Fraction``, no floating point;
+matrices are lists of row lists.  :class:`IntegerSystem` reduces a system
+once to an integer echelon, which gives saturated kernels, integer solutions
+and rational ones (of a right-hand side scaled by the pivots).
+:class:`QuadraticForm` factors a positive definite integer form once by
+fraction-free LDL^T for the definiteness test, centre solving and the
+short/coset vector descent.  :func:`signature` runs on integers as well.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import index
 
 
@@ -26,10 +24,6 @@ def vec_sub(x, y):
 
 def vec_scale(c, x):
     return tuple(c * a for a in x)
-
-
-def vec_is_integral(x):
-    return all(a == int(a) for a in x)
 
 
 def normalize_number(q):
@@ -47,10 +41,7 @@ def normalize_vector(x):
 
 def content(x):
     """gcd of the entries of an integer vector (0 for the zero vector)."""
-    g = 0
-    for a in x:
-        g = gcd(g, int(a))
-    return g
+    return gcd(*map(int, x))
 
 
 def mat_mul_vec(m, x):
@@ -183,96 +174,71 @@ def solve_integer(a_rows, b):
     return IntegerSystem(a_rows, len(a_rows[0]) if a_rows else 0).solve(b)
 
 
-def solve_rational(a_rows, b):
-    """Solve ``A x = b`` exactly over Q; returns a tuple or None if unsolvable.
+def clear_denominators(x):
+    """``(q, y)``: the lcm ``q`` of the denominators of ``x`` and the integer vector ``q x``."""
+    if all(type(a) is int for a in x):
+        return 1, list(x)
+    x = [Fraction(a) for a in x]
+    q = lcm(*(a.denominator for a in x))
+    return q, [a.numerator * (q // a.denominator) for a in x]
 
-    ``A`` need not be square; when underdetermined one solution is returned
-    (free variables set to 0).
+
+def clear_pivot_denominators(pivot_rows, b):
+    """``(scale, scale * b)``, ``scale`` the lcm of b's denominators times the product of the pivots.
+
+    Forward substitution on the echelon rows divides by each pivot once, so
+    ``b`` is in the rows' rational span iff :func:`echelon_coefficients`
+    finds integer coefficients for ``scale * b``.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    mat = [[Fraction(a_rows[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(m)]
-    piv_cols = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, m):
-            if mat[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        p = mat[row][col]
-        mat[row] = [v / p for v in mat[row]]
-        for r in range(m):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[row])]
-        piv_cols.append(col)
-        row += 1
-    for r in range(row, m):
-        if mat[r][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(piv_cols):
-        x[col] = mat[r][n]
-    return normalize_vector(x)
+    q, y = clear_denominators(b)
+    p = prod(row[col] for col, row in pivot_rows)
+    return q * p, [p * a for a in y]
+
+
+def solve_rational(a_rows, b):
+    """One rational solution of ``A x = b`` as a tuple, or None if there is none.
+
+    ``A`` is an integer matrix (TypeError otherwise) and need not be square.
+    Runs on the integer echelon of :class:`IntegerSystem`: the right-hand side
+    is scaled by :func:`clear_pivot_denominators`, solved over Z and divided back.
+    """
+    a_rows = [[index(e) for e in row] for row in a_rows]
+    system = IntegerSystem(a_rows, len(a_rows[0]) if a_rows else 0)
+    scale, y = clear_pivot_denominators(system.pivot_rows(), b)
+    x = system.solve(y)
+    return None if x is None else tuple(normalize_number(Fraction(c, scale)) for c in x)
 
 
 def signature(gram):
-    """Inertia ``(pos, neg, null)`` of a symmetric rational matrix.
+    """Inertia ``(pos, neg, null)`` of a symmetric rational matrix, in integers.
 
-    Rational symmetric Gaussian reduction; a zero diagonal with a nonzero
-    off-diagonal entry is repaired by the standard row+column addition trick,
-    which is valid in characteristic 0.
+    Splits off one ``x`` of nonzero square ``s`` at a time (``e_i``, or
+    ``e_i + e_j`` when the diagonal vanishes).  With ``w = G x``, the vectors
+    ``s e_l - w_l x`` (l != i) span x-perp with Gram ``s (s G_lm - w_l w_m)``;
+    the loop keeps ``sign(s) (s G_lm - w_l w_m)`` over its content, whose
+    entries stay as small as fraction-free minors.  A zero Gram is all null.
     """
     n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    pos = neg = null = 0
-    for k in range(n):
-        sel = None
-        for i in range(k, n):
-            if a[i][i] != 0:
-                sel = i
-                break
-        if sel is None:
-            off = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
-            if off is None:
-                null += n - k
-                break
-            i, j = off
-            for c in range(n):
-                a[i][c] += a[j][c]
-            for r in range(n):
-                a[r][i] += a[r][j]
-            sel = i
-        if sel != k:
-            a[k], a[sel] = a[sel], a[k]
-            for r in range(n):
-                a[r][k], a[r][sel] = a[r][sel], a[r][k]
-        p = a[k][k]
-        if p > 0:
-            pos += 1
+    _, flat = clear_denominators([e for row in gram for e in row])
+    g = [flat[i * n:(i + 1) * n] for i in range(n)]
+    signs = []
+    while g:
+        k = len(g)
+        i = next((i for i in range(k) if g[i][i]), None)
+        if i is not None:
+            s, w = g[i][i], g[i]
         else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / p
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-        # The matching column operations only clear the k-th row tail.
-        for i in range(k + 1, n):
-            a[k][i] = Fraction(0)
-            a[i][k] = Fraction(0)
-    return (pos, neg, null)
+            pair = next(((i, j) for i in range(k) for j in range(i + 1, k) if g[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            s, w = 2 * g[i][j], [a + b for a, b in zip(g[i], g[j])]
+        signs.append(1 if s > 0 else -1)
+        rest = [l for l in range(k) if l != i]
+        g = [[signs[-1] * (s * g[l][m] - w[l] * w[m]) for m in rest] for l in rest]
+        c = content(e for row in g for e in row) or 1
+        g = [[e // c for e in row] for row in g]
+    return (signs.count(1), signs.count(-1), n - len(signs))
 
 
 def ldlt(gram):
@@ -337,8 +303,7 @@ class QuadraticForm:
         """
         n = self.rank
         minors, upper = self.minors, self.upper
-        q = lcm(*(Fraction(c).denominator for c in b))
-        y = [int(Fraction(c) * q) for c in b]
+        q, y = clear_denominators(b)
         prev = 1
         for k in range(n):
             pivot, row, yk = minors[k], upper[k], y[k]
@@ -371,9 +336,7 @@ def _coset_descent(form, center, bound):
         yield (), Fraction(0)
         return
     minors, upper = form.minors, form.upper
-    center = [Fraction(c) for c in center]
-    q = lcm(*(c.denominator for c in center))
-    p = [c.numerator * (q // c.denominator) for c in center]
+    q, p = clear_denominators(center)
     dens = [q * q * a * b for a, b in zip((1,) + minors, minors)]
     scale = bound.denominator * lcm(*dens)
     weight = [scale // d for d in dens]

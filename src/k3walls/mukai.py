@@ -74,11 +74,6 @@ def rho(lattice):
     return MukaiVector(0, lattice.zero(), 1, lattice)
 
 
-def unit(lattice):
-    """The class (1, 0, 0)."""
-    return MukaiVector(1, lattice.zero(), 0, lattice)
-
-
 def mukai_pairing(x, y):
     """<x, y> = (c1 x, c1 y) - r(x) s(y) - s(x) r(y); symmetric, exact."""
     x._check_ambient(y)
@@ -100,12 +95,6 @@ def mukai_vector_from_chern(rank, c1, c2, lattice):
         raise ValueError("rank must be non-negative")
     half_square = Fraction(picard_pairing(lattice, c1, c1), 2)
     return MukaiVector(rank, c1, half_square - c2 + rank, lattice)
-
-
-def chern_data(x):
-    """Inverse of :func:`mukai_vector_from_chern`: returns ``(rank, c1, c2)``."""
-    half_square = Fraction(picard_pairing(x.lattice, x.c1, x.c1), 2)
-    return x.r, x.c1, normalize_number(half_square + x.r - x.s)
 
 
 def is_isotropic(x):

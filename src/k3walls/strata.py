@@ -140,11 +140,12 @@ def validate_stratum(data):
             pij = mk.mukai_pairing(vecs[i], vecs[j])
             if pij < 0:
                 violations.append(f"<u_{i}, u_{j}> = {pij}, expected >= 0")
-    total = None
-    for u, m in data.strata:
-        term = m * u
-        total = term if total is None else total + term
-    if total != v:
+    # sum a_i u_i by integer dot products, as in psi_sets; mukai_pairing(v, u)
+    # above has already checked that every u lies over v's lattice.
+    total = (sum(map(mul, mults, (u.r for u in vecs))),
+             tuple(sum(map(mul, mults, col)) for col in zip(*(u.c1 for u in vecs))),
+             sum(map(mul, mults, (u.s for u in vecs))))
+    if total != (v.r, v.c1, v.s):
         violations.append("sum of a_i u_i differs from v")
     return violations
 

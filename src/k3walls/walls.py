@@ -86,15 +86,15 @@ def _check_context(p, h, v):
         raise NonIsotropicV(f"<v, v> = {mk.mukai_square(v)}, expected 0")
     if lat.pairing(p, h, h) <= 0:
         raise NonPositivePolarization(f"(H, H) = {lat.pairing(p, h, h)}, expected > 0")
-    sig = lat.signature(p)
-    if sig != (1, p.rank - 1, 0):
-        raise WrongSignature(f"Picard signature {sig}, expected (1, {p.rank - 1}, 0)")
 
 
 def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
     """The finite wall set for ``(Pic, H, v)``, sorted by (rank, lex divisor).
 
-    ``rk v > cap`` raises :class:`CapExceeded` before the search starts.
+    ``rk v > cap`` raises :class:`CapExceeded` before the search starts.  As
+    ``(H, H) > 0``, Pic has signature (1, rank-1) iff H-perp is negative
+    definite, so :class:`WrongSignature` comes from the search's own
+    factorization of minus the form on a full-rank sublattice of H-perp.
 
     For ``u = (s, eta, b)`` the divisor ``D := rk(v) * eta - s * c1(v)`` is
     forced into the negative definite lattice H-perp within Pic with
@@ -111,8 +111,6 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
     if v.r > cap:
         raise CapExceeded(f"rk v = {v.r} exceeds the wall search cap {cap}")
     r = int(v.r)
-    if r == 1:
-        return []
     xi = tuple(int(c) for c in v.c1)
     a_v = int(v.s)
     xi_sq = lat.pairing(p, xi, xi)
@@ -134,8 +132,14 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
         raise InvariantError(f"congruence sublattice has rank {len(lam_basis)}, expected {k}")
     gw = [[-e for e in row] for row in h_perp.restricted_gram()]
     lam_gw = [[sum(bi[a] * gw[a][b] for a in range(k)) for b in range(k)] for bi in lam_basis]
-    form = linalg.QuadraticForm([[sum(row[b] * bj[b] for b in range(k)) for bj in lam_basis]
-                                 for row in lam_gw])
+    try:
+        form = linalg.QuadraticForm([[sum(row[b] * bj[b] for b in range(k)) for bj in lam_basis]
+                                     for row in lam_gw])
+    except ValueError:
+        raise WrongSignature(f"H-perp is not negative definite, so Pic does not have "
+                             f"signature (1, {rho - 1}, 0)") from None
+    if r == 1:
+        return []
 
     results = []
     for s in range(1, r):

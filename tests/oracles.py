@@ -105,6 +105,34 @@ def invert_rational(a_rows):
     return [row[n:] for row in mat]
 
 
+def solve_rational(a_rows, b):
+    """One solution of ``A x = b`` over Q by Gauss-Jordan (free variables 0), or None."""
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    mat = [[Fraction(a_rows[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(m)]
+    piv_cols = []
+    row = 0
+    for col in range(n):
+        sel = next((r for r in range(row, m) if mat[r][col] != 0), None)
+        if sel is None:
+            continue
+        mat[row], mat[sel] = mat[sel], mat[row]
+        p = mat[row][col]
+        mat[row] = [v / p for v in mat[row]]
+        for r in range(m):
+            if r != row and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [v - f * w for v, w in zip(mat[r], mat[row])]
+        piv_cols.append(col)
+        row += 1
+    if any(mat[r][n] != 0 for r in range(row, m)):
+        return None
+    x = [Fraction(0)] * n
+    for r, col in enumerate(piv_cols):
+        x[col] = mat[r][n]
+    return tuple(x)
+
+
 def ellipsoid_bounds(gram_pd, radius):
     """Per-coordinate bounds |x_i| <= sqrt(radius * (G^-1)_ii) for x^T G x <= radius."""
     inv = invert_rational(gram_pd)

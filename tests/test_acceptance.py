@@ -24,7 +24,6 @@ from k3walls import roots
 from k3walls import strata as st
 from k3walls import walls as wl
 from k3walls.errors import Inconsistent
-from k3walls.linalg import solve_rational, vec_is_integral
 
 
 @pytest.fixture(scope="module")
@@ -166,12 +165,7 @@ def test_criterion_05_wall_oracle_equivalence():
 
 
 def _in_z_span(vectors, u):
-    rows = [[x.r for x in vectors]]
-    for k in range(len(vectors[0].c1)):
-        rows.append([x.c1[k] for x in vectors])
-    rows.append([x.s for x in vectors])
-    sol = solve_rational(rows, [u.r, *u.c1, u.s])
-    return sol is not None and vec_is_integral(sol)
+    return oracles.span_membership([(x.r, *x.c1, x.s) for x in vectors], (u.r, *u.c1, u.s))[0]
 
 
 def test_criterion_06_psi_decomposition():

@@ -61,39 +61,11 @@ def test_invalid_specs():
         families.ExampleSpec("A", 1, 1, -1)
 
 
-def test_embedding_lattice():
-    n1 = families.build_n1_lattice("A", 1)
-    assert n1.gram == ((-2, 2, 1), (2, -2, 0), (1, 0, 0))
-    assert lat.signature(n1) == (1, 2, 0)
-    for family, n in [("A", 2), ("D", 4), ("E", 6)]:
-        lattice = families.build_n1_lattice(family, n)
-        assert lat.signature(lattice) == (1, n + 1, 0)
-
-
-def test_embedding_reproduces_instance_gram():
-    # xi_i = beta_i + x with (x, x) = 2d and x orthogonal to the beta block
-    # reproduces the instance Gram with d = r a
-    for family, n, r, a in [("A", 1, 1, 1), ("A", 2, 2, 1), ("D", 4, 1, 3)]:
-        inst = families.generate_example(families.ExampleSpec(family, n, r, a))
-        n1 = families.build_n1_lattice(family, n)
-        d = r * a
-        size = n1.rank + 1
-        gram = [[0] * size for _ in range(size)]
-        for i in range(n1.rank):
-            for j in range(n1.rank):
-                gram[i][j] = n1.gram[i][j]
-        gram[size - 1][size - 1] = 2 * d
-        ambient = lat.PicardLattice(gram)
-        xi = [tuple(1 if (k == i or k == size - 1) else 0 for k in range(size))
-              for i in range(n + 1)]
-        for i in range(n + 1):
-            for j in range(n + 1):
-                assert lat.pairing(ambient, xi[i], xi[j]) == inst.lattice.gram[i][j]
-        # the embedded copy is a primitive sublattice of the ambient
-        embedded = lat.Sublattice(ambient, xi)
-        saturated = lat.saturate(embedded)
-        assert sorted(saturated.basis) == sorted(lat.Sublattice(ambient, xi).basis) \
-            or all(embedded.contains(b) for b in saturated.basis)
+def test_sweep_lattices_have_hyperbolic_signature():
+    # The wall search needs signature (1, rho - 1); every sweep type has it at r = a = 1.
+    for family, n in families.SWEEP_TYPES:
+        inst = families.generate_example(families.ExampleSpec(family, n, 1, 1))
+        assert lat.signature(inst.lattice) == (1, inst.affine_matrix.n_nodes - 1, 0), (family, n)
 
 
 def test_fundamental_alpha(a2_instance, d4_instance):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from k3walls import lattice as lat
 from k3walls import linalg
+from k3walls import roots
 
 
 def random_positive_definite(rng, n):
@@ -136,7 +137,7 @@ def test_form_solve_matches_rational_elimination(seed, n, data):
     gram = random_positive_definite(random.Random(seed), n)
     b = data.draw(st.lists(rationals, min_size=n, max_size=n))
     x = linalg.QuadraticForm(gram).solve(b)
-    assert x == linalg.solve_rational(gram, b)
+    assert x == oracles.solve_rational(gram, b)
     assert all(type(c) is int for c in x if c == int(c))
 
 
@@ -161,8 +162,60 @@ def test_integer_system_solutions_and_kernel(seed, m, n, data):
     # Off the image: a right-hand side with no rational solution, when A is not onto.
     if rank < m:
         off = [c + 1 for c in b]
-        if linalg.solve_rational(a_rows, off) is None:
+        if oracles.solve_rational(a_rows, off) is None:
             assert system.solve(off) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(1, 5), st.booleans(), st.data())
+def test_solve_rational_against_gauss_jordan(seed, m, n, consistent, data):
+    # Random integer A (often rank deficient) and rational b, half the time
+    # b = A z for a rational z, so both solvable and unsolvable systems occur.
+    rng = random.Random(seed)
+    a_rows = [[rng.choice((0, rng.randint(-4, 4))) for _ in range(n)] for _ in range(m)]
+    if consistent:
+        z = data.draw(st.lists(rationals, min_size=n, max_size=n))
+        b = [sum(a * x for a, x in zip(row, z)) for row in a_rows]
+    else:
+        b = data.draw(st.lists(rationals, min_size=m, max_size=m))
+    x = linalg.solve_rational(a_rows, b)
+    assert (x is None) == (oracles.solve_rational(a_rows, b) is None)
+    if consistent:
+        assert x is not None
+    if x is not None:
+        assert len(x) == n
+        assert [sum(a * c for a, c in zip(row, x)) for row in a_rows] == b
+        assert all(type(c) is int for c in x if c == int(c))
+
+
+def test_solve_rational_rejects_non_integer_matrix():
+    # The integer echelon would truncate a rational entry; it is refused instead.
+    with pytest.raises(TypeError):
+        linalg.solve_rational([[Fraction(1, 2), 1]], [1])
+    x = linalg.solve_rational([[2, 4]], [Fraction(1, 3)])
+    assert 2 * x[0] + 4 * x[1] == Fraction(1, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 5), st.sampled_from((1, 3)))
+def test_signature_against_charpoly(seed, n, den):
+    # Sparse symmetric matrices, often with a zero diagonal or a null block,
+    # and rational entries over ``den``.
+    rng = random.Random(seed)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = rng.choice((0, 0, rng.randint(-4, 4)))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = rng.choice((0, rng.randint(-3, 3)))
+    g = [[Fraction(e, den) for e in row] for row in g]
+    assert linalg.signature(g) == oracles.signature_by_charpoly(g)
+
+
+def test_signature_at_rank_65():
+    # The A~64 model Gram (-a_ij + 2): the content division keeps the entries
+    # at minor size, so this takes milliseconds; without it, rank 25 takes minutes.
+    gram = [[2 - e for e in row] for row in roots.standard_affine_matrix("A", 64).entries]
+    assert linalg.signature(gram) == (1, 64, 0)
 
 
 def test_integer_system_divisibility():

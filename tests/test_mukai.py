@@ -16,7 +16,7 @@ def rnd_vector(rng, lattice, lo=-6, hi=6):
 
 def test_pairing_examples(elliptic, a1_instance):
     p, _, v = elliptic
-    one = mk.unit(p)
+    one = mk.MukaiVector(1, p.zero(), 0, p)
     assert mk.mukai_pairing(one, mk.rho(p)) == -1
     assert mk.mukai_square(v) == 0
     v0, v1 = a1_instance.v_list
@@ -52,7 +52,9 @@ def test_from_chern(elliptic):
         rank = rng.randint(0, 5)
         c1 = tuple(rng.randint(-4, 4) for _ in range(2))
         c2 = rng.randint(-5, 5)
-        assert mk.chern_data(mk.mukai_vector_from_chern(rank, c1, c2, p)) == (rank, c1, c2)
+        x = mk.mukai_vector_from_chern(rank, c1, c2, p)
+        # c2 = (c1, c1) / 2 + r - s inverts the point component.
+        assert (x.r, x.c1, Fraction(lat.pairing(p, c1, c1), 2) + x.r - x.s) == (rank, c1, c2)
 
 
 def test_euler_examples(elliptic, a1_instance):
@@ -126,7 +128,7 @@ def test_twist_parameter_constraints(a1_instance):
     good = mk.delta_map(v, (1, -1))
     mk.TwistParameter(good, v, h)
     with pytest.raises(InvalidTwist):
-        mk.TwistParameter(mk.unit(inst.lattice), v, h)  # rank not 0
+        mk.TwistParameter(mk.MukaiVector(1, inst.lattice.zero(), 0, inst.lattice), v, h)  # rank not 0
     with pytest.raises(InvalidTwist):
         mk.TwistParameter(mk.delta_map(v, (1, 0)), v, h)  # (c1, H) != 0
     with pytest.raises(InvalidTwist):

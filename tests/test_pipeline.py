@@ -10,6 +10,7 @@ import oracles
 from k3walls import cli, families, linalg, pipeline, roots, walls
 from k3walls import strata as st
 from k3walls.errors import InvalidTwist, SchemaError
+from test_walls import WRONG_SIGNATURE_CASES
 
 ELLIPTIC_DOC = {
     "picard": {"basis": ["sigma", "f"], "gram": [[-2, 1], [1, 0]]},
@@ -295,6 +296,20 @@ def test_cli_invalid_mukai_vector_is_domain_error(tmp_path):
             res = run_cli([command, str(path)])
             assert res.returncode == 3, (name, command, res.stderr)
             assert "InvalidMukaiVector" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_cli_wrong_signature_is_domain_error(tmp_path):
+    for k, (gram, h, c1) in enumerate(WRONG_SIGNATURE_CASES):
+        for r in (1, 2):
+            path = tmp_path / f"case{k}-r{r}.json"
+            path.write_text(json.dumps({
+                "picard": {"basis": [f"e{i}" for i in range(len(gram))], "gram": gram},
+                "polarization": list(h),
+                "mukai_vector": {"r": r, "c1": list(c1), "s": 0}}))
+            for command in ("walls", "classify"):
+                res = run_cli([command, str(path)])
+                assert res.returncode == 3, (k, r, command, res.stderr)
+                assert "WrongSignature" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_cli_delete_node_out_of_range(tmp_path):

@@ -51,6 +51,18 @@ def test_validate_reports_all_failures(a1_instance):
     assert sum(1 for _ in violations) >= 1
 
 
+def test_validate_sum_checks_every_component(d4_instance):
+    # v moved only in its rank, in one c1 coordinate or in its point
+    # component: the sum check sees each.
+    p = d4_instance.lattice
+    shifts = (mk.MukaiVector(1, p.zero(), 0, p), mk.MukaiVector(0, p.basis_vector(2), 0, p),
+              mk.rho(p))
+    for shift in shifts:
+        data = st.StratumData(p, d4_instance.polarization, d4_instance.v + shift,
+                              d4_instance.stratum().strata)
+        assert "sum of a_i u_i differs from v" in st.validate_stratum(data)
+
+
 def test_classify_a1(a1_instance):
     rep = st.classify_singularity(a1_instance.stratum())
     assert rep.affine.type_name() == "A~1"

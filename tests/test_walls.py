@@ -44,13 +44,8 @@ def test_walls_diagonal_family(a1_instance):
 
 
 def _in_z_span(inst, u):
-    from k3walls.linalg import solve_rational, vec_is_integral
-    cols = [[vi.r for vi in inst.v_list],
-            *[[vi.c1[k] for vi in inst.v_list] for k in range(inst.lattice.rank)],
-            [vi.s for vi in inst.v_list]]
-    target = [u.r, *u.c1, u.s]
-    sol = solve_rational(cols, target)
-    return sol is not None and vec_is_integral(sol)
+    return oracles.span_membership([(x.r, *x.c1, x.s) for x in inst.v_list],
+                                   (u.r, *u.c1, u.s))[0]
 
 
 def test_walls_match_brute_force(elliptic):
@@ -150,6 +145,53 @@ def test_walls_preconditions(elliptic):
     pos = lat.PicardLattice([[2, 0], [0, 2]])
     with pytest.raises(WrongSignature):
         wl.enumerate_walls(pos, (1, 0), mk.MukaiVector(1, (0, 0), 0, pos))
+
+
+# (gram, H, c1): (H, H) > 0 with H-perp indefinite, and with H-perp degenerate.
+# Each c1 is isotropic, so (r, c1, 0) is a valid v for every rank r.
+WRONG_SIGNATURE_CASES = (([[2, 0, 0], [0, 2, 0], [0, 0, -2]], (1, 0, 0), (0, 1, 1)),
+                         ([[2, 0], [0, 0]], (1, 0), (0, 1)))
+
+
+def test_wrong_signature_from_h_perp():
+    for gram, h, c1 in WRONG_SIGNATURE_CASES:
+        p = lat.PicardLattice(gram)
+        assert lat.signature(p) != (1, p.rank - 1, 0)
+        for r in (1, 2, 5):
+            with pytest.raises(WrongSignature):
+                wl.enumerate_walls(p, h, mk.MukaiVector(r, c1, 0, p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.integers(0, 10 ** 6), hst.integers(1, 4))
+def test_h_perp_decides_signature_on_random_lattices(seed, rho):
+    # With (H, H) > 0, WrongSignature is raised exactly when the char-poly
+    # signature is not (1, rho - 1, 0), for v of rank 1 and, when it is at
+    # most 6 (the search time grows with it), of rank (H, H) / 2.
+    rng = random.Random(seed)
+    while True:
+        gram = [[0] * rho for _ in range(rho)]
+        for i in range(rho):
+            gram[i][i] = 2 * rng.randint(-2, 2)
+            for j in range(i + 1, rho):
+                gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+        p = lat.PicardLattice(gram)
+        h = tuple(rng.randint(-2, 2) for _ in range(rho))
+        if lat.pairing(p, h, h) > 0:
+            break
+    hyperbolic = oracles.signature_by_charpoly(gram) == (1, rho - 1, 0)
+    assert (lat.signature(p) == (1, rho - 1, 0)) == hyperbolic
+    half = lat.pairing(p, h, h) // 2
+    vectors = [mk.MukaiVector(1, p.zero(), 0, p)]
+    if half <= 6:
+        vectors.append(mk.MukaiVector(half, h, 1, p))
+    for v in vectors:
+        try:
+            wl.enumerate_walls(p, h, v)
+            raised = False
+        except WrongSignature:
+            raised = True
+        assert raised != hyperbolic, (gram, h, v)
 
 
 def test_invalid_mukai_vector_is_domain_error(elliptic):
