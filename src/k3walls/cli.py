@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import families, mukai, pipeline, strata, walls
+from . import families, pipeline, strata, walls
 from .errors import DomainError, SchemaError
 
 EXIT_SCHEMA = 2
@@ -142,7 +142,7 @@ def cmd_reflect(args):
     image = walls.cross_wall(parsed.v, wall)
     payload = {
         "wall": pipeline.mukai_to_json(wall.u),
-        "pairing_with_v": pipeline.rational_to_json(mukai.mukai_pairing(parsed.v, wall.u)),
+        "pairing_with_v": wall.pairing_with_v,
         "reflected": pipeline.mukai_to_json(image),
         "note": "class bookkeeping in v-perp modulo Zv is unchanged across this wall",
     }

@@ -36,10 +36,9 @@ CAVEAT = ("lattice-level computation only; existence of a K3 surface realizing "
 
 
 def rational_to_json(q):
-    q = normalize_number(Fraction(q))
-    if isinstance(q, int):
-        return q
-    return f"{q.numerator}/{q.denominator}"
+    if type(q) is not int:
+        q = normalize_number(Fraction(q))
+    return q if isinstance(q, int) else f"{q.numerator}/{q.denominator}"
 
 
 def rational_from_json(value, path):
@@ -227,9 +226,8 @@ def _finite_json(diagram):
     }
 
 
-def _wall_json(v, wall):
-    return {"u": mukai_to_json(wall.u),
-            "pairing_with_v": rational_to_json(mk.mukai_pairing(v, wall.u))}
+def _wall_json(wall):
+    return {"u": mukai_to_json(wall.u), "pairing_with_v": wall.pairing_with_v}
 
 
 def pipeline_classify(doc, deleted_node=0):
@@ -296,7 +294,7 @@ def pipeline_classify(doc, deleted_node=0):
     report["walls"] = {
         "count": len(wall_list),
         "origin_count": len(origin),
-        "vectors": [_wall_json(parsed.v, w) for w in wall_list],
+        "vectors": [_wall_json(w) for w in wall_list],
     }
     report["chamber"] = chamber_json
     report["caveat"] = CAVEAT

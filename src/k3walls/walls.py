@@ -13,6 +13,7 @@ numerical stability notions.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import lattice as lat
 from . import linalg
@@ -32,12 +33,11 @@ WALL_RANK_CAP = 10 ** 4
 
 @dataclass(frozen=True)
 class WallVector:
-    """A (-2)-class cutting a wall for the active ``(v, H)`` pair."""
+    """A (-2)-class cutting a wall for the active ``(v, H)`` pair, with the
+    integer ``<v, u>`` the wall search computed; later steps read it."""
 
     u: mk.MukaiVector
-
-    def __repr__(self):
-        return f"WallVector({self.u!r})"
+    pairing_with_v: int
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,10 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
     each rank ``s`` the search therefore enumerates that congruence coset of
     H-perp directly (shifted bound propagation), recovers ``eta`` by the
     exact division, fixes ``b`` from ``<u, u> = -2``, and keeps u exactly
-    when ``<v, u> <= 0``.  The form on the congruence sublattice is factored
-    and the congruence system reduced once, before the loop over ``s``; each
-    ``s`` only solves for its particular solution and its centre.
+    when ``<v, u> <= 0``; each wall carries that integer ``<v, u>``.  The form
+    on the congruence sublattice is factored, the congruence system reduced
+    and the sublattice basis mapped to divisors once, before the loop over
+    ``s``; each ``s`` only solves for its particular solution and its centre.
     """
     _check_context(p, h, v)
     if v.r > cap:
@@ -140,6 +141,10 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
                              f"signature (1, {rho - 1}, 0)") from None
     if r == 1:
         return []
+    # Ambient images of lam_basis, by coordinate, and their pairings with xi.
+    lam_cols = [h_perp.from_coefficients(bi) for bi in lam_basis]
+    lam_rows = [[col[i] for col in lam_cols] for i in range(rho)]
+    lam_xi = [sum(map(mul, col, g_xi)) for col in lam_cols]
 
     results = []
     for s in range(1, r):
@@ -150,6 +155,8 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
         lin = [sum(row[b] * c0[b] for b in range(k)) for row in lam_gw]
         const = sum(c0[a] * gw[a][b] * c0[b] for a in range(k) for b in range(k))
         center = form.solve(lin)
+        d0 = h_perp.from_coefficients(c0)
+        d0_xi = sum(map(mul, d0, g_xi))
         floor_const = const - sum(t * l for t, l in zip(center, lin))
         budget = 2 * r * r - floor_const
         for z, value in linalg.coset_vectors(form, center, budget):
@@ -157,10 +164,8 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
             if q != int(q):
                 raise InvariantError(f"-(D, D) = {q} is not an integer")
             d2 = -int(q)
-            c = [a + sum(zj * bj[idx] for zj, bj in zip(z, lam_basis))
-                 for idx, a in enumerate(c0)]
-            d = h_perp.from_coefficients(c)
-            d_xi = sum(d[i] * g_xi[i] for i in range(rho) if d[i])
+            d = tuple(a + sum(map(mul, z, row)) for a, row in zip(d0, lam_rows))
+            d_xi = d0_xi + sum(map(mul, z, lam_xi))
             num = d2 + 2 * s * d_xi + s * s * xi_sq
             if num % (r * r) or (d_xi + s * xi_sq) % r:
                 raise InvariantError(f"divisor {d} is not congruent to -s c1(v) mod rk v")
@@ -170,18 +175,18 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
             b = (eta_sq + 2) // (2 * s)
             pv = (d_xi + s * xi_sq) // r - r * b - a_v * s
             if pv <= 0:
-                results.append((s, d, b))
+                results.append((s, d, b, pv))
     results.sort()
     out = []
-    for s, d, b in results:
+    for s, d, b, pv in results:
         eta = tuple((c + s * x) // r for c, x in zip(d, xi))
-        out.append(WallVector(mk.MukaiVector(s, eta, b, p)))
+        out.append(WallVector(mk.MukaiVector(s, eta, b, p), pv))
     return out
 
 
 def u_prime(walls, v):
     """The sub-collection of walls through the origin: ``<v, u> = 0``."""
-    return [w for w in walls if mk.mukai_pairing(v, w.u) == 0]
+    return [w for w in walls if w.pairing_with_v == 0]
 
 
 def is_generic_polarization(p, h, v):
@@ -196,16 +201,23 @@ def is_generic_polarization(p, h, v):
 def locate(alpha, walls, v, singularity=None):
     """Exact chamber position of a twist parameter against a wall list.
 
-    With ``singularity`` (a :class:`k3walls.strata.SingularityReport`), the
-    position also carries the Weyl word reducing ``alpha`` into the closed
-    fundamental chamber of the report's finite diagram; the values reduced
-    are the pairings of ``alpha`` with the report's retained classes.
+    The signs come from one integer functional: ``x = v + alpha`` is built
+    once and cleared of denominators, so each wall's sign is that of one
+    integer dot product with ``u``.  With ``singularity`` (a
+    :class:`k3walls.strata.SingularityReport`), the position also carries the
+    Weyl word reducing ``alpha`` into the closed fundamental chamber of the
+    report's finite diagram; the values reduced are the pairings of
+    ``alpha`` with the report's retained classes.
     """
     a = alpha.alpha if isinstance(alpha, mk.TwistParameter) else alpha
+    x = v + a
+    _, (*gx, rx, sx) = linalg.clear_denominators(
+        linalg.mat_mul_vec(x.lattice.gram, x.c1) + (x.r, x.s))
     signs = []
     on = []
-    for k, w in enumerate(walls):
-        val = mk.mukai_pairing(v + a, w.u)
+    for k, u in enumerate(w.u for w in walls):
+        x._check_ambient(u)
+        val = sum(map(mul, gx, u.c1)) - rx * u.s - sx * u.r
         sign = 0 if val == 0 else (1 if val > 0 else -1)
         signs.append(sign)
         if sign == 0:
@@ -230,7 +242,7 @@ def small_twist_violations(position, v):
     """
     out = []
     for k, w in enumerate(position.walls):
-        if mk.mukai_pairing(v, w.u) < 0 and position.signs[k] >= 0:
+        if w.pairing_with_v < 0 and position.signs[k] >= 0:
             out.append(k)
     return tuple(out)
 
@@ -323,13 +335,13 @@ def slope_condition(alpha, v, strata, deleted=0):
     """
     check_node(strata, deleted)
     a = alpha.alpha if isinstance(alpha, mk.TwistParameter) else alpha
-    retained = [(u, m) for k, (u, m) in enumerate(strata) if k != deleted]
-    total = v
-    for u, m in retained:
-        total = total + m * u
-    rhs = Fraction(mk.mukai_pairing(total, a)) / Fraction(total.r)
-    for u, _ in retained:
-        lhs = Fraction(mk.mukai_pairing(u, a)) / Fraction(u.r)
+    retained = [(u, m, mk.mukai_pairing(u, a)) for k, (u, m) in enumerate(strata)
+                if k != deleted]
+    # <total, alpha> and rk total by linearity, total = v + sum a_j v_j.
+    total_pair = mk.mukai_pairing(v, a) + sum(m * ua for _, m, ua in retained)
+    rhs = Fraction(total_pair) / Fraction(v.r + sum(m * u.r for u, m, _ in retained))
+    for u, _, ua in retained:
+        lhs = Fraction(ua) / Fraction(u.r)
         if not lhs > rhs:
             return False
     return True

@@ -284,6 +284,106 @@ def test_small_twist_detection(elliptic):
         assert bool(wl.small_twist_violations(pos, v)) != expect_small
 
 
+def _sign(x):
+    return 0 if x == 0 else (1 if x > 0 else -1)
+
+
+def _triple(x):
+    return x.r, x.c1, x.s
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.integers(0, 10 ** 6), hst.integers(1, 3), hst.booleans())
+def test_locate_and_wall_pairings_match_oracle(seed, rho, on_wall):
+    # Every wall's <v, u> and every chamber sign, against the Mukai pairing
+    # spelled out on the Gram matrix.  With on_wall, alpha is solved onto one
+    # wall so that sign 0 is hit whenever H-perp allows it.
+    rng = random.Random(seed)
+    p, h, v = random_wall_context(rng, rho)
+    walls = wl.enumerate_walls(p, h, v)
+    for w in walls:
+        assert type(w.pairing_with_v) is int
+        assert w.pairing_with_v == oracles.mukai_pairing(p.gram, _triple(v), _triple(w.u))
+    perp = lat.orthogonal_complement(p, [h]).basis
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in perp]
+    d = [sum(t * e[i] for t, e in zip(coeffs, perp)) for i in range(rho)]
+    target = None
+    if on_wall and walls and perp:
+        target = rng.randrange(len(walls))
+        u = walls[target].u
+        # (D, c1 u - rk u / rk v c1 v) = <delta(D), u> must equal -<v, u>.
+        slope = [c - Fraction(u.r, v.r) * x for c, x in zip(u.c1, v.c1)]
+        f = [lat.pairing(p, e, slope) for e in perp]
+        j = next((j for j, fj in enumerate(f) if fj), None)
+        if j is None:
+            target = None
+        else:
+            shift = Fraction(-walls[target].pairing_with_v - lat.pairing(p, d, slope)) / f[j]
+            d = [a + shift * b for a, b in zip(d, perp[j])]
+    alpha = mk.TwistParameter(mk.delta_map(v, d), v, h)
+    pos = wl.locate(alpha, walls, v)
+    x = (v.r, tuple(a + b for a, b in zip(v.c1, d)),
+         v.s + Fraction(lat.pairing(p, d, v.c1), v.r))
+    expected = [_sign(oracles.mukai_pairing(p.gram, x, _triple(w.u))) for w in walls]
+    assert list(pos.signs) == expected
+    assert list(pos.on_walls) == [k for k, sg in enumerate(expected) if sg == 0]
+    if target is not None:
+        assert target in pos.on_walls
+
+
+def test_no_per_wall_mukai_arithmetic(monkeypatch):
+    # Origin walls, report entries, small-twist checks and chamber signs read
+    # the search's <v, u> and one functional: no pairing and at most one sum.
+    from k3walls import pipeline
+    inst = families.generate_example(families.ExampleSpec("D", 8, 2, 1))
+    alpha = families.fundamental_alpha(inst, 1)
+    walls = wl.enumerate_walls(inst.lattice, inst.polarization, inst.v)
+    assert len(walls) > 100
+    calls = {"pairing": 0, "add": 0}
+    pairing, add = mk.mukai_pairing, mk.MukaiVector.__add__
+
+    def counted_pairing(*args):
+        calls["pairing"] += 1
+        return pairing(*args)
+
+    def counted_add(*args):
+        calls["add"] += 1
+        return add(*args)
+
+    monkeypatch.setattr(mk, "mukai_pairing", counted_pairing)
+    monkeypatch.setattr(mk.MukaiVector, "__add__", counted_add)
+    origin = wl.u_prime(walls, inst.v)
+    entries = [pipeline._wall_json(w) for w in walls]
+    pos = wl.locate(alpha, walls, inst.v)
+    assert not wl.small_twist_violations(pos, inst.v)
+    assert calls == {"pairing": 0, "add": 1}
+    assert len(origin) == len(walls) and len(entries) == len(walls)
+
+    def refuse(*args):
+        raise AssertionError("MukaiVector sum on the slope-condition path")
+
+    monkeypatch.setattr(mk.MukaiVector, "__add__", refuse)
+    monkeypatch.setattr(mk.MukaiVector, "__rmul__", refuse)
+    assert wl.slope_condition(alpha, inst.v, inst.stratum().strata)
+
+
+def test_locate_rejects_other_lattice(a2_instance):
+    inst = a2_instance
+    walls = wl.enumerate_walls(inst.lattice, inst.polarization, inst.v)
+    other = lat.PicardLattice(inst.lattice.gram, ["x", "y", "z"])
+    assert other != inst.lattice
+    alpha = families.fundamental_alpha(inst).alpha
+    foreign_alpha = mk.MukaiVector(0, alpha.c1, alpha.s, other)
+    with pytest.raises(ValueError):
+        wl.locate(foreign_alpha, walls, inst.v)
+    # v and alpha agree, the walls do not: the per-wall check fires
+    foreign_v = mk.MukaiVector(inst.v.r, inst.v.c1, inst.v.s, other)
+    with pytest.raises(ValueError):
+        wl.locate(foreign_alpha, walls, foreign_v)
+    with pytest.raises(ValueError):
+        wl.slope_condition(foreign_alpha, inst.v, inst.stratum().strata)
+
+
 def test_reflect_properties(elliptic):
     p, h, v = elliptic
     walls = wl.enumerate_walls(p, h, v)
@@ -401,13 +501,18 @@ def test_slope_condition_skewed(a2_instance):
     rows = [list(r) for r in inst.lattice.gram]
     d = solve_rational(rows, target)
     alpha = mk.TwistParameter(mk.delta_map(inst.v, d), inst.v, inst.polarization)
-    got = wl.slope_condition(alpha, inst.v, inst.stratum().strata)
-    # direct check
+    # direct check, also on raw Mukai vectors that need not be orthogonal to v
     total = inst.v
     for u, m in inst.stratum().strata[1:]:
         total = total + m * u
-    rhs = Fraction(mk.mukai_pairing(total, alpha.alpha)) / total.r
-    expected = all(
-        Fraction(mk.mukai_pairing(u, alpha.alpha)) / u.r > rhs
-        for u, _ in inst.stratum().strata[1:])
-    assert got == expected
+    rng = random.Random(5)
+    raw = [mk.MukaiVector(rng.randint(-3, 3), [rng.randint(-3, 3) for _ in range(3)],
+                          rng.randint(-3, 3), inst.lattice) for _ in range(40)]
+    outcomes = set()
+    for a in [alpha.alpha] + raw:
+        rhs = Fraction(mk.mukai_pairing(total, a)) / total.r
+        expected = all(Fraction(mk.mukai_pairing(u, a)) / u.r > rhs
+                       for u, _ in inst.stratum().strata[1:])
+        assert wl.slope_condition(a, inst.v, inst.stratum().strata) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
