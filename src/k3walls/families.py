@@ -8,11 +8,15 @@ whole dictionary of identities used by the singularity classification:
 ``<v_i, v_j> = -a_ij``, ``v`` primitive isotropic, ``H^perp`` negative
 definite without (-2)-classes, and so on.  ``generate_example`` re-verifies
 every identity by direct computation and raises on any failure, which would
-indicate a bug, not bad input.
+indicate a bug, not bad input.  The identities that depend on the type alone
+(the standard matrix, its marks and the phi-image check) are computed once
+per ``(family, n)`` per process and shared by every ``(r, a)``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from operator import mul
 
 from . import lattice as lat
 from . import linalg
@@ -28,8 +32,8 @@ EMBEDDING_CAVEAT = (
 
 #: Largest diagram rank ``n`` that :func:`generate_example` builds.  The
 #: verification grows like n^3: on a 2-vCPU VM (CPython 3.11) an instance of
-#: rank 64 takes 0.25 s and a whole ``example --alpha`` CLI process 0.5-0.6 s;
-#: an instance of rank 100 takes 1.1 s.  The sweep stops at 18.
+#: rank 64 takes 0.2-0.25 s and a whole ``example --alpha`` CLI process
+#: 0.4-0.45 s; an instance of rank 100 takes 0.8-0.9 s.  The sweep stops at 18.
 EXAMPLE_N_CAP = 64
 
 #: (family, n) pairs covered by the standard sweep.
@@ -82,12 +86,22 @@ def _check(verification, name, ok):
         raise RuntimeError(f"model instance identity failed: {name}")
 
 
+@cache
+def _type_data(family, n):
+    """``(matrix, marks, phi_ok)`` of one type, ``phi_ok`` the ``phi_image_no_norm_two`` identity."""
+    matrix = roots.standard_affine_matrix(family, n)
+    marks = roots.classify_affine(matrix).marks
+    host = lat.PicardLattice(matrix.entries, [f"alpha{i}" for i in range(matrix.n_nodes)])
+    phi_image = lat.Sublattice(host, [linalg.vec_sub(host.basis_vector(i), host.basis_vector(i + 1))
+                                      for i in range(matrix.n_nodes - 1)])
+    return matrix, marks, lat.enumerate_norm_vectors(phi_image, 2, 2) == []
+
+
 def generate_example(spec, cap=EXAMPLE_N_CAP):
     """Build and verify one diagonal model instance; CapExceeded when ``spec.n > cap``."""
     if spec.n > cap:
         raise CapExceeded(f"example rank n = {spec.n} exceeds cap {cap}")
-    matrix = roots.standard_affine_matrix(spec.family, spec.n)
-    marks = roots.classify_affine(matrix).marks
+    matrix, marks, phi_ok = _type_data(spec.family, spec.n)
     n_nodes = matrix.n_nodes
     shift = 2 * spec.r * spec.a
     gram = [[-matrix.entries[i][j] + shift for j in range(n_nodes)] for i in range(n_nodes)]
@@ -99,11 +113,9 @@ def generate_example(spec, cap=EXAMPLE_N_CAP):
     v = mk.MukaiVector(spec.r * mark_sum, h, spec.a * mark_sum, lattice)
 
     verification = {}
-    _check(verification, "h_pairs_constant",
-           all(lat.pairing(lattice, h, lattice.basis_vector(j)) == shift * mark_sum
-               for j in range(n_nodes)))
-    _check(verification, "h_square",
-           lat.pairing(lattice, h, h) == shift * mark_sum ** 2 > 0)
+    gh = linalg.mat_mul_vec(lattice.gram, h)
+    _check(verification, "h_pairs_constant", all(e == shift * mark_sum for e in gh))
+    _check(verification, "h_square", sum(map(mul, h, gh)) == shift * mark_sum ** 2 > 0)
 
     h_perp = lat.orthogonal_complement(lattice, [h])
     diffs = [linalg.vec_sub(lattice.basis_vector(i), lattice.basis_vector(i + 1))
@@ -118,24 +130,13 @@ def generate_example(spec, cap=EXAMPLE_N_CAP):
            lat.enumerate_norm_vectors(h_perp, -2, -2) == [])
 
     _check(verification, "stratum_gram",
-           all(mk.mukai_pairing(v_list[i], v_list[j]) == -matrix.entries[i][j]
-               for i in range(n_nodes) for j in range(n_nodes)))
-    _check(verification, "v_orthogonal",
-           all(mk.mukai_pairing(v, vj) == 0 for vj in v_list))
-    h_hat = mk.delta_map(v, h)
-    _check(verification, "h_hat_orthogonal",
-           all(mk.mukai_pairing(h_hat, vj) == 0 for vj in v_list))
+           mk.pairing_matrix(v_list, v_list) == [[-e for e in row] for row in matrix.entries])
+    v_row, h_hat_row = mk.pairing_matrix([v, mk.delta_map(v, h)], v_list)
+    _check(verification, "v_orthogonal", not any(v_row))
+    _check(verification, "h_hat_orthogonal", not any(h_hat_row))
     _check(verification, "v_isotropic", mk.mukai_square(v) == 0)
     _check(verification, "v_primitive", mk.is_primitive(v))
-
-    root_host = lat.PicardLattice(matrix.entries,
-                                  [f"alpha{i}" for i in range(n_nodes)])
-    phi_image = lat.Sublattice(
-        root_host,
-        [linalg.vec_sub(root_host.basis_vector(i), root_host.basis_vector(i + 1))
-         for i in range(n_nodes - 1)])
-    _check(verification, "phi_image_no_norm_two",
-           lat.enumerate_norm_vectors(phi_image, 2, 2) == [])
+    _check(verification, "phi_image_no_norm_two", phi_ok)
 
     return ExampleInstance(spec, lattice, h, v_list, v, matrix, marks, verification)
 

@@ -90,9 +90,11 @@ class Sublattice:
     The basis is reduced once, by unimodular row operations, to an integer
     row echelon basis of the same lattice (``echelon``: ``(col, row)`` pivot
     pairs); the independence check and every membership test read it.
+    The definite form of the restricted Gram is factored once, on first use, and
+    shared by the definiteness tests and :func:`enumerate_norm_vectors`.
     """
 
-    __slots__ = ("ambient", "basis", "saturated", "echelon")
+    __slots__ = ("ambient", "basis", "saturated", "echelon", "_form")
 
     def __init__(self, ambient, basis, saturated=False):
         basis = tuple(tuple(int(a) for a in v) for v in basis)
@@ -109,6 +111,7 @@ class Sublattice:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "saturated", bool(saturated))
         object.__setattr__(self, "echelon", echelon)
+        object.__setattr__(self, "_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sublattice is immutable")
@@ -123,7 +126,7 @@ class Sublattice:
     def restricted_gram(self):
         """Gram matrix of the basis under the ambient form."""
         gram_basis = [linalg.mat_mul_vec(self.ambient.gram, w) for w in self.basis]
-        return [[sum(a * b for a, b in zip(v, gw)) for gw in gram_basis] for v in self.basis]
+        return [[sum(map(mul, v, gw)) for gw in gram_basis] for v in self.basis]
 
     def from_coefficients(self, coeffs):
         """Map a coefficient vector on the basis to ambient coordinates."""
@@ -158,6 +161,8 @@ def full_sublattice(lattice):
 
 def orthogonal_complement(lattice, vectors):
     """The saturated sublattice pairing to zero against every input vector."""
+    if any(len(v) != lattice.rank for v in vectors):
+        raise ValueError(f"vector length does not match lattice rank {lattice.rank}")
     if not vectors:
         return full_sublattice(lattice)
     rows = [linalg.mat_mul_vec(lattice.gram, v) for v in vectors]
@@ -185,13 +190,17 @@ def _definite_form(sub):
     pivot signs of one fraction-free factorization; ``(0, None)`` when G is
     indefinite or degenerate.  Rank 0 counts as positive definite.
     """
-    gram = sub.restricted_gram()
-    for sign in (1, -1):
-        try:
-            return sign, linalg.QuadraticForm([[sign * e for e in row] for row in gram])
-        except ValueError:
-            pass
-    return 0, None
+    if sub._form is None:
+        gram = sub.restricted_gram()
+        form = 0, None
+        for sign in (1, -1):
+            try:
+                form = sign, linalg.QuadraticForm([[sign * e for e in row] for row in gram])
+                break
+            except ValueError:
+                pass
+        object.__setattr__(sub, "_form", form)
+    return sub._form
 
 
 def definiteness(sub):

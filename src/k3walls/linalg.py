@@ -11,7 +11,7 @@ short/coset vector descent.  :func:`signature` runs on integers as well.
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from operator import index
+from operator import index, mul
 
 
 def vec_add(x, y):
@@ -45,7 +45,7 @@ def content(x):
 
 
 def mat_mul_vec(m, x):
-    return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in m)
+    return tuple(sum(map(mul, row, x)) for row in m)
 
 
 def identity_matrix(n):

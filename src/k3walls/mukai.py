@@ -10,10 +10,11 @@ integrality is a predicate, not a type split.  The pairing is
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import InvalidTwist
 from .lattice import pairing as picard_pairing
-from .linalg import normalize_number, normalize_vector, vec_add, vec_scale, vec_sub
+from .linalg import mat_mul_vec, normalize_number, normalize_vector, vec_add, vec_scale, vec_sub
 
 
 class MukaiVector:
@@ -22,7 +23,9 @@ class MukaiVector:
     __slots__ = ("r", "c1", "s", "lattice")
 
     def __init__(self, r, c1, s, lattice):
-        c1 = normalize_vector(c1)
+        c1 = tuple(c1)
+        if set(map(type, c1)) != {int}:
+            c1 = normalize_vector(c1)
         if len(c1) != lattice.rank:
             raise ValueError("c1 length does not match Picard rank")
         object.__setattr__(self, "r", r if type(r) is int else normalize_number(Fraction(r)))
@@ -78,6 +81,16 @@ def mukai_pairing(x, y):
     """<x, y> = (c1 x, c1 y) - r(x) s(y) - s(x) r(y); symmetric, exact."""
     x._check_ambient(y)
     return normalize_number(picard_pairing(x.lattice, x.c1, y.c1) - x.r * y.s - x.s * y.r)
+
+
+def pairing_matrix(xs, ys):
+    """``[[<x, y> for y in ys] for x in xs]``, with one Gram product ``G c1(y)`` per ``y``."""
+    vectors = (*xs, *ys)
+    for z in vectors:
+        vectors[0]._check_ambient(z)
+    cols = [(mat_mul_vec(y.lattice.gram, y.c1), y.r, y.s) for y in ys]
+    return [[normalize_number(sum(map(mul, x.c1, gy)) - x.r * s - x.s * r) for gy, r, s in cols]
+            for x in xs]
 
 
 def mukai_square(x):

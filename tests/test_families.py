@@ -1,9 +1,11 @@
 import pytest
 
+import oracles
 from k3walls import families
 from k3walls import lattice as lat
 from k3walls import linalg
 from k3walls import mukai as mk
+from k3walls import roots
 from k3walls import strata as st
 from k3walls.errors import CapExceeded
 
@@ -104,3 +106,61 @@ def test_example_rank_cap():
     with pytest.raises(CapExceeded):
         families.generate_example(spec, cap=4)
     assert all(families.generate_example(spec, cap=5).verification.values())
+
+
+def test_type_data_factors_each_form_once(monkeypatch):
+    # H-perp's Gram is built once for its definiteness test and its (-2)
+    # enumeration; the phi image's once per type, not once per (r, a).
+    calls = []
+    original = lat.Sublattice.restricted_gram
+
+    def counting(sub):
+        calls.append(sub.rank)
+        return original(sub)
+
+    monkeypatch.setattr(lat.Sublattice, "restricted_gram", counting)
+    families._type_data.cache_clear()
+    families.generate_example(families.ExampleSpec("D", 6, 1, 1))
+    assert len(calls) == 2
+    calls.clear()
+    families.generate_example(families.ExampleSpec("D", 6, 2, 1))
+    assert len(calls) == 1
+
+
+def test_type_cache_gives_equal_instances():
+    # Every sweep type of Picard rank <= 9: the cold build, the warm one and
+    # the type data recomputed from scratch agree, verification included.
+    # The box oracle for the phi image runs up to n = 6 (A~8 alone takes 1.4 s).
+    types = [(family, n) for family, n in families.SWEEP_TYPES if n + 1 <= 9]
+    assert len(types) == 16
+    for family, n in types:
+        spec = families.ExampleSpec(family, n, 2, 1)
+        families._type_data.cache_clear()
+        cold = families.generate_example(spec)
+        families.generate_example(families.ExampleSpec(family, n, 1, 3))
+        warm = families.generate_example(spec)
+        assert cold == warm and cold.verification == warm.verification
+        assert list(warm.verification) == [
+            "h_pairs_constant", "h_square", "h_perp_span", "h_perp_negative_definite",
+            "h_perp_no_minus_two", "stratum_gram", "v_orthogonal", "h_hat_orthogonal",
+            "v_isotropic", "v_primitive", "phi_image_no_norm_two"]
+        matrix = roots.standard_affine_matrix(family, n)
+        assert warm.affine_matrix == matrix
+        assert warm.marks == roots.classify_affine(matrix).marks
+        if n <= 6:
+            host = lat.PicardLattice(matrix.entries)
+            phi = lat.Sublattice(host, [linalg.vec_sub(host.basis_vector(i),
+                                                       host.basis_vector(i + 1))
+                                        for i in range(n)])
+            assert oracles.box_norm_vectors(phi, 2, 2) == []
+
+
+def test_failed_identity_raises(monkeypatch):
+    # A wrong Mukai pairing must stop the build, not be recorded as False.
+    def off_by_one(xs, ys):
+        return [[e + 1 for e in row] for row in real(xs, ys)]
+
+    real = mk.pairing_matrix
+    monkeypatch.setattr(mk, "pairing_matrix", off_by_one)
+    with pytest.raises(RuntimeError, match="stratum_gram"):
+        families.generate_example(families.ExampleSpec("A", 3, 1, 1))

@@ -302,3 +302,61 @@ def test_restricted_gram_matches_pairing():
         gram = sub.restricted_gram()
         assert gram == [[lat.pairing(p, v, w) for w in basis] for v in basis]
         assert all(type(e) is int for row in gram for e in row)
+
+
+def test_orthogonal_complement_rejects_wrong_length():
+    p = lat.PicardLattice([[2, 1], [1, -2]])
+    for v in [(1,), (1, 0, 0)]:
+        with pytest.raises(ValueError):
+            lat.orthogonal_complement(p, [v])
+        with pytest.raises(ValueError):
+            lat.orthogonal_complement(p, [(1, 0), v])
+
+
+FORM_CALLS = ("definiteness", "is_negative_definite", "enumerate_norm_vectors")
+
+
+def _form_call(sub, name, lo, hi):
+    """One of the three readers of the shared form, with NotDefinite as a value."""
+    if name != "enumerate_norm_vectors":
+        return getattr(lat, name)(sub)
+    try:
+        return lat.enumerate_norm_vectors(sub, lo, hi)
+    except NotDefinite:
+        return NotDefinite
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.sampled_from((1, -1, 0)),
+       st.permutations(FORM_CALLS * 2), st.integers(-6, 6), st.integers(0, 8))
+def test_shared_form_answers_as_fresh_sublattices(seed, n, sign, order, lo, width):
+    """Each reader gives on one reused sublattice what it gives on a fresh one.
+
+    ``sign`` 0 draws an arbitrary even lattice (often indefinite); the others
+    a definite one, where the enumeration must also match the box oracle.
+    """
+    rng = random.Random(seed)
+    p = random_even_lattice(rng, n) if sign == 0 else random_definite_lattice(rng, n, sign)
+    k = rng.randint(0, n)
+    if rng.random() < 0.5:
+        basis = [p.basis_vector(i) for i in range(k)]
+    else:
+        basis = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(k)]
+    try:
+        shared = lat.Sublattice(p, basis)
+    except ValueError:
+        assume(False)
+    hi = lo + width
+    for name in order:
+        got = _form_call(shared, name, lo, hi)
+        assert got == _form_call(lat.Sublattice(p, basis), name, lo, hi), name
+    sign_found = lat.definiteness(shared)
+    event(f"definiteness {sign_found}")
+    if sign and k:  # every nonzero sublattice of a definite lattice has its sign
+        assert sign_found == sign
+    enumerated = _form_call(shared, "enumerate_norm_vectors", lo, hi)
+    if sign_found == 0:
+        assert enumerated is NotDefinite
+        assert not lat.is_negative_definite(shared)
+    else:
+        assert enumerated == oracles.box_norm_vectors(shared, lo, hi)

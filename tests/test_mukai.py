@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from k3walls import lattice as lat
 from k3walls import mukai as mk
 from k3walls.errors import InvalidTwist
@@ -156,3 +157,44 @@ def test_twisted_comparator(elliptic, a1_instance):
     y = mk.MukaiVector(1, (0, 1), 1, p)
     assert mk.twisted_comparator(v, h, x, y) == -1
     assert mk.twisted_comparator(v, h, y, x) == 1
+
+
+def _oracle_pairing(x, y):
+    return oracles.mukai_pairing(x.lattice.gram, (x.r, x.c1, x.s), (y.r, y.c1, y.s))
+
+
+def test_pairing_matrix_against_oracle(elliptic, a2_instance):
+    rng = random.Random(17)
+    for p in (elliptic[0], a2_instance.lattice):
+        for _ in range(20):
+            xs = [rnd_vector(rng, p) for _ in range(rng.randint(0, 4))]
+            ys = [rnd_vector(rng, p) for _ in range(rng.randint(0, 4))]
+            # Rational entries, as in twist parameters and h-hat.
+            xs += [mk.MukaiVector(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                  [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                   for _ in range(p.rank)], Fraction(rng.randint(-5, 5), 3), p)]
+            got = mk.pairing_matrix(xs, ys)
+            assert got == [[_oracle_pairing(x, y) for y in ys] for x in xs]
+            assert got == [[mk.mukai_pairing(x, y) for y in ys] for x in xs]
+            assert all(type(e) is int or e.denominator != 1 for row in got for e in row)
+
+
+def test_pairing_matrix_empty_and_mixed(elliptic, a1_instance):
+    _, _, v = elliptic
+    assert mk.pairing_matrix([], []) == []
+    assert mk.pairing_matrix([], [v]) == []
+    assert mk.pairing_matrix([v, v], []) == [[], []]
+    with pytest.raises(ValueError):
+        mk.pairing_matrix([v], [a1_instance.v])
+    with pytest.raises(ValueError):
+        mk.pairing_matrix([v, a1_instance.v], [])
+    with pytest.raises(ValueError):
+        mk.pairing_matrix([], [v, a1_instance.v])
+
+
+def test_constructor_normalizes_c1(elliptic):
+    p, _, _ = elliptic
+    for c1 in [(True, 2), (Fraction(4, 2), 3), [1, 2], iter((1, 2))]:
+        c1 = mk.MukaiVector(0, c1, 0, p).c1
+        assert type(c1) is tuple and all(type(a) is int for a in c1), c1
+    assert mk.MukaiVector(0, (Fraction(1, 2), 0), 0, p).c1 == (Fraction(1, 2), 0)
