@@ -14,7 +14,8 @@ from operator import mul
 
 from .errors import InvalidTwist
 from .lattice import pairing as picard_pairing
-from .linalg import mat_mul_vec, normalize_number, normalize_vector, vec_add, vec_scale, vec_sub
+from .linalg import (clear_denominators, mat_mul_vec, normalize_number, normalize_vector, vec_add,
+                     vec_scale, vec_sub)
 
 
 class MukaiVector:
@@ -83,14 +84,20 @@ def mukai_pairing(x, y):
     return normalize_number(picard_pairing(x.lattice, x.c1, y.c1) - x.r * y.s - x.s * y.r)
 
 
+def cleared_functional(x):
+    """Integers ``(q, gx, r, s)`` with ``q <x, y> = gx . c1(y) - r s(y) - s r(y)`` for every ``y``."""
+    q, (*c1, r, s) = clear_denominators((*x.c1, x.r, x.s))
+    return q, mat_mul_vec(x.lattice.gram, c1), r, s
+
+
 def pairing_matrix(xs, ys):
-    """``[[<x, y> for y in ys] for x in xs]``, with one Gram product ``G c1(y)`` per ``y``."""
+    """``[[<x, y> for y in ys] for x in xs]``, with one :func:`cleared_functional` per ``y``."""
     vectors = (*xs, *ys)
     for z in vectors:
         vectors[0]._check_ambient(z)
-    cols = [(mat_mul_vec(y.lattice.gram, y.c1), y.r, y.s) for y in ys]
-    return [[normalize_number(sum(map(mul, x.c1, gy)) - x.r * s - x.s * r) for gy, r, s in cols]
-            for x in xs]
+    cols = [cleared_functional(y) for y in ys]
+    rows = [[(sum(map(mul, x.c1, gy)) - x.r * s - x.s * r, q) for q, gy, r, s in cols] for x in xs]
+    return [[normalize_number(Fraction(n, q) if q != 1 else n) for n, q in row] for row in rows]
 
 
 def mukai_square(x):

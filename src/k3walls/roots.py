@@ -411,31 +411,37 @@ def _pairing_with_simple(matrix, x, i):
     return sum(matrix.entries[i][j] * x[j] for j in range(len(x)) if x[j] != 0)
 
 
-def positive_roots(diagram):
-    """All coefficient vectors b >= 0 with b^T C b = 2, sorted.
+def root_tree(diagram):
+    """The positive roots as ``(b, parent, i)`` triples, in order of height.
 
-    Generated by height: a positive root of height h+1 is always a simple
-    root away from one of height h, and for simply laced types b + e_i is a
-    root exactly when (b, alpha_i) = -1.
+    A positive root of height h+1 is always a simple root away from one of
+    height h, and for simply laced types b + e_i is a root exactly when
+    (b, alpha_i) = -1.  The simple root ``e_i`` comes first, at index i,
+    with ``parent`` None; every later ``parent`` indexes the earlier triple
+    holding ``b - e_i``.
     """
     entries = diagram.matrix.entries
     n = len(entries)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots = set(simple)
+    tree = [(tuple(1 if j == i else 0 for j in range(n)), None, i) for i in range(n)]
+    seen = {b for b, _, _ in tree}
     # Each root travels with its pairings C b against the simple roots; C is
-    # symmetric, so C (b + e_i) = C b + entries[i].
-    frontier = list(zip(simple, entries))
-    while frontier:
-        nxt = []
-        for b, cb in frontier:
-            for i, p in enumerate(cb):
-                if p == -1:
-                    cand = b[:i] + (b[i] + 1,) + b[i + 1:]
-                    if cand not in roots:
-                        roots.add(cand)
-                        nxt.append((cand, tuple(map(add, cb, entries[i]))))
-        frontier = nxt
-    return tuple(sorted(roots))
+    # symmetric, so C (b + e_i) = C b + entries[i].  The loop reads the list
+    # it appends to: a queue, so heights never decrease.
+    pairings = list(entries)
+    for k, (b, _, _) in enumerate(tree):
+        for i, p in enumerate(pairings[k]):
+            if p == -1:
+                cand = b[:i] + (b[i] + 1,) + b[i + 1:]
+                if cand not in seen:
+                    seen.add(cand)
+                    tree.append((cand, k, i))
+                    pairings.append(tuple(map(add, pairings[k], entries[i])))
+    return tuple(tree)
+
+
+def positive_roots(diagram):
+    """All coefficient vectors b >= 0 with b^T C b = 2, sorted; see :func:`root_tree`."""
+    return tuple(sorted(b for b, _, _ in root_tree(diagram)))
 
 
 def highest_root(diagram):

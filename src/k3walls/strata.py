@@ -11,10 +11,11 @@ dual graph of the exceptional curves with intersection numbers
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import mul, sub
+from operator import add, index, mul, sub
 
 from . import mukai as mk
 from . import roots
+from .linalg import mat_mul_vec
 from .errors import (Inconsistent, InvariantError, MarksMismatch, NodeOutOfRange,
                      TriplePoint)
 
@@ -30,8 +31,10 @@ class StratumData:
 
     def __post_init__(self):
         object.__setattr__(self, "polarization", tuple(self.polarization))
-        object.__setattr__(self, "strata",
-                           tuple((u, int(m)) for u, m in self.strata))
+        strata = tuple(self.strata)
+        if any(isinstance(m, bool) for _, m in strata):  # index() refuses floats and strings
+            raise TypeError("multiplicities must be integers, got bool")
+        object.__setattr__(self, "strata", tuple((u, index(m)) for u, m in strata))
 
     @property
     def vectors(self):
@@ -77,33 +80,34 @@ class SingularityReport:
         """The origin walls inside the stratum span: ``Psi_+`` and ``v - Psi_+``.
 
         ``Psi_+`` holds ``u = sum_k b_k u_k`` over the positive roots ``b`` of
-        the finite diagram, ordered by ``b``; each component of ``u`` (and of
-        ``v - u``) is one integer dot product of ``b`` with a column of the
-        retained classes.  Every element is re-verified on the vector built:
+        the finite diagram, ordered by ``b``.  They are built along
+        :func:`roots.root_tree`: each ``u`` is its parent plus one retained
+        class, and carries ``G c1(u)`` built by the same additions, so the
+        exact ``<u, u> = c1(u) . G c1(u) - 2 rk u s(u)`` of the vector built
+        is one dot product.  Every element and every ``v - u`` is checked:
         ``<u, u> = -2`` and ``0 < rk u < rk v``.
         """
-        retained = self.retained
         v = self.data.v
-        for u in retained:
+        for u in self.retained:
             v._check_ambient(u)
-        r_col = [u.r for u in retained]
-        s_col = [u.s for u in retained]
-        c1_cols = list(zip(*(u.c1 for u in retained)))
-        psi_plus = []
-        complement = []
-        for b in roots.positive_roots(self.finite):
-            r = sum(map(mul, b, r_col))
-            c1 = [sum(map(mul, b, col)) for col in c1_cols]
-            s = sum(map(mul, b, s_col))
-            psi_plus.append(mk.MukaiVector(r, c1, s, v.lattice))
-            complement.append(mk.MukaiVector(v.r - r, list(map(sub, v.c1, c1)), v.s - s,
-                                             v.lattice))
-        for u in psi_plus + complement:
-            if mk.mukai_square(u) != -2:
-                raise InvariantError(f"Psi element {u!r} has <u, u> = {mk.mukai_square(u)}")
-            if not 0 < u.r < v.r:
-                raise InvariantError(f"Psi element {u!r} has rank outside (0, rk v)")
-        return psi_plus, complement
+        gram = v.lattice.gram
+        simple = [(u.r, u.c1, u.s, mat_mul_vec(gram, u.c1)) for u in self.retained]
+        tree = roots.root_tree(self.finite)
+        built = list(simple)  # the tree starts with the simple roots, e_i at index i
+        for _, parent, i in tree[len(simple):]:
+            (pr, pc1, ps, pg), (r, c1, s, g) = built[parent], simple[i]
+            built.append((pr + r, tuple(map(add, pc1, c1)), ps + s, tuple(map(add, pg, g))))
+        vg = mat_mul_vec(gram, v.c1)
+        psi = [built[k] for k in sorted(range(len(tree)), key=lambda k: tree[k][0])]
+        comp = [(v.r - r, tuple(map(sub, v.c1, c1)), v.s - s, tuple(map(sub, vg, g)))
+                for r, c1, s, g in psi]
+        for r, c1, s, g in psi + comp:
+            square = sum(map(mul, c1, g)) - 2 * r * s
+            if square != -2 or not 0 < r < v.r:
+                raise InvariantError(f"Psi element (r={r}, c1={list(c1)}, s={s}) has <u, u> = "
+                                     f"{square}; expected -2 and 0 < rk u < {v.r}")
+        return ([mk.MukaiVector(r, c1, s, v.lattice) for r, c1, s, _ in psi],
+                [mk.MukaiVector(r, c1, s, v.lattice) for r, c1, s, _ in comp])
 
 
 def validate_stratum(data):

@@ -211,8 +211,7 @@ def locate(alpha, walls, v, singularity=None):
     """
     a = alpha.alpha if isinstance(alpha, mk.TwistParameter) else alpha
     x = v + a
-    _, (*gx, rx, sx) = linalg.clear_denominators(
-        linalg.mat_mul_vec(x.lattice.gram, x.c1) + (x.r, x.s))
+    _, gx, rx, sx = mk.cleared_functional(x)
     signs = []
     on = []
     for k, u in enumerate(w.u for w in walls):
@@ -224,7 +223,7 @@ def locate(alpha, walls, v, singularity=None):
             on.append(k)
     word = reduced = on_chamber_wall = None
     if singularity is not None:
-        values = [mk.mukai_pairing(b, a) for b in singularity.retained]
+        values = [row[0] for row in mk.pairing_matrix(singularity.retained, [a])]
         word, reduced, on_chamber_wall = roots.reduce_to_fundamental(
             singularity.finite, values)
     return ChamberPosition(tuple(walls), tuple(signs), tuple(on),
@@ -335,12 +334,12 @@ def slope_condition(alpha, v, strata, deleted=0):
     """
     check_node(strata, deleted)
     a = alpha.alpha if isinstance(alpha, mk.TwistParameter) else alpha
-    retained = [(u, m, mk.mukai_pairing(u, a)) for k, (u, m) in enumerate(strata)
-                if k != deleted]
+    retained = [(u, m) for k, (u, m) in enumerate(strata) if k != deleted]
+    va, *pairs = [row[0] for row in mk.pairing_matrix([v, *(u for u, _ in retained)], [a])]
     # <total, alpha> and rk total by linearity, total = v + sum a_j v_j.
-    total_pair = mk.mukai_pairing(v, a) + sum(m * ua for _, m, ua in retained)
-    rhs = Fraction(total_pair) / Fraction(v.r + sum(m * u.r for u, m, _ in retained))
-    for u, _, ua in retained:
+    total_pair = va + sum(m * ua for (_, m), ua in zip(retained, pairs))
+    rhs = Fraction(total_pair) / Fraction(v.r + sum(m * u.r for u, m in retained))
+    for (u, _), ua in zip(retained, pairs):
         lhs = Fraction(ua) / Fraction(u.r)
         if not lhs > rhs:
             return False

@@ -170,9 +170,12 @@ def test_pairing_matrix_against_oracle(elliptic, a2_instance):
             xs = [rnd_vector(rng, p) for _ in range(rng.randint(0, 4))]
             ys = [rnd_vector(rng, p) for _ in range(rng.randint(0, 4))]
             # Rational entries, as in twist parameters and h-hat.
-            xs += [mk.MukaiVector(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                                  [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                                   for _ in range(p.rank)], Fraction(rng.randint(-5, 5), 3), p)]
+            rational = [mk.MukaiVector(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                       [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                        for _ in range(p.rank)], Fraction(rng.randint(-5, 5), 3),
+                                       p) for _ in range(2)]
+            xs.append(rational[0])
+            ys.append(rational[1])
             got = mk.pairing_matrix(xs, ys)
             assert got == [[_oracle_pairing(x, y) for y in ys] for x in xs]
             assert got == [[mk.mukai_pairing(x, y) for y in ys] for x in xs]

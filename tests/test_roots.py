@@ -158,6 +158,43 @@ def test_positive_roots_on_permuted_matrices(type_, data):
     assert roots.positive_roots(diagram) == tuple(sorted(expected))
 
 
+def _check_tree(diagram):
+    """The structure ``root_tree`` promises; returns its set of roots."""
+    n = diagram.matrix.n_nodes
+    tree = roots.root_tree(diagram)
+    heights = [sum(b) for b, _, _ in tree]
+    assert heights == sorted(heights)
+    for k, (b, parent, i) in enumerate(tree):
+        if k < n:
+            assert parent is None and i == k and b == tuple(int(j == i) for j in range(n))
+        else:
+            assert parent is not None and 0 <= parent < k
+            before = tree[parent][0]
+            assert b == before[:i] + (before[i] + 1,) + before[i + 1:]
+    found = {b for b, _, _ in tree}
+    assert len(found) == len(tree)
+    return found
+
+
+def test_root_tree_against_box_oracle():
+    for family, n in FINITE_UP_TO_8:
+        diagram = finite(family, n)
+        found = _check_tree(diagram)
+        assert found == oracles.box_positive_roots(diagram.matrix.entries), (family, n)
+    for family, n, count in [("A", 18, 171), ("D", 18, 306)]:
+        assert len(_check_tree(finite(family, n))) == count
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from(FINITE_UP_TO_8), hst.data())
+def test_root_tree_on_permuted_matrices(type_, data):
+    std = roots.standard_finite_matrix(*type_)
+    perm = data.draw(hst.permutations(range(std.n_nodes)))
+    diagram = roots.classify_finite(permuted(std, perm))
+    found = _check_tree(diagram)
+    assert roots.positive_roots(diagram) == tuple(sorted(found))
+
+
 def test_highest_root():
     assert roots.highest_root(finite("A", 2)) == (1, 1)
     assert roots.highest_root(finite("A", 1)) == (1,)

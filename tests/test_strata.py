@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,8 +8,8 @@ from k3walls import lattice as lat
 from k3walls import mukai as mk
 from k3walls import roots
 from k3walls import strata as st
-from k3walls.errors import (Inconsistent, MarkNotOne, MarksMismatch, NodeOutOfRange,
-                            NotAffineADE, TriplePoint)
+from k3walls.errors import (Inconsistent, InvariantError, MarkNotOne, MarksMismatch,
+                            NodeOutOfRange, NotAffineADE, TriplePoint)
 
 
 def two_configurations():
@@ -49,6 +50,18 @@ def test_validate_reports_all_failures(a1_instance):
     violations = st.validate_stratum(wrong_norm)
     assert any("expected -2" in msg for msg in violations)
     assert sum(1 for _ in violations) >= 1
+
+
+def test_multiplicities_must_be_integers(a1_instance):
+    # 1.7, "1" and True used to become multiplicity 1 and validate cleanly.
+    inst = a1_instance
+    v0, v1 = inst.v_list
+    for bad in (1.7, 1.0, "1", True):
+        with pytest.raises(TypeError):
+            st.StratumData(inst.lattice, inst.polarization, inst.v, ((v0, 1), (v1, bad)))
+    data = st.StratumData(inst.lattice, inst.polarization, inst.v, [(v0, 1), (v1, 1)])
+    assert data.multiplicities == (1, 1)
+    assert st.validate_stratum(data) == []
 
 
 def test_validate_sum_checks_every_component(d4_instance):
@@ -283,3 +296,100 @@ def test_psi_sets_builds_no_mukai_sums(monkeypatch):
     for inst, count in cases:
         psi, comp = st.psi_sets(inst.stratum())
         assert len(psi) == len(comp) == count
+
+
+def _report(family, n, r):
+    from k3walls import families
+    inst = families.generate_example(families.ExampleSpec(family, n, r, 1))
+    return inst, st.classify_singularity(inst.stratum())
+
+
+@pytest.mark.parametrize("field", ["parent", "i"])
+def test_psi_sets_catch_a_wrong_tree(monkeypatch, field):
+    # One step of the tree moved to another parent or another simple root, so
+    # that it builds a vector off the roots: the exact square check fires.  (A
+    # step landing on another root is a wrong tree; the root_tree tests catch it.)
+    _, rep = _report("E", 6, 2)
+    tree = list(roots.root_tree(rep.finite))
+    found = {b for b, _, _ in tree}
+    n = rep.finite.matrix.n_nodes
+
+    def step(q, j):
+        b = tree[q][0]
+        return b[:j] + (b[j] + 1,) + b[j + 1:]
+
+    for k, (b, parent, i) in enumerate(tree):
+        if parent is None:
+            continue
+        options = ([(q, i) for q in range(k) if q != parent] if field == "parent"
+                   else [(parent, j) for j in range(n) if j != i])
+        bad = next(((q, j) for q, j in options if step(q, j) not in found), None)
+        if bad is not None:
+            tree[k] = (b, *bad)
+            break
+    assert tree != list(roots.root_tree(rep.finite))
+    monkeypatch.setattr(roots, "root_tree", lambda diagram: tuple(tree))
+    with pytest.raises(InvariantError):
+        rep.psi_sets()
+
+
+def test_psi_sets_pair_nothing_and_build_each_vector_once(monkeypatch):
+    for family, n in [("A", 4), ("D", 6), ("E", 7)]:
+        _, rep = _report(family, n, 2)
+        count = len(roots.positive_roots(rep.finite))
+        calls = {"pairing": 0, "built": 0}
+        init = mk.MukaiVector.__init__
+
+        def counted_pairing(*args):
+            calls["pairing"] += 1
+
+        def counted_init(self, *args):
+            calls["built"] += 1
+            init(self, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(mk, "mukai_pairing", counted_pairing)
+            m.setattr(mk.MukaiVector, "__init__", counted_init)
+            psi, comp = rep.psi_sets()
+        assert calls == {"pairing": 0, "built": 2 * count}, (family, n)
+        assert len(psi) == len(comp) == count
+
+
+@pytest.mark.parametrize("family, n", [("A", 18), ("D", 18), ("E", 8)])
+def test_psi_sets_against_direct_sums(family, n):
+    # Types beyond the box oracle's reach: every Psi element against the sum
+    # sum_k b_k u_k over positive_roots, each checked by the oracle pairing.
+    inst, rep = _report(family, n, 3)
+    gram = inst.lattice.gram
+    v = inst.v
+    triples = [(u.r, u.c1, u.s) for u in rep.retained]
+    psi_want, comp_want = [], []
+    for b in roots.positive_roots(rep.finite):
+        r, c1, s = _combination(b, triples)
+        psi_want.append((r, c1, s))
+        comp_want.append((v.r - r, tuple(a - c for a, c in zip(v.c1, c1)), v.s - s))
+    for u in psi_want + comp_want:
+        assert oracles.mukai_pairing(gram, u, u) == -2
+        assert 0 < u[0] < v.r
+    psi, comp = rep.psi_sets()
+    assert [(u.r, u.c1, u.s) for u in psi] == psi_want
+    assert [(u.r, u.c1, u.s) for u in comp] == comp_want
+
+
+def test_psi_sets_with_fraction_components():
+    # The same instance over the Gram matrix 4 G in the basis e_i / 2: every
+    # c1 halves, every pairing stays, and the Psi-sets follow.
+    inst, rep = _report("D", 5, 2)
+    half = lat.PicardLattice([[4 * e for e in row] for row in inst.lattice.gram],
+                             [f"{name}/2" for name in inst.lattice.basis_labels])
+
+    def halved(u):
+        return mk.MukaiVector(u.r, [Fraction(c, 2) for c in u.c1], u.s, half)
+
+    data = st.StratumData(half, inst.polarization, halved(inst.v),
+                          tuple((halved(u), m) for u, m in inst.stratum().strata))
+    assert any(type(c) is Fraction for c in data.v.c1)
+    psi, comp = st.psi_sets(data)
+    want_psi, want_comp = rep.psi_sets()
+    assert psi == [halved(u) for u in want_psi]
+    assert comp == [halved(u) for u in want_comp]

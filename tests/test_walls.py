@@ -10,6 +10,7 @@ import oracles
 from k3walls import families
 from k3walls import lattice as lat
 from k3walls import mukai as mk
+from k3walls import roots
 from k3walls import strata as st
 from k3walls import walls as wl
 from k3walls.errors import (CapExceeded, InvalidMukaiVector, NodeOutOfRange,
@@ -339,6 +340,8 @@ def test_no_per_wall_mukai_arithmetic(monkeypatch):
     alpha = families.fundamental_alpha(inst, 1)
     walls = wl.enumerate_walls(inst.lattice, inst.polarization, inst.v)
     assert len(walls) > 100
+    report = st.classify_singularity(inst.stratum())
+    values = [mk.mukai_pairing(u, alpha.alpha) for u in report.retained]
     calls = {"pairing": 0, "add": 0}
     pairing, add = mk.mukai_pairing, mk.MukaiVector.__add__
 
@@ -362,9 +365,16 @@ def test_no_per_wall_mukai_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("MukaiVector sum on the slope-condition path")
 
+    # With a singularity report, the Weyl values are pairings with alpha too,
+    # read from alpha's cleared functional.
+    pos = wl.locate(alpha, walls, inst.v, singularity=report)
+    assert pos.reduced_values == roots.reduce_to_fundamental(report.finite, values)[1]
+    assert calls == {"pairing": 0, "add": 2}
+
     monkeypatch.setattr(mk.MukaiVector, "__add__", refuse)
     monkeypatch.setattr(mk.MukaiVector, "__rmul__", refuse)
     assert wl.slope_condition(alpha, inst.v, inst.stratum().strata)
+    assert calls["pairing"] == 0
 
 
 def test_locate_rejects_other_lattice(a2_instance):
