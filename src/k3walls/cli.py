@@ -31,6 +31,10 @@ def _read_document(path):
     except json.JSONDecodeError as exc:
         raise SchemaError(f"$ (line {exc.lineno}, column {exc.colno})",
                           f"invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past the interpreter's digit limit, or nesting
+        # past its recursion limit
+        raise SchemaError("$", f"invalid JSON: {exc}") from None
     return doc
 
 

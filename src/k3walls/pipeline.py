@@ -18,6 +18,7 @@ integers emitted as integers, non-integers as "p/q"), so
 """
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +35,8 @@ CAVEAT = ("lattice-level computation only; existence of a K3 surface realizing "
           "this Picard lattice (a primitive embedding into (-E8)^2 + U^3) is "
           "assumed, not verified")
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def rational_to_json(q):
     if type(q) is not int:
@@ -47,10 +50,15 @@ def rational_from_json(value, path):
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        try:
-            return normalize_number(Fraction(value.strip()))
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(path, f"malformed rational string {value!r}") from None
+        # Fraction() alone would also take "1.5", "1_000" and "1e100000000",
+        # the last an integer of 332 million bits.
+        text = value.strip()
+        if _RATIONAL.fullmatch(text):
+            try:
+                return normalize_number(Fraction(text))
+            except (ValueError, ZeroDivisionError):  # past the digit limit, or "p/0"
+                pass
+        raise SchemaError(path, f"malformed rational string {value!r}")
     raise SchemaError(path, f"expected an integer or 'p/q' string, got {type(value).__name__}")
 
 

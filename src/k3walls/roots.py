@@ -2,16 +2,18 @@
 
 Recognition is graph-theoretic: off-diagonal entries give the adjacency of
 the diagram, the single non-simply-laced case being the rank-1 affine matrix
-[[2,-2],[-2,2]].  Standard labelings are fixed once: A-cycles are numbered
-around the cycle with node 0 the extending node; D and E use the Bourbaki
-numbering 1..n for the finite part, again with 0 the extending node attached
-at its standard position.  ``node_perm`` always maps input node indices to
-these standard labels, and every classification is verified by exact matrix
+[[2,-2],[-2,2]].  One labeller reads a finite diagram's shape and gives its
+nodes the Bourbaki labels 1..n.  An affine diagram is a finite one plus an
+extending node of mark 1: the shape picks that node, the labeller labels the
+rest, and the extending node gets label 0, so A-cycles are numbered around
+the cycle from it.  ``node_perm`` always maps input node indices to these
+standard labels, and every classification is verified by exact matrix
 equality after permutation, so a malformed shape can never be mislabelled.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from operator import add
 
 from . import linalg
@@ -19,7 +21,6 @@ from .errors import (CapExceeded, InvariantError, MarkNotOne, NotAffineADE,
                      NotFiniteADE)
 
 ORBIT_CAP = 10 ** 6
-GROUP_CAP = 10 ** 7
 
 
 class CartanMatrix:
@@ -153,15 +154,24 @@ def standard_finite_matrix(family, n):
     return CartanMatrix(_gram_from_edges(n, [(a - 1, b - 1) for a, b in finite_edges(family, n)]))
 
 
-def _adjacency(matrix):
+def _adjacency(matrix, err):
+    """Neighbour lists of the diagram, ascending; ``err`` on an entry below -1."""
     n = matrix.n_nodes
     adj = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if matrix.entries[i][j] != 0:
+            entry = matrix.entries[i][j]
+            if entry < -1:
+                raise err
+            if entry:
                 adj[i].append(j)
                 adj[j].append(i)
     return adj
+
+
+def _without(items, i):
+    """``items`` with position ``i`` left out."""
+    return items[:i] + items[i + 1:]
 
 
 def _is_connected(adj):
@@ -197,30 +207,43 @@ def _arms(adj, center, err):
     return arms
 
 
-# E-type star: sorted arm lengths -> (rank, labels outward along each arm); centre is 4.
-_AFFINE_E_ARMS = {
-    (2, 2, 2): (6, ((3, 1), (5, 6), (2, 0))),
-    (1, 3, 3): (7, ((2,), (3, 1, 0), (5, 6, 7))),
-    (1, 2, 5): (8, ((2,), (3, 1), (5, 6, 7, 8, 0))),
-}
-_FINITE_E_ARMS = {
-    (1, 2, 2): (6, ((2,), (3, 1), (5, 6))),
-    (1, 2, 3): (7, ((2,), (3, 1), (5, 6, 7))),
-    (1, 2, 4): (8, ((2,), (3, 1), (5, 6, 7, 8))),
-}
+def _finite_labels(adj, err):
+    """``(family, rank, node_perm)`` of a finite ADE tree, read off its shape.
 
-
-def _label_e_star(perm, center, arms, table, err):
-    """Write the E-type labels of a star into ``perm``; returns the rank."""
-    entry = table.get(tuple(len(a) for a in arms))
-    if entry is None:
+    ``node_perm`` holds Bourbaki labels 1..n: A is numbered from its lower
+    end, D and E outward along the arms of the branch node.  Only the shape
+    is read; callers verify the labelling against the standard matrix.
+    """
+    n = len(adj)
+    if not _is_connected(adj):
         raise err
-    rank, labels = entry
-    perm[center] = 4
+    degrees = [len(a) for a in adj]
+    if sum(degrees) != 2 * (n - 1) or max(degrees) > 3:
+        raise err
+    perm = [None] * n
+    if 3 not in degrees:
+        start = degrees.index(min(degrees))  # the lower end, or the lone node of A1
+        walk = [start] + [node for arm in _arms(adj, start, err) for node in arm]
+        for std, node in enumerate(walk, start=1):
+            perm[node] = std
+        return "A", n, tuple(perm)
+    if degrees.count(3) > 1:
+        raise err
+    center = degrees.index(3)
+    arms = _arms(adj, center, err)
+    lengths = tuple(len(a) for a in arms)
+    if lengths[1] == 1:
+        family, perm[center] = "D", n - 2
+        labels = ((1,), (3,), (4,)) if n == 4 else ((n - 1,), (n,), range(n - 3, 0, -1))
+    elif lengths in ((1, 2, 2), (1, 2, 3), (1, 2, 4)):
+        family, perm[center] = "E", 4
+        labels = ((2,), (3, 1), range(5, n + 1))
+    else:
+        raise err
     for arm, stds in zip(arms, labels):
         for node, std in zip(arm, stds):
             perm[node] = std
-    return rank
+    return family, n, tuple(perm)
 
 
 def _kernel_marks(matrix):
@@ -244,145 +267,64 @@ def _verify_perm(matrix, perm, standard, exc):
     return True
 
 
+#: Sorted arm lengths of an extended E star -> the arm that ends in the extending node.
+_E_EXTENDING_ARM = {(2, 2, 2): 2, (1, 3, 3): 1, (1, 2, 5): 2}
+
+
 def classify_affine(matrix):
     """Recognize an affine ADE Cartan matrix up to simultaneous permutation.
 
-    Raises :class:`NotAffineADE` for anything else (positive definite
-    matrices, wrong graph shapes, entries below -1 other than the rank-1
-    affine A case).
+    The shape singles out an extending node; the rest is labelled as a
+    finite diagram and the extending node gets label 0.  Raises
+    :class:`NotAffineADE` for anything else (positive definite matrices,
+    wrong graph shapes, entries below -1 other than the rank-1 affine A case).
     """
     n = matrix.n_nodes
     err = NotAffineADE(f"not an affine ADE Cartan matrix: {matrix!r}")
-    if n < 2:
-        raise err
     if n == 2 and matrix.entries == ((2, -2), (-2, 2)):
         return AffineDiagram("A", 1, (0, 1), (1, 1), matrix)
-    if any(matrix.entries[i][j] < -1 for i in range(n) for j in range(n) if i != j):
+    if n < 3:
         raise err
-    adj = _adjacency(matrix)
-    if not _is_connected(adj):
-        raise err
+    adj = _adjacency(matrix, err)
     degrees = [len(a) for a in adj]
-    n_edges = sum(degrees) // 2
-
-    perm = [None] * n
-    if n_edges == n:
-        # simple cycle: extended A
-        if any(d != 2 for d in degrees):
+    branches = [i for i, d in enumerate(degrees) if d > 2]
+    if sum(degrees) == 2 * n:
+        # as many edges as nodes: extended A, a cycle
+        extending = 0
+    elif len(branches) == 2:
+        # extended D_n, n >= 5: a leaf at the first branch node
+        leaves = [k for k in adj[branches[0]] if degrees[k] == 1]
+        if not leaves:
             raise err
-        family, rank = "A", n - 1
-        walk = [0, min(adj[0])]
-        while len(walk) < n:
-            nxt = [k for k in adj[walk[-1]] if k != walk[-2]]
-            walk.append(nxt[0])
-        for std, node in enumerate(walk):
-            perm[node] = std
-    elif n_edges == n - 1:
-        deg3 = [i for i, d in enumerate(degrees) if d == 3]
-        deg4 = [i for i, d in enumerate(degrees) if d == 4]
-        if any(d > 4 for d in degrees):
+        extending = leaves[0]
+    elif len(branches) == 1 and degrees[branches[0]] == 4:
+        # extended D_4
+        extending = adj[branches[0]][0]
+    elif len(branches) == 1:
+        # extended E: the end of one arm of the star
+        arms = _arms(adj, branches[0], err)
+        arm = _E_EXTENDING_ARM.get(tuple(len(a) for a in arms))
+        if arm is None:
             raise err
-        if len(deg4) == 1 and not deg3 and n == 5:
-            family, rank = "D", 4
-            center = deg4[0]
-            leaves = sorted(k for k in range(n) if k != center)
-            perm[center] = 2
-            for leaf, std in zip(leaves, (0, 1, 3, 4)):
-                perm[leaf] = std
-        elif len(deg3) == 2 and not deg4:
-            family, rank = "D", n - 1
-            if rank < 5:
-                raise err
-            c1, c2 = deg3
-            leaves1 = sorted(k for k in adj[c1] if degrees[k] == 1)
-            leaves2 = sorted(k for k in adj[c2] if degrees[k] == 1)
-            inner1 = [k for k in adj[c1] if degrees[k] != 1]
-            if len(leaves1) != 2 or len(leaves2) != 2 or len(inner1) != 1:
-                raise err
-            # walk the spine from c1 to c2
-            path = [c1]
-            prev, cur = c1, inner1[0]
-            while cur != c2:
-                path.append(cur)
-                nxt = [k for k in adj[cur] if k != prev]
-                if len(nxt) != 1:
-                    raise err
-                prev, cur = cur, nxt[0]
-            path.append(c2)
-            perm[leaves1[0]], perm[leaves1[1]] = 0, 1
-            for offset, node in enumerate(path):
-                perm[node] = 2 + offset
-            perm[leaves2[0]], perm[leaves2[1]] = rank - 1, rank
-        elif len(deg3) == 1 and not deg4:
-            center = deg3[0]
-            family, rank = "E", _label_e_star(perm, center, _arms(adj, center, err),
-                                              _AFFINE_E_ARMS, err)
-        else:
-            raise err
+        extending = arms[arm][-1]
     else:
         raise err
 
-    perm = tuple(perm)
+    rest = [[j - (j > extending) for j in a if j != extending] for a in _without(adj, extending)]
+    family, rank, labels = _finite_labels(rest, err)
+    perm = labels[:extending] + (0,) + labels[extending:]
     _verify_perm(matrix, perm, standard_affine_matrix(family, rank), err)
     marks = _kernel_marks(matrix)
     diagram = AffineDiagram(family, rank, perm, marks, matrix)
-    if marks[diagram.affine_node] != 1:
-        raise InvariantError(f"affine node has mark {marks[diagram.affine_node]}, expected 1")
+    if marks[extending] != 1:
+        raise InvariantError(f"affine node has mark {marks[extending]}, expected 1")
     return diagram
 
 
 def classify_finite(matrix):
     """Recognize a finite ADE Cartan matrix up to simultaneous permutation."""
-    n = matrix.n_nodes
     err = NotFiniteADE(f"not a finite ADE Cartan matrix: {matrix!r}")
-    if n < 1:
-        raise err
-    if any(matrix.entries[i][j] < -1 for i in range(n) for j in range(n) if i != j):
-        raise err
-    adj = _adjacency(matrix)
-    if not _is_connected(adj):
-        raise err
-    degrees = [len(a) for a in adj]
-    if sum(degrees) // 2 != n - 1 or any(d > 3 for d in degrees):
-        raise err
-    deg3 = [i for i, d in enumerate(degrees) if d == 3]
-
-    perm = [None] * n
-    if not deg3:
-        family, rank = "A", n
-        if n == 1:
-            perm[0] = 1
-        else:
-            ends = [i for i, d in enumerate(degrees) if d == 1]
-            if len(ends) != 2:
-                raise err
-            walk = [min(ends)]
-            prev = None
-            while len(walk) < n:
-                nxt = [k for k in adj[walk[-1]] if k != prev]
-                prev = walk[-1]
-                walk.append(nxt[0])
-            for std, node in enumerate(walk, start=1):
-                perm[node] = std
-    elif len(deg3) == 1:
-        center = deg3[0]
-        arms = _arms(adj, center, err)
-        if len(arms[1]) == 1:
-            family, rank = "D", n
-            perm[center] = n - 2
-            short_a, short_b = sorted((arms[0][0], arms[1][0]))
-            if n == 4:
-                perm[short_a], perm[short_b], perm[arms[2][0]] = 1, 3, 4
-            else:
-                perm[short_a], perm[short_b] = n - 1, n
-                for offset, node in enumerate(arms[2]):
-                    perm[node] = n - 3 - offset
-        else:
-            family, rank = "E", _label_e_star(perm, center, arms, _FINITE_E_ARMS, err)
-    else:
-        raise err
-
-    perm = tuple(perm)
+    family, rank, perm = _finite_labels(_adjacency(matrix, err), err)
     _verify_perm(matrix, [p - 1 for p in perm], standard_finite_matrix(family, rank), err)
     return FiniteDiagram(family, rank, perm, matrix)
 
@@ -401,9 +343,7 @@ def delete_node(diagram, i):
     if diagram.marks[i] != 1:
         raise MarkNotOne(f"node {i} has mark {diagram.marks[i]}, expected 1")
     entries = diagram.matrix.entries
-    keep = [k for k in range(len(entries)) if k != i]
-    sub = CartanMatrix(tuple(tuple(entries[a][b] for b in keep) for a in keep))
-    return classify_finite(sub)
+    return classify_finite(CartanMatrix(tuple(_without(row, i) for row in _without(entries, i))))
 
 
 def _pairing_with_simple(matrix, x, i):
@@ -486,38 +426,43 @@ def apply_word_dual(diagram, word, values):
     return tuple(values)
 
 
-def _closure(diagram, reflection, start, cap, what):
-    """Breadth-first closure of ``start`` under ``reflection(diagram, i, .)`` for all i."""
-    n = diagram.matrix.n_nodes
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i in range(1, n + 1):
-                image = reflection(diagram, i, x)
-                if image not in seen:
-                    seen.add(image)
-                    if len(seen) > cap:
-                        raise CapExceeded(f"{what} exceeded cap {cap}")
-                    nxt.append(image)
-        frontier = nxt
-    return seen
-
-
 def weyl_orbit(diagram, x, cap=ORBIT_CAP):
     """BFS closure of a root-coordinate vector under all simple reflections."""
-    return frozenset(_closure(diagram, simple_reflection, tuple(x), cap, "orbit"))
+    n = diagram.matrix.n_nodes
+    orbit = [tuple(x)]
+    seen = set(orbit)
+    for y in orbit:
+        for i in range(1, n + 1):
+            image = simple_reflection(diagram, i, y)
+            if image not in seen:
+                if len(seen) >= cap:
+                    raise CapExceeded(f"orbit exceeded cap {cap}")
+                seen.add(image)
+                orbit.append(image)
+    return frozenset(seen)
 
 
-def weyl_group_order(diagram, cap=GROUP_CAP):
-    """Order of the group generated by the simple reflections.
+#: Degrees of the basic invariants of the Weyl groups of E6, E7 and E8.
+_E_DEGREES = {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
+              8: (2, 8, 12, 14, 18, 20, 24, 30)}
 
-    Computed as the orbit size of a regular dominant value vector (all
-    pairings 1), whose stabilizer is trivial.
+
+def weyl_group_order(diagram):
+    """Order of the Weyl group of a finite diagram.
+
+    It is the product of the degrees of the basic invariants (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 3.7): 2..n+1 for A_n, the even
+    numbers 2..2n-2 and n for D_n, a table for E.  Affine Weyl groups are
+    infinite: :class:`NotFiniteADE`.
     """
-    start = (1,) * diagram.matrix.n_nodes
-    return len(_closure(diagram, dual_reflection, start, cap, "group enumeration"))
+    if not isinstance(diagram, FiniteDiagram):
+        raise NotFiniteADE(f"{diagram.type_name()} has an infinite Weyl group")
+    n = diagram.rank
+    if diagram.family == "A":
+        return prod(range(2, n + 2))
+    if diagram.family == "D":
+        return n * prod(range(2, 2 * n - 1, 2))
+    return prod(_E_DEGREES[n])
 
 
 def reduce_to_fundamental(diagram, values):

@@ -297,7 +297,7 @@ def normalize_mod_v(v, x):
     """The representative of ``x + Zv`` with rank component in ``[0, rk v)``."""
     if v.r <= 0:
         raise ValueError("normalization needs rk v > 0")
-    k = -(int(x.r) // int(v.r))
+    k = -(x.r // v.r)
     return x + k * v
 
 

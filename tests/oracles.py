@@ -234,6 +234,28 @@ def box_positive_roots(entries):
     return frozenset(roots)
 
 
+def weyl_group_order_bfs(entries):
+    """Order of the group generated by the simple reflections, by enumeration.
+
+    The group acts on pairing-value vectors by ``t_j -> t_j - C[j][i] t_i``;
+    the vector of all ones is regular, so its orbit is as large as the group.
+    """
+    n = len(entries)
+    start = (1,) * n
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for i in range(n):
+                image = tuple(t[j] - entries[j][i] * t[i] for j in range(n))
+                if image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return len(seen)
+
+
 def brute_force_walls(p, h, v):
     """Independent wall search over an eta coordinate box.
 
@@ -266,7 +288,8 @@ def brute_force_walls(p, h, v):
                 continue
             b = (eta_sq + 2) // (2 * s)
             u = mk.MukaiVector(s, eta, b, p)
-            assert mk.mukai_square(u) == -2
+            if mk.mukai_square(u) != -2:
+                raise AssertionError(f"wall candidate {u!r} has square {mk.mukai_square(u)}")
             if mk.mukai_pairing(v, u) <= 0:
                 found.add(u)
     return found

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -243,6 +246,44 @@ def test_cli_schema_error_exit_code(tmp_path):
                                 "mukai_vector": {"r": 1, "c1": [0], "s": 0}}))
     res = run_cli(["walls", str(path)])
     assert res.returncode == 2
+
+
+def _main_in_process(text, command):
+    """``cli.main`` on ``text`` as stdin: (exit code, stderr)."""
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([command, "-"])
+    return code, err.getvalue()
+
+
+def test_cli_rational_strings_outside_the_schema():
+    # Only a JSON integer or a "p/q" string is a rational; Fraction() would also
+    # take these, and the exponent builds an integer of 332 million bits.
+    for text in ("1e100000000", "1.5", "1_000", "0x10", " 1 / 2"):
+        doc = dict(ELLIPTIC_DOC, mukai_vector={"r": 2, "c1": [1, 3], "s": text})
+        code, err = _main_in_process(json.dumps(doc), "classify")
+        assert code == 2, (text, err)
+        assert "mukai_vector.s" in err and "malformed rational" in err
+    doc = dict(ELLIPTIC_DOC, mukai_vector={"r": 2, "c1": [1, 3], "s": " +1/1 "})
+    assert _main_in_process(json.dumps(doc), "walls")[0] == 0
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter has no integer digit limit")
+def test_cli_integer_literal_past_the_digit_limit():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    text = json.dumps(ELLIPTIC_DOC).replace('"s": 1', '"s": ' + digits)
+    assert digits in text
+    code, err = _main_in_process(text, "classify")
+    assert code == 2, err
+    assert "invalid JSON" in err
+
+
+def test_cli_nesting_past_the_recursion_limit():
+    code, err = _main_in_process("[" * (sys.getrecursionlimit() + 100), "walls")
+    assert code == 2, err
+    assert "invalid JSON" in err
 
 
 def test_cli_dual_graph(tmp_path):

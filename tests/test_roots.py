@@ -242,8 +242,18 @@ def test_weyl_group_order():
     for n, order in expected.items():
         assert roots.weyl_group_order(finite("A", n)) == order
     assert roots.weyl_group_order(finite("D", 4)) == 192
-    with pytest.raises(CapExceeded):
-        roots.weyl_group_order(finite("A", 4), cap=100)
+    assert [roots.weyl_group_order(finite("E", n)) for n in (6, 7, 8)] == [
+        51840, 2903040, 696729600]
+    with pytest.raises(NotFiniteADE):
+        roots.weyl_group_order(roots.classify_affine(roots.standard_affine_matrix("A", 3)))
+
+
+def test_weyl_group_order_against_enumeration():
+    for family, n in ([("A", n) for n in range(1, 7)] + [("D", n) for n in range(4, 7)]
+                      + [("E", 6)]):
+        diagram = finite(family, n)
+        assert roots.weyl_group_order(diagram) == oracles.weyl_group_order_bfs(
+            diagram.matrix.entries), (family, n)
 
 
 def test_reduce_to_fundamental():

@@ -445,6 +445,19 @@ def test_curve_classes_identity(a1_instance):
     assert mk.mukai_pairing(inst.v, rep) == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(hst.fractions(min_value=-50, max_value=50, max_denominator=12),
+       hst.integers(-20, 20), hst.integers(-20, 20))
+def test_normalize_mod_v_on_rational_ranks(elliptic, r, c, s):
+    # x + k v with k an integer and rank in [0, rk v), whatever the rank of x
+    _, _, v = elliptic
+    x = mk.MukaiVector(r, (c, Fraction(c, 2)), s, v.lattice)
+    rep = wl.normalize_mod_v(v, x)
+    assert 0 <= rep.r < v.r
+    k = Fraction(rep.r - x.r) / v.r
+    assert k.denominator == 1 and rep == x + int(k) * v
+
+
 def test_curve_classes_reflection(a1_instance):
     inst = a1_instance
     basis = st.retained_vectors(inst.stratum())
