@@ -23,9 +23,8 @@ from .strata import (DualGraph, SingularityReport, StratumData,
                      classify_singularity, no_triple_point_check, psi_sets,
                      strata_orthogonality, validate_stratum)
 from .walls import (ChamberPosition, CurveClass, WallVector, apply_weyl_word,
-                    cross_wall, curve_classes, enumerate_walls,
-                    fm_cohomological, is_generic_polarization, is_small_twist,
-                    locate, normalize_mod_v, reflect, slope_condition,
+                    cross_wall, curve_classes, enumerate_walls, locate,
+                    normalize_mod_v, reflect, slope_condition,
                     small_twist_violations, u_prime)
 from .families import (ExampleInstance, ExampleSpec, fundamental_alpha,
                        generate_example)

@@ -100,10 +100,11 @@ def cmd_classify(args):
 
 
 def cmd_example(args):
+    scale = None if args.alpha is None else pipeline.rational_from_json(args.alpha, "--alpha")
     try:
         spec = families.ExampleSpec(args.family, args.n, args.r, args.a)
         instance = families.generate_example(spec)
-        doc = pipeline.instance_document(instance, alpha_scale=args.alpha)
+        doc = pipeline.instance_document(instance, alpha_scale=scale)
     except ValueError as exc:
         raise SchemaError("arguments", str(exc)) from None
     if args.format == "json":

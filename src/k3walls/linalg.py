@@ -5,8 +5,8 @@ matrices are lists of row lists.  :class:`IntegerSystem` reduces a system
 once to an integer echelon, which gives saturated kernels, integer solutions
 and rational ones (of a right-hand side scaled by the pivots).
 :class:`QuadraticForm` factors a positive definite integer form once by
-fraction-free LDL^T for the definiteness test, centre solving and the
-short/coset vector descent.  :func:`signature` runs on integers as well.
+fraction-free LDL^T for the definiteness test and the short/coset vector
+descent.  :func:`signature` runs on integers as well.
 """
 
 from fractions import Fraction
@@ -280,8 +280,8 @@ def ldlt(gram):
 class QuadraticForm:
     """A positive definite integer quadratic form ``Q(x) = x^T G x``, factored once.
 
-    Holds the fraction-free factors of :func:`ldlt`; centre solving and the
-    short/coset vector descent all read them, so nothing refactors ``G``.
+    Holds the fraction-free factors of :func:`ldlt`; the short/coset vector
+    descent reads them, so nothing refactors ``G``.
     Raises ValueError unless ``G`` is positive definite.
     """
 
@@ -293,29 +293,6 @@ class QuadraticForm:
     @property
     def rank(self):
         return len(self.minors)
-
-    def solve(self, b):
-        """Exact ``G^{-1} b`` for a rational ``b``, by forward and back substitution.
-
-        The forward pass is Bareiss elimination of the extra column ``b``;
-        the back pass solves for ``det(G) * x``, an integer vector (Cramer),
-        so every division is exact and one Fraction is built per entry.
-        """
-        n = self.rank
-        minors, upper = self.minors, self.upper
-        q, y = clear_denominators(b)
-        prev = 1
-        for k in range(n):
-            pivot, row, yk = minors[k], upper[k], y[k]
-            for i in range(k + 1, n):
-                y[i] = (pivot * y[i] - row[i] * yk) // prev
-            prev = pivot
-        det = prev
-        x = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = upper[i]
-            x[i] = (det * y[i] - sum(row[j] * x[j] for j in range(i + 1, n))) // minors[i]
-        return tuple(normalize_number(Fraction(v, q * det)) for v in x)
 
 
 def _coset_descent(form, center, bound):

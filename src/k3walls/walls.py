@@ -24,10 +24,11 @@ from .errors import (CapExceeded, InvalidMukaiVector, InvariantError, NonIsotrop
                      UOnUPrime, WrongSignature)
 from .strata import check_node
 
-#: Largest ``rk v`` that :func:`enumerate_walls` searches.  The search solves
-#: one congruence and runs one coset descent per rank ``s < rk v``, so its time
-#: grows linearly in rk v: on a 2-vCPU VM (CPython 3.11) D~18 takes 0.5 s at
-#: rk v = 10,000 and 4.8 s at 100,000.  The sweep's largest rk v is 102.
+#: Largest ``rk v`` that :func:`enumerate_walls` searches.  Its one descent
+#: did not grow with rk v where measured (2-vCPU VM, CPython 3.11: D~18 takes
+#: 0.04 s at rk v = 9,996 and 0.06 s at 99,994), but nothing bounds its node
+#: count in rk v, and each divisor tries up to gcd(rk v, content c1(v)) ranks,
+#: so the cap stays.  The sweep's largest rk v is 102.
 WALL_RANK_CAP = 10 ** 4
 
 
@@ -98,15 +99,16 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
 
     For ``u = (s, eta, b)`` the divisor ``D := rk(v) * eta - s * c1(v)`` is
     forced into the negative definite lattice H-perp within Pic with
-    ``(D, D) = -2 rk(v)^2 - 2 rk(v) s <u, v>  in  [-2 rk(v)^2, 0]``, and eta
-    is integral exactly when ``D = -s c1(v) (mod rk v)`` componentwise.  For
-    each rank ``s`` the search therefore enumerates that congruence coset of
-    H-perp directly (shifted bound propagation), recovers ``eta`` by the
-    exact division, fixes ``b`` from ``<u, u> = -2``, and keeps u exactly
-    when ``<v, u> <= 0``; each wall carries that integer ``<v, u>``.  The form
-    on the congruence sublattice is factored, the congruence system reduced
-    and the sublattice basis mapped to divisors once, before the loop over
-    ``s``; each ``s`` only solves for its particular solution and its centre.
+    ``(D, D) = -2 rk(v)^2 - 2 rk(v) s <u, v>  in  [-2 rk(v)^2, 0]``.  The pairs
+    ``(D, s)`` for all ranks at once form one lattice, the image of
+    ``{(eta, s) : (r eta - s c1(v), H) = 0}``; reduced with the D columns
+    first, it has rows ``(D_i, s_i)`` spanning
+    ``M = {D in H-perp : D = -s c1(v) (mod rk v) for some s}`` and one row
+    ``(0, t)``, so each D of M carries its ranks as one class ``s mod t``.  One
+    descent enumerates ``-(D, D) <= 2 rk(v)^2`` on M; for each ``s`` of the
+    vector's class in ``(0, rk v)`` the search recovers ``eta`` by the exact
+    division, fixes ``b`` from ``<u, u> = -2``, and keeps u exactly when
+    ``<v, u> <= 0``; each wall carries that integer ``<v, u>``.
     """
     _check_context(p, h, v)
     if v.r > cap:
@@ -114,58 +116,40 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
     r = int(v.r)
     xi = tuple(int(c) for c in v.c1)
     a_v = int(v.s)
-    xi_sq = lat.pairing(p, xi, xi)
-    g_xi = linalg.mat_mul_vec(p.gram, xi)
-    h_perp = lat.orthogonal_complement(p, [h])
-    k = h_perp.rank
     rho = p.rank
+    g_xi = linalg.mat_mul_vec(p.gram, xi)
+    xi_sq = sum(map(mul, xi, g_xi))
+    g_h = linalg.mat_mul_vec(p.gram, h)
 
-    # D = W c over the H-perp basis; the congruence c1-part condition
-    # "W c = -s xi (mod r)" is one integer system, reduced once: per s it
-    # gives a particular solution, and its kernel gives the fixed sublattice
-    # {c : W c = 0 (mod r)} with basis lam_basis.
-    w_cols = h_perp.basis
-    a_rows = [[w_cols[j][i] for j in range(k)] + [r if t == i else 0 for t in range(rho)]
-              for i in range(rho)]
-    system = linalg.IntegerSystem(a_rows, k + rho)
-    lam_basis = [vec[:k] for vec in system.kernel()]
-    if len(lam_basis) != k:
-        raise InvariantError(f"congruence sublattice has rank {len(lam_basis)}, expected {k}")
-    gw = [[-e for e in row] for row in h_perp.restricted_gram()]
-    lam_gw = [[sum(bi[a] * gw[a][b] for a in range(k)) for b in range(k)] for bi in lam_basis]
+    # (eta, s) with (r eta - s xi, H) = 0, as columns (D, s) = (r eta - s xi, s),
+    # reduced with the D coordinates first: rho - 1 rows (D_i, s_i), then (0, t).
+    lam = linalg.integer_kernel([[r * e for e in g_h] + [-sum(map(mul, xi, g_h))]], rho + 1)
+    cols = [[r * x[i] - x[rho] * xi[i] for x in lam] for i in range(rho)]
+    cols.append([x[rho] for x in lam])
+    *rows, last = [row for _, row in linalg.IntegerSystem(cols, len(lam)).pivot_rows()]
+    if len(rows) != rho - 1 or any(last[:rho]):
+        raise InvariantError(f"divisor lattice row {last} does not end in (0, ..., 0, t)")
+    t = abs(last[rho])
+    gd = [linalg.mat_mul_vec(p.gram, row[:rho]) for row in rows]
     try:
-        form = linalg.QuadraticForm([[sum(row[b] * bj[b] for b in range(k)) for bj in lam_basis]
-                                     for row in lam_gw])
+        form = linalg.QuadraticForm([[-sum(map(mul, g, row)) for row in rows] for g in gd])
     except ValueError:
         raise WrongSignature(f"H-perp is not negative definite, so Pic does not have "
                              f"signature (1, {rho - 1}, 0)") from None
     if r == 1:
         return []
-    # Ambient images of lam_basis, by coordinate, and their pairings with xi.
-    lam_cols = [h_perp.from_coefficients(bi) for bi in lam_basis]
-    lam_rows = [[col[i] for col in lam_cols] for i in range(rho)]
-    lam_xi = [sum(map(mul, col, g_xi)) for col in lam_cols]
+    d_cols = [[row[i] for row in rows] for i in range(rho)]
+    s_col = [row[rho] for row in rows]
+    xi_col = [sum(map(mul, row, g_xi)) for row in rows]
 
     results = []
-    for s in range(1, r):
-        sol = system.solve([-s * x for x in xi])
-        if sol is None:
-            continue
-        c0 = sol[:k]
-        lin = [sum(row[b] * c0[b] for b in range(k)) for row in lam_gw]
-        const = sum(c0[a] * gw[a][b] * c0[b] for a in range(k) for b in range(k))
-        center = form.solve(lin)
-        d0 = h_perp.from_coefficients(c0)
-        d0_xi = sum(map(mul, d0, g_xi))
-        floor_const = const - sum(t * l for t, l in zip(center, lin))
-        budget = 2 * r * r - floor_const
-        for z, value in linalg.coset_vectors(form, center, budget):
-            q = value + floor_const
-            if q != int(q):
-                raise InvariantError(f"-(D, D) = {q} is not an integer")
-            d2 = -int(q)
-            d = tuple(a + sum(map(mul, z, row)) for a, row in zip(d0, lam_rows))
-            d_xi = d0_xi + sum(map(mul, z, lam_xi))
+    for z, value in linalg.coset_vectors(form, (0,) * len(rows), 2 * r * r):
+        if value != int(value):
+            raise InvariantError(f"-(D, D) = {value} is not an integer")
+        d2 = -int(value)
+        d = tuple(sum(map(mul, z, col)) for col in d_cols)
+        d_xi = sum(map(mul, z, xi_col))
+        for s in range(sum(map(mul, z, s_col)) % t or t, r, t):
             num = d2 + 2 * s * d_xi + s * s * xi_sq
             if num % (r * r) or (d_xi + s * xi_sq) % r:
                 raise InvariantError(f"divisor {d} is not congruent to -s c1(v) mod rk v")
@@ -187,15 +171,6 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
 def u_prime(walls, v):
     """The sub-collection of walls through the origin: ``<v, u> = 0``."""
     return [w for w in walls if w.pairing_with_v == 0]
-
-
-def is_generic_polarization(p, h, v):
-    """Sufficient lattice-level genericity test: the wall set is empty.
-
-    An empty wall set certainly makes every twist give the same stability;
-    the converse is not claimed.
-    """
-    return not enumerate_walls(p, h, v)
 
 
 def locate(alpha, walls, v, singularity=None):
@@ -246,22 +221,12 @@ def small_twist_violations(position, v):
     return tuple(out)
 
 
-def is_small_twist(position, v):
-    """True iff no wall separates the located twist from the origin."""
-    return not small_twist_violations(position, v)
-
-
 def reflect(u, x):
     """Reflection in a (-2)-class: ``x -> x + <x, u> u``; an involution."""
     uu = u.u if isinstance(u, WallVector) else u
     if mk.mukai_square(uu) != -2:
         raise NotMinusTwo(f"<u, u> = {mk.mukai_square(uu)}, expected -2")
     return x + mk.mukai_pairing(x, uu) * uu
-
-
-def fm_cohomological(u_f, x):
-    """Cohomological action of the associated derived equivalence: ``-R_u``."""
-    return -reflect(u_f, x)
 
 
 def cross_wall(v, u):

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own algorithms: signatures
 come from characteristic-polynomial sign counts, enumeration from plain box
 searches with ellipsoid coordinate bounds, saturation indices from a small
-Smith-form routine.  Keep it dumb; that's the point.
+Smith-form routine.  Keep it dumb; that's the point.  The exception is
+:func:`per_rank_walls`, the wall search the library replaced, kept as the
+reference its single descent must reproduce.
 """
 
 import functools
@@ -12,7 +14,9 @@ from fractions import Fraction
 from math import isqrt
 
 from k3walls import lattice as lat
+from k3walls import linalg
 from k3walls import mukai as mk
+from k3walls.walls import WallVector
 
 
 def det_fraction(rows):
@@ -293,6 +297,68 @@ def brute_force_walls(p, h, v):
             if mk.mukai_pairing(v, u) <= 0:
                 found.add(u)
     return found
+
+
+def per_rank_walls(p, h, v):
+    """The wall search one rank at a time, as :func:`k3walls.walls.enumerate_walls` once ran.
+
+    For each ``s`` in ``1..rk v - 1`` it solves the congruence
+    ``D = -s c1(v) (mod rk v)`` on H-perp, takes the exact centre of that coset
+    with :func:`solve_rational` and runs one coset descent of
+    ``-(D, D) <= 2 rk(v)^2``.  Returns the walls as
+    :class:`k3walls.walls.WallVector` in the library's order, so a list
+    comparison checks the single-descent search, order and pairings included.
+    """
+    r = int(v.r)
+    xi = tuple(int(c) for c in v.c1)
+    a_v = int(v.s)
+    xi_sq = lat.pairing(p, xi, xi)
+    h_perp = lat.orthogonal_complement(p, [h])
+    k = h_perp.rank
+    rho = p.rank
+    # D = W c over the H-perp basis; "W c = -s xi (mod r)" is one integer
+    # system whose kernel is the sublattice {c : W c = 0 (mod r)}.
+    w_cols = h_perp.basis
+    a_rows = [[w_cols[j][i] for j in range(k)] + [r if t == i else 0 for t in range(rho)]
+              for i in range(rho)]
+    system = linalg.IntegerSystem(a_rows, k + rho)
+    lam_basis = [vec[:k] for vec in system.kernel()]
+    if len(lam_basis) != k:
+        raise AssertionError(f"congruence sublattice has rank {len(lam_basis)}, expected {k}")
+    gw = [[-e for e in row] for row in h_perp.restricted_gram()]
+    lam_gw = [[sum(bi[a] * gw[a][b] for a in range(k)) for b in range(k)] for bi in lam_basis]
+    gram = [[sum(row[b] * bj[b] for b in range(k)) for bj in lam_basis] for row in lam_gw]
+    form = linalg.QuadraticForm(gram)
+    results = []
+    for s in range(1, r):
+        sol = system.solve([-s * x for x in xi])
+        if sol is None:
+            continue
+        c0 = sol[:k]
+        lin = [sum(row[b] * c0[b] for b in range(k)) for row in lam_gw]
+        const = sum(c0[a] * gw[a][b] * c0[b] for a in range(k) for b in range(k))
+        # The centre G^-1 lin solves z lam_basis = c0 (the coset point x = -z
+        # is D = 0): a system in the small basis entries, not in the Gram's.
+        center = solve_rational([[bj[i] for bj in lam_basis] for i in range(k)], c0)
+        floor_const = const - sum(t * l for t, l in zip(center, lin))
+        for z, value in linalg.coset_vectors(form, center, 2 * r * r - floor_const):
+            q = value + floor_const
+            if q != int(q):
+                raise AssertionError(f"-(D, D) = {q} is not an integer")
+            c = [a + sum(zj * bj[i] for zj, bj in zip(z, lam_basis)) for i, a in enumerate(c0)]
+            d = h_perp.from_coefficients(c)
+            if any((e + s * x) % r for e, x in zip(d, xi)):
+                raise AssertionError(f"divisor {d} is not congruent to -s c1(v) mod rk v")
+            eta = tuple((e + s * x) // r for e, x in zip(d, xi))
+            eta_sq = lat.pairing(p, eta, eta)
+            if (eta_sq + 2) % (2 * s):
+                continue
+            b = (eta_sq + 2) // (2 * s)
+            pv = lat.pairing(p, xi, eta) - r * b - a_v * s
+            if pv <= 0:
+                results.append((s, d, b, pv, eta))
+    results.sort()
+    return [WallVector(mk.MukaiVector(s, eta, b, p), pv) for s, d, b, pv, eta in results]
 
 
 def smith_invariants(rows):

@@ -132,16 +132,6 @@ def test_definiteness_agrees_with_charpoly(seed, n, definite):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(1, 5), st.data())
-def test_form_solve_matches_rational_elimination(seed, n, data):
-    gram = random_positive_definite(random.Random(seed), n)
-    b = data.draw(st.lists(rationals, min_size=n, max_size=n))
-    x = linalg.QuadraticForm(gram).solve(b)
-    assert x == oracles.solve_rational(gram, b)
-    assert all(type(c) is int for c in x if c == int(c))
-
-
-@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 5), st.data())
 def test_integer_system_solutions_and_kernel(seed, m, n, data):
     rng = random.Random(seed)

@@ -371,6 +371,19 @@ def test_cli_example_over_rank_cap_is_domain_error():
     assert "CapExceeded" in res.stderr and "Traceback" not in res.stderr
 
 
+def test_cli_example_alpha_uses_rational_grammar():
+    # The scale follows the documents' rational grammar: no decimals, no digit
+    # separators, and no exponent that would build a huge integer first.
+    base = ["example", "--family", "A", "--n", "2", "--r", "1", "--a", "1", "--alpha"]
+    for scale in ("1.5", "1_0", "1e10000000"):
+        res = run_cli(base + [scale])
+        assert res.returncode == 2, (scale, res.stderr)
+        assert "--alpha" in res.stderr and "Traceback" not in res.stderr
+    res = run_cli(base + ["1/2"])
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["alpha"]
+
+
 def test_cli_over_wall_rank_cap_is_domain_error(tmp_path):
     # primitive isotropic: (1, r + 1)^2 = 2r = 2 * r * s on the elliptic lattice
     r = walls.WALL_RANK_CAP + 1
