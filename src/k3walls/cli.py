@@ -24,7 +24,7 @@ def _read_document(path):
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError("$", f"cannot read input: {exc}") from None
     try:
         doc = json.loads(text)
@@ -171,8 +171,11 @@ def cmd_dual_graph(args):
     result = strata.classify_singularity(stratum, args.delete_node)
     dot = pipeline.dot_graph(result.dual_graph)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot)
+        try:
+            with open(args.dot, "w", encoding="utf-8") as handle:
+                handle.write(dot)
+        except OSError as exc:
+            raise SchemaError("--dot", f"cannot write: {exc}") from None
         sys.stdout.write(f"wrote {args.dot}\n")
     else:
         sys.stdout.write(dot)

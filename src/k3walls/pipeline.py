@@ -310,8 +310,43 @@ def pipeline_classify(doc, deleted_node=0):
 
 
 def dumps_report(report):
-    """Canonical report bytes: fixed key order, two-space indent, newline."""
-    return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    """Canonical report bytes: fixed key order, two-space indent, newline.
+
+    The text is exactly ``json.dumps(report, indent=2, ensure_ascii=False)``
+    plus a newline, written by :func:`_write_json`.  Report values are dicts
+    with ``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and ``None``;
+    anything else (a float, a Fraction, a set, a non-``str`` key, a subclass
+    of a value type) raises ``TypeError``.
+    """
+    return _write_json(report, "") + "\n"
+
+
+_encode_str = json.encoder.encode_basestring  # the C escaper of ensure_ascii=False
+
+
+def _write_json(x, indent):
+    """JSON text of ``x`` with its closing bracket at ``indent``."""
+    kind = type(x)
+    if kind is str:
+        return _encode_str(x)
+    if kind is int:
+        return int.__repr__(x)
+    if x is None or kind is bool:
+        return "null" if x is None else "true" if x else "false"
+    if kind is not dict and kind is not list and kind is not tuple:
+        raise TypeError(f"{kind.__name__} is not a report value")
+    if not x:
+        return "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is dict:  # the escaper raises TypeError on a non-str key
+        items = [f"{_encode_str(k)}: {_write_json(v, inner)}" for k, v in x.items()]
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
+    if set(map(type, x)) == {int}:  # a bool is not an int here
+        items = map(int.__repr__, x)
+    else:
+        items = [_write_json(v, inner) for v in x]
+    return f"[\n{inner}{sep.join(items)}\n{indent}]"
 
 
 def dot_graph(graph):

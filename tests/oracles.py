@@ -3,13 +3,15 @@
 Everything here deliberately avoids the library's own algorithms: signatures
 come from characteristic-polynomial sign counts, enumeration from plain box
 searches with ellipsoid coordinate bounds, saturation indices from a small
-Smith-form routine.  Keep it dumb; that's the point.  The exception is
+Smith-form routine.  Keep it dumb; that's the point.  The exceptions are
 :func:`per_rank_walls`, the wall search the library replaced, kept as the
-reference its single descent must reproduce.
+reference its single descent must reproduce, and :func:`dumps_report_stdlib`,
+the standard-library encoder its report writer replaced.
 """
 
 import functools
 import itertools
+import json
 from fractions import Fraction
 from math import isqrt
 
@@ -205,6 +207,11 @@ def box_norm_vectors(sub, norm_min, norm_max):
                         break
                 found.add(amb)
     return sorted(found)
+
+
+def dumps_report_stdlib(report):
+    """Report bytes from the standard library: ``pipeline.dumps_report``'s contract."""
+    return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
 
 
 def mukai_pairing(gram, x, y):

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -8,6 +9,8 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles
 from k3walls import cli, families, linalg, pipeline, roots, walls
@@ -117,6 +120,53 @@ def test_report_deterministic():
         report = pipeline.pipeline_classify(pipeline.parse_instance(a1_doc(alpha=1)))
         blobs.add(pipeline.dumps_report(report))
     assert len(blobs) == 1
+
+
+_TEXT = (hst.text(max_size=6)
+         | hst.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n\t", "é", "\u2028", "\U0001f600"])
+         | hst.builds("{}/{}".format, hst.integers(), hst.integers(1)))
+_SCALARS = (hst.none() | hst.booleans() | _TEXT | hst.integers(-9, 9)
+            | hst.integers(-2 ** 200, 2 ** 200) | hst.integers(2 ** 64, 2 ** 80))
+_JSON_VALUES = hst.recursive(
+    _SCALARS,
+    lambda inner: (hst.lists(inner, max_size=4) | hst.lists(inner, max_size=3).map(tuple)
+                   | hst.dictionaries(_TEXT, inner, max_size=4)
+                   | hst.lists(hst.integers(), max_size=5)
+                   | hst.lists(hst.integers(-2, 2) | hst.booleans(), max_size=5)),
+    max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_VALUES)
+def test_report_writer_against_stdlib(value):
+    assert pipeline.dumps_report(value) == oracles.dumps_report_stdlib(value)
+
+
+def test_report_writer_on_sweep_reports():
+    for family, n in families.SWEEP_TYPES:
+        doc = pipeline.instance_document(
+            families.generate_example(families.ExampleSpec(family, n, 2, 2)), alpha_scale=1)
+        parsed = pipeline.parse_instance(doc)
+        bare = pipeline.ParsedInstance(parsed.lattice, parsed.polarization, parsed.v, None, None)
+        for report in (pipeline.pipeline_classify(parsed), pipeline.pipeline_classify(bare)):
+            assert pipeline.dumps_report(report) == oracles.dumps_report_stdlib(report)
+    for index in (0, 1):  # the reflect payload, as the CLI writes it
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(ELLIPTIC_DOC))), \
+                contextlib.redirect_stdout(out):
+            assert cli.main(["reflect", "-", "--u-index", str(index)]) == 0
+        assert out.getvalue() == oracles.dumps_report_stdlib(json.loads(out.getvalue()))
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1, 2}, {1: 2}, [1, 2.0],
+                                   {"a": [True, {"b": float("nan")}]},
+                                   [type("Text", (str,), {})("x")],
+                                   collections.OrderedDict(a=1)],
+                         ids=["float", "fraction", "set", "int-key", "nested-float",
+                              "deep-nan", "str-subclass", "dict-subclass"])
+def test_report_writer_rejects_non_json_values(value):
+    with pytest.raises(TypeError):
+        pipeline.dumps_report(value)
 
 
 def test_one_classification_pass_per_report(monkeypatch):
@@ -297,6 +347,24 @@ def test_cli_dual_graph(tmp_path):
     assert '"C1" -- "C2" [label="1"];' in text
     res = run_cli(["dual-graph", str(inst)])
     assert res.returncode == 0 and "graph dual_graph" in res.stdout
+
+
+def test_cli_input_not_utf8_is_schema_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    res = run_cli(["walls", str(path)])
+    assert res.returncode == 2, res.stderr
+    assert "cannot read input" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("target", ["missing-dir/x.dot", "."], ids=["missing-dir", "directory"])
+def test_cli_dual_graph_unwritable_dot_is_schema_error(tmp_path, target):
+    inst = tmp_path / "a2.json"
+    inst.write_text(json.dumps(pipeline.instance_document(
+        families.generate_example(families.ExampleSpec("A", 2, 1, 1)))))
+    res = run_cli(["dual-graph", str(inst), "--dot", str(tmp_path / target)])
+    assert res.returncode == 2, res.stderr
+    assert "--dot" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_cli_chamber_with_alpha_file(tmp_path):
