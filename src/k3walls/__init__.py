@@ -9,15 +9,13 @@ from .errors import (CapExceeded, DomainError, Inconsistent, InvalidMukaiVector,
                      WrongSignature)
 from .lattice import (PicardLattice, Sublattice, enumerate_norm_vectors,
                       is_negative_definite, orthogonal_complement, pairing,
-                      saturate, signature)
-from .mukai import (MukaiVector, TwistParameter, decompose, delta_map,
-                    euler_pairing, is_isotropic, is_primitive, mukai_pairing,
-                    mukai_square, mukai_vector_from_chern, rho,
-                    twisted_comparator)
+                      signature)
+from .mukai import (MukaiVector, TwistParameter, delta_map, is_primitive,
+                    mukai_pairing, mukai_square, rho)
 from .roots import (AffineDiagram, CartanMatrix, FiniteDiagram,
                     classify_affine, classify_finite, delete_node,
-                    highest_root, lie_algebra_dimension, marks,
-                    positive_roots, reduce_to_fundamental, simple_reflection,
+                    lie_algebra_dimension, marks, positive_roots,
+                    reduce_to_fundamental, simple_reflection,
                     weyl_group_order, weyl_orbit)
 from .strata import (DualGraph, SingularityReport, StratumData,
                      classify_singularity, no_triple_point_check, psi_sets,

@@ -8,6 +8,7 @@ error, 3 domain error.
 
 import argparse
 import json
+import os
 import sys
 
 from . import families, pipeline, strata, walls
@@ -38,11 +39,21 @@ def _read_document(path):
     return doc
 
 
-def _emit(payload, fmt, text_renderer):
-    if fmt == "json":
-        sys.stdout.write(pipeline.dumps_report(payload))
-    else:
-        sys.stdout.write(text_renderer(payload))
+def _emit(payload, fmt="text", text_renderer=str):
+    """Write ``payload`` to stdout as a report (``fmt == "json"``) or as ``text_renderer`` renders it.
+
+    A failed write (closed pipe, full device) is a SchemaError, and stdout then
+    points at the null device, so the interpreter's final flush cannot fail too.
+    """
+    text = pipeline.dumps_report(payload) if fmt == "json" else text_renderer(payload)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise SchemaError("stdout", f"cannot write: {exc}") from None
 
 
 def _walls_text(report):
@@ -107,17 +118,14 @@ def cmd_example(args):
         doc = pipeline.instance_document(instance, alpha_scale=scale)
     except ValueError as exc:
         raise SchemaError("arguments", str(exc)) from None
-    if args.format == "json":
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        checks = ", ".join(name for name in instance.verification)
-        sys.stdout.write(
-            f"model instance {spec.family}~{spec.n} (r={spec.r}, a={spec.a})\n"
-            f"gram: {[list(r) for r in instance.lattice.gram]}\n"
-            f"H: {list(instance.polarization)}  (H,H) = "
-            f"{2 * spec.r * spec.a * sum(instance.marks) ** 2}\n"
-            f"verified: {checks}\n"
-            f"caveat: {instance.caveat}\n")
+    checks = ", ".join(name for name in instance.verification)
+    _emit(doc, args.format, lambda _: (
+        f"model instance {spec.family}~{spec.n} (r={spec.r}, a={spec.a})\n"
+        f"gram: {[list(r) for r in instance.lattice.gram]}\n"
+        f"H: {list(instance.polarization)}  (H,H) = "
+        f"{2 * spec.r * spec.a * sum(instance.marks) ** 2}\n"
+        f"verified: {checks}\n"
+        f"caveat: {instance.caveat}\n"))
     return 0
 
 
@@ -151,12 +159,9 @@ def cmd_reflect(args):
         "reflected": pipeline.mukai_to_json(image),
         "note": "class bookkeeping in v-perp modulo Zv is unchanged across this wall",
     }
-    if args.format == "json":
-        sys.stdout.write(pipeline.dumps_report(payload))
-    else:
-        sys.stdout.write(f"wall u: {payload['wall']}\n"
-                         f"reflected v': {payload['reflected']}\n"
-                         f"note: {payload['note']}\n")
+    _emit(payload, args.format, lambda p: (f"wall u: {p['wall']}\n"
+                                           f"reflected v': {p['reflected']}\n"
+                                           f"note: {p['note']}\n"))
     return 0
 
 
@@ -176,9 +181,9 @@ def cmd_dual_graph(args):
                 handle.write(dot)
         except OSError as exc:
             raise SchemaError("--dot", f"cannot write: {exc}") from None
-        sys.stdout.write(f"wrote {args.dot}\n")
+        _emit(f"wrote {args.dot}\n")
     else:
-        sys.stdout.write(dot)
+        _emit(dot)
     return 0
 
 

@@ -94,9 +94,9 @@ class Sublattice:
     shared by the definiteness tests and :func:`enumerate_norm_vectors`.
     """
 
-    __slots__ = ("ambient", "basis", "saturated", "echelon", "_form")
+    __slots__ = ("ambient", "basis", "echelon", "_form")
 
-    def __init__(self, ambient, basis, saturated=False):
+    def __init__(self, ambient, basis):
         basis = tuple(tuple(int(a) for a in v) for v in basis)
         for v in basis:
             if len(v) != ambient.rank:
@@ -109,7 +109,6 @@ class Sublattice:
             echelon = system.pivot_rows()
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "saturated", bool(saturated))
         object.__setattr__(self, "echelon", echelon)
         object.__setattr__(self, "_form", None)
 
@@ -117,7 +116,7 @@ class Sublattice:
         raise AttributeError("Sublattice is immutable")
 
     def __repr__(self):
-        return f"Sublattice(rank={self.rank}, saturated={self.saturated})"
+        return f"Sublattice(rank={self.rank})"
 
     @property
     def rank(self):
@@ -155,8 +154,7 @@ class Sublattice:
 
 
 def full_sublattice(lattice):
-    return Sublattice(lattice, [lattice.basis_vector(i) for i in range(lattice.rank)],
-                      saturated=True)
+    return Sublattice(lattice, [lattice.basis_vector(i) for i in range(lattice.rank)])
 
 
 def orthogonal_complement(lattice, vectors):
@@ -167,20 +165,7 @@ def orthogonal_complement(lattice, vectors):
         return full_sublattice(lattice)
     rows = [linalg.mat_mul_vec(lattice.gram, v) for v in vectors]
     kernel = linalg.integer_kernel([list(r) for r in rows], lattice.rank)
-    return Sublattice(lattice, kernel, saturated=True)
-
-
-def saturate(sub):
-    """Primitive closure: rational span intersected with the ambient lattice."""
-    if not sub.basis:
-        return Sublattice(sub.ambient, (), saturated=True)
-    n = sub.ambient.rank
-    # Vectors orthogonal (dot product) to the span, then their dot-kernel.
-    dot_kernel = linalg.integer_kernel([list(v) for v in sub.basis], n)
-    if not dot_kernel:
-        return full_sublattice(sub.ambient)
-    closure = linalg.integer_kernel([list(v) for v in dot_kernel], n)
-    return Sublattice(sub.ambient, closure, saturated=True)
+    return Sublattice(lattice, kernel)
 
 
 def _definite_form(sub):

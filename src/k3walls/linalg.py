@@ -10,8 +10,10 @@ descent.  :func:`signature` runs on integers as well.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import floor, gcd, isqrt, lcm, prod
 from operator import index, mul
+
+from .errors import InvariantError
 
 
 def vec_add(x, y):
@@ -295,38 +297,36 @@ class QuadraticForm:
         return len(self.minors)
 
 
-def _coset_descent(form, center, bound):
-    """Fincke-Pohst descent over ``{x : Q(x + center) <= bound}`` on integers.
+def _descent(form, bound):
+    """Fincke-Pohst descent over ``{x : Q(x) <= bound}`` on integers, origin included.
 
-    With ``center = p / q`` and ``w_i = q * upper[i] . (x + center)``, level i
-    contributes ``w_i^2 / (q^2 minors[i-1] minors[i])``; every level is
-    rescaled to one common denominator ``scale``, so the budget, the terms
-    and the coordinate ranges are integers.  Coordinates are fixed from the
-    last to the first, each in increasing order; one Fraction is built per
-    yielded vector, for its value.
+    Level i contributes ``w_i^2 / (minors[i-1] minors[i])`` with
+    ``w_i = upper[i] . x``; every level is rescaled to one common
+    denominator ``scale``, so the budget, the terms and the coordinate ranges
+    are integers.  Coordinates are fixed from the last to the first, each in
+    increasing order.  Yields ``(x, Q(x))`` with ``Q(x)`` an ``int``; as Q is
+    integral, ``bound`` may be rational and is floored.
     """
     n = form.rank
-    bound = Fraction(bound)
+    bound = floor(bound)
     if bound < 0:
         return
     if n == 0:
-        yield (), Fraction(0)
+        yield (), 0
         return
     minors, upper = form.minors, form.upper
-    q, p = clear_denominators(center)
-    dens = [q * q * a * b for a, b in zip((1,) + minors, minors)]
-    scale = bound.denominator * lcm(*dens)
+    dens = [a * b for a, b in zip((1,) + minors, minors)]
+    scale = lcm(*dens)
     weight = [scale // d for d in dens]
-    step = [q * m for m in minors]
-    # shift[k] is w_k without its own term q * minors[k] * x_k; fixing x_i
-    # (i > k) adds q * upper[k][i] * x_i to it.
-    shift = [sum(upper[k][j] * p[j] for j in range(k, n)) for k in range(n)]
-    cols = [[q * upper[k][i] for k in range(i)] for i in range(n)]
-    total = bound.numerator * (scale // bound.denominator)
+    # shift[k] is w_k without its own term minors[k] * x_k; fixing x_i
+    # (i > k) adds upper[k][i] * x_i to it.
+    shift = [0] * n
+    cols = [[upper[k][i] for k in range(i)] for i in range(n)]
+    total = bound * scale
     x = [0] * n
 
     def descend(i, remaining):
-        t, st, wt, col = shift[i], step[i], weight[i], cols[i]
+        t, st, wt, col = shift[i], minors[i], weight[i], cols[i]
         w_max = isqrt(remaining // wt)
         # Exactly the x_i with |st * x_i + t| <= w_max, i.e. wt * w^2 <= remaining.
         for xi in range(-((w_max + t) // st), (w_max - t) // st + 1):
@@ -334,7 +334,10 @@ def _coset_descent(form, center, bound):
             rest = remaining - wt * w * w
             x[i] = xi
             if i == 0:
-                yield tuple(x), Fraction(total - rest, scale)
+                value, rem = divmod(total - rest, scale)
+                if rem:
+                    raise InvariantError(f"Q{tuple(x)} = {total - rest}/{scale} is not an integer")
+                yield tuple(x), value
             else:
                 for k in range(i):
                     shift[k] += col[k] * xi
@@ -349,22 +352,19 @@ def _coset_descent(form, center, bound):
 def short_vectors(form, bound):
     """All integer x with ``0 < Q(x) <= bound`` for a :class:`QuadraticForm`.
 
-    Yields ``(x, Q(x))`` pairs; both x and -x appear, the zero vector does
-    not.  This is the centre-0 coset of :func:`coset_vectors` without the
-    origin; no basis reduction, which is unnecessary at the ranks this
-    library targets.
+    Yields ``(x, Q(x))`` pairs, ``Q(x)`` an ``int``; both x and -x appear, the
+    zero vector does not.  No basis reduction, which is unnecessary at the
+    ranks this library targets.
     """
-    for x, value in _coset_descent(form, (0,) * form.rank, bound):
+    for x, value in _descent(form, bound):
         if value:
             yield x, value
 
 
-def coset_vectors(form, center, bound):
-    """All integer x with ``Q(x + center) <= bound`` for a :class:`QuadraticForm`.
+def coset_vectors(form, bound):
+    """All integer x with ``Q(x) <= bound`` for a :class:`QuadraticForm`, the origin included.
 
-    ``center`` and ``bound`` may be rational.  Yields ``(x, value)`` pairs,
-    ``value = Q(x + center)`` as a Fraction, including, when the centre is
-    integral, the point ``x = -center``.  The descent runs on integers over
-    the form's stored factors.
+    ``bound`` may be rational.  Yields ``(x, Q(x))`` pairs, ``Q(x)`` an
+    ``int``; the descent runs on integers over the form's stored factors.
     """
-    yield from _coset_descent(form, center, bound)
+    yield from _descent(form, bound)

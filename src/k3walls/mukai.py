@@ -104,23 +104,6 @@ def mukai_square(x):
     return mukai_pairing(x, x)
 
 
-def euler_pairing(x, y):
-    """Euler form chi(x, y) = -<x, y>."""
-    return -mukai_pairing(x, y)
-
-
-def mukai_vector_from_chern(rank, c1, c2, lattice):
-    """Mukai vector of Chern data: ``(rank, c1, (c1,c1)/2 - c2 + rank)``."""
-    if rank < 0:
-        raise ValueError("rank must be non-negative")
-    half_square = Fraction(picard_pairing(lattice, c1, c1), 2)
-    return MukaiVector(rank, c1, half_square - c2 + rank, lattice)
-
-
-def is_isotropic(x):
-    return mukai_square(x) == 0
-
-
 def is_primitive(x):
     """True iff the gcd of all integer components is 1.  Input must be integral."""
     if not x.is_integral():
@@ -142,26 +125,6 @@ def delta_map(v, d):
     d = normalize_vector(d)
     s = Fraction(picard_pairing(v.lattice, d, v.c1)) / Fraction(v.r)
     return MukaiVector(0, d, s, v.lattice)
-
-
-def h_hat(v, h):
-    """The image of the polarization under the delta map."""
-    return delta_map(v, h)
-
-
-def decompose(v, x):
-    """Write ``x = cv*v + cr*rho + delta(D)``; returns ``(cv, cr, D)``.
-
-    The decomposition exists and is unique whenever ``v.r != 0``; it is the
-    orthogonal decomposition when ``v`` is isotropic.
-    """
-    if v.r == 0:
-        raise ValueError("decompose needs a Mukai vector of positive rank")
-    cv = Fraction(x.r) / Fraction(v.r)
-    d = vec_sub(x.c1, vec_scale(cv, v.c1))
-    ds = Fraction(picard_pairing(v.lattice, d, v.c1)) / Fraction(v.r)
-    cr = Fraction(x.s) - cv * Fraction(v.s) - ds
-    return normalize_number(cv), normalize_number(cr), normalize_vector(d)
 
 
 class TwistParameter:
@@ -194,32 +157,3 @@ class TwistParameter:
 
     def __repr__(self):
         return f"TwistParameter({self.alpha!r})"
-
-
-def twisted_comparator(w, h, x, y):
-    """Order numerical twisted Hilbert slopes of ``x`` and ``y``: -1, 0 or +1.
-
-    Keys are compared lexicographically: first the polarization slope
-    ``(c1, H)/r``, then the twisted Euler slope ``chi(w, .)/(rk w * rk .)``.
-    A result of +1 means ``x`` strictly dominates ``y`` for large twists of
-    the polarization, i.e. ``y`` sits on the destabilizing side.  This orders
-    the numerical invariants only; no claim about actual sheaves is made.
-    """
-    for vec in (w, x, y):
-        if vec.r <= 0:
-            raise ValueError("twisted comparison needs positive ranks")
-    x._check_ambient(y)
-    x._check_ambient(w)
-    lat = x.lattice
-
-    def key(z):
-        slope = Fraction(picard_pairing(lat, z.c1, h)) / Fraction(z.r)
-        euler = Fraction(euler_pairing(w, z)) / (Fraction(w.r) * Fraction(z.r))
-        return (slope, euler)
-
-    kx, ky = key(x), key(y)
-    if kx < ky:
-        return -1
-    if kx > ky:
-        return 1
-    return 0

@@ -384,15 +384,6 @@ def positive_roots(diagram):
     return tuple(sorted(b for b, _, _ in root_tree(diagram)))
 
 
-def highest_root(diagram):
-    """The unique positive root dominating all others coefficient-wise."""
-    roots = positive_roots(diagram)
-    top = max(roots, key=sum)
-    if not all(all(t >= b for t, b in zip(top, root)) for root in roots):
-        raise InvariantError(f"root {top} of greatest height does not dominate all roots")
-    return top
-
-
 def simple_reflection(diagram, i, x):
     """Reflection in the i-th simple root (1-based), in root coordinates."""
     n = diagram.matrix.n_nodes

@@ -143,10 +143,8 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
     xi_col = [sum(map(mul, row, g_xi)) for row in rows]
 
     results = []
-    for z, value in linalg.coset_vectors(form, (0,) * len(rows), 2 * r * r):
-        if value != int(value):
-            raise InvariantError(f"-(D, D) = {value} is not an integer")
-        d2 = -int(value)
+    for z, value in linalg.coset_vectors(form, 2 * r * r):
+        d2 = -value
         d = tuple(sum(map(mul, z, col)) for col in d_cols)
         d_xi = sum(map(mul, z, xi_col))
         for s in range(sum(map(mul, z, s_col)) % t or t, r, t):

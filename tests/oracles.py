@@ -5,7 +5,8 @@ come from characteristic-polynomial sign counts, enumeration from plain box
 searches with ellipsoid coordinate bounds, saturation indices from a small
 Smith-form routine.  Keep it dumb; that's the point.  The exceptions are
 :func:`per_rank_walls`, the wall search the library replaced, kept as the
-reference its single descent must reproduce, and :func:`dumps_report_stdlib`,
+reference its single descent must reproduce, :func:`coset_descent`, the
+rational-centre descent that search ran, and :func:`dumps_report_stdlib`,
 the standard-library encoder its report writer replaced.
 """
 
@@ -13,7 +14,7 @@ import functools
 import itertools
 import json
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from k3walls import lattice as lat
 from k3walls import linalg
@@ -306,12 +307,67 @@ def brute_force_walls(p, h, v):
     return found
 
 
+def coset_descent(form, center, bound):
+    """Fincke-Pohst descent over ``{x : Q(x + center) <= bound}`` on integers.
+
+    The rational-centre descent the library's ``coset_vectors`` once ran, for
+    a :class:`k3walls.linalg.QuadraticForm`; :func:`per_rank_walls` and the
+    rational-centre tests use it.
+
+    With ``center = p / q`` and ``w_i = q * upper[i] . (x + center)``, level i
+    contributes ``w_i^2 / (q^2 minors[i-1] minors[i])``; every level is
+    rescaled to one common denominator ``scale``, so the budget, the terms
+    and the coordinate ranges are integers.  Coordinates are fixed from the
+    last to the first, each in increasing order; one Fraction is built per
+    yielded vector, for its value.
+    """
+    n = form.rank
+    bound = Fraction(bound)
+    if bound < 0:
+        return
+    if n == 0:
+        yield (), Fraction(0)
+        return
+    minors, upper = form.minors, form.upper
+    q, p = linalg.clear_denominators(center)
+    dens = [q * q * a * b for a, b in zip((1,) + minors, minors)]
+    scale = bound.denominator * lcm(*dens)
+    weight = [scale // d for d in dens]
+    step = [q * m for m in minors]
+    # shift[k] is w_k without its own term q * minors[k] * x_k; fixing x_i
+    # (i > k) adds q * upper[k][i] * x_i to it.
+    shift = [sum(upper[k][j] * p[j] for j in range(k, n)) for k in range(n)]
+    cols = [[q * upper[k][i] for k in range(i)] for i in range(n)]
+    total = bound.numerator * (scale // bound.denominator)
+    x = [0] * n
+
+    def descend(i, remaining):
+        t, st, wt, col = shift[i], step[i], weight[i], cols[i]
+        w_max = isqrt(remaining // wt)
+        # Exactly the x_i with |st * x_i + t| <= w_max, i.e. wt * w^2 <= remaining.
+        for xi in range(-((w_max + t) // st), (w_max - t) // st + 1):
+            w = st * xi + t
+            rest = remaining - wt * w * w
+            x[i] = xi
+            if i == 0:
+                yield tuple(x), Fraction(total - rest, scale)
+            else:
+                for k in range(i):
+                    shift[k] += col[k] * xi
+                yield from descend(i - 1, rest)
+                for k in range(i):
+                    shift[k] -= col[k] * xi
+        x[i] = 0
+
+    yield from descend(n - 1, total)
+
+
 def per_rank_walls(p, h, v):
     """The wall search one rank at a time, as :func:`k3walls.walls.enumerate_walls` once ran.
 
     For each ``s`` in ``1..rk v - 1`` it solves the congruence
     ``D = -s c1(v) (mod rk v)`` on H-perp, takes the exact centre of that coset
-    with :func:`solve_rational` and runs one coset descent of
+    with :func:`solve_rational` and runs one :func:`coset_descent` of
     ``-(D, D) <= 2 rk(v)^2``.  Returns the walls as
     :class:`k3walls.walls.WallVector` in the library's order, so a list
     comparison checks the single-descent search, order and pairings included.
@@ -348,7 +404,7 @@ def per_rank_walls(p, h, v):
         # is D = 0): a system in the small basis entries, not in the Gram's.
         center = solve_rational([[bj[i] for bj in lam_basis] for i in range(k)], c0)
         floor_const = const - sum(t * l for t, l in zip(center, lin))
-        for z, value in linalg.coset_vectors(form, center, 2 * r * r - floor_const):
+        for z, value in coset_descent(form, center, 2 * r * r - floor_const):
             q = value + floor_const
             if q != int(q):
                 raise AssertionError(f"-(D, D) = {q} is not an integer")

@@ -57,37 +57,58 @@ def box_coset_vectors(gram, center, bound):
 
 
 rationals = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 4))
+bounds = st.integers(-2, 24) | st.builds(Fraction, st.integers(-2, 24), st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), bounds)
+def test_coset_vectors_against_box(seed, n, bound):
+    gram = random_positive_definite(random.Random(seed), n)
+    got = list(linalg.coset_vectors(linalg.QuadraticForm(gram), bound))
+    assert all(type(value) is int for _, value in got)
+    assert len(got) == len(set(got))
+    assert set(got) == box_coset_vectors(gram, [0] * n, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), bounds)
+def test_short_vectors_against_box(seed, n, bound):
+    gram = random_positive_definite(random.Random(seed), n)
+    got = list(linalg.short_vectors(linalg.QuadraticForm(gram), bound))
+    expected = {(x, value) for x, value in box_coset_vectors(gram, [0] * n, bound) if any(x)}
+    assert all(type(value) is int for _, value in got)
+    assert len(got) == len(set(got))
+    assert set(got) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.data())
-def test_coset_vectors_against_box(seed, n, data):
+def test_centred_descent_against_box(seed, n, data):
     gram = random_positive_definite(random.Random(seed), n)
     center = data.draw(st.lists(rationals, min_size=n, max_size=n))
     bound = data.draw(st.builds(Fraction, st.integers(-2, 24), st.integers(1, 3)))
-    got = list(linalg.coset_vectors(linalg.QuadraticForm(gram), center, bound))
+    got = list(oracles.coset_descent(linalg.QuadraticForm(gram), center, bound))
     assert len(got) == len(set(got))
     assert set(got) == box_coset_vectors(gram, center, bound)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(1, 4),
-       st.builds(Fraction, st.integers(-2, 24), st.integers(1, 3)))
-def test_short_vectors_against_box(seed, n, bound):
-    gram = random_positive_definite(random.Random(seed), n)
-    got = list(linalg.short_vectors(linalg.QuadraticForm(gram), bound))
-    expected = {(x, value) for x, value in box_coset_vectors(gram, [0] * n, bound) if any(x)}
-    assert len(got) == len(set(got))
-    assert set(got) == expected
+@given(st.integers(0, 10 ** 6), st.integers(0, 5), bounds)
+def test_descent_matches_centred_descent_at_zero(seed, n, bound):
+    # The centre-free descent visits the same vectors in the same order.
+    form = linalg.QuadraticForm(random_positive_definite(random.Random(seed), n))
+    assert list(linalg.coset_vectors(form, bound)) == list(
+        oracles.coset_descent(form, (0,) * n, bound))
 
 
 def test_descent_on_rank_zero_and_negative_bound():
     empty = linalg.QuadraticForm([])
-    assert list(linalg.coset_vectors(empty, (), 0)) == [((), 0)]
-    assert list(linalg.coset_vectors(empty, (), -1)) == []
+    assert list(linalg.coset_vectors(empty, 0)) == [((), 0)]
+    assert list(linalg.coset_vectors(empty, -1)) == []
     assert list(linalg.short_vectors(empty, 5)) == []
     form = linalg.QuadraticForm([[2, 1], [1, 2]])
-    assert list(linalg.coset_vectors(form, (Fraction(1, 2), 0), Fraction(-1, 3))) == []
+    assert list(linalg.coset_vectors(form, Fraction(-1, 3))) == []
+    assert list(oracles.coset_descent(form, (Fraction(1, 2), 0), Fraction(-1, 3))) == []
     assert sorted(linalg.short_vectors(form, 2)) == [
         ((-1, 0), 2), ((-1, 1), 2), ((0, -1), 2), ((0, 1), 2), ((1, -1), 2), ((1, 0), 2)]
 

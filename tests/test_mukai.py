@@ -37,34 +37,6 @@ def test_pairing_symmetry_random(elliptic):
     for _ in range(200):
         x, y = rnd_vector(rng, p), rnd_vector(rng, p)
         assert mk.mukai_pairing(x, y) == mk.mukai_pairing(y, x)
-        assert mk.euler_pairing(x, y) == -mk.mukai_pairing(x, y)
-
-
-def test_from_chern(elliptic):
-    p, _, _ = elliptic
-    structure = mk.mukai_vector_from_chern(1, (0, 0), 0, p)
-    assert structure == mk.MukaiVector(1, (0, 0), 1, p)
-    v = mk.mukai_vector_from_chern(2, (1, 3), 3, p)
-    assert v == mk.MukaiVector(2, (1, 3), 1, p)
-    point = mk.mukai_vector_from_chern(0, (0, 0), -1, p)
-    assert point == mk.rho(p)
-    rng = random.Random(9)
-    for _ in range(100):
-        rank = rng.randint(0, 5)
-        c1 = tuple(rng.randint(-4, 4) for _ in range(2))
-        c2 = rng.randint(-5, 5)
-        x = mk.mukai_vector_from_chern(rank, c1, c2, p)
-        # c2 = (c1, c1) / 2 + r - s inverts the point component.
-        assert (x.r, x.c1, Fraction(lat.pairing(p, c1, c1), 2) + x.r - x.s) == (rank, c1, c2)
-
-
-def test_euler_examples(elliptic, a1_instance):
-    p, _, _ = elliptic
-    structure = mk.mukai_vector_from_chern(1, (0, 0), 0, p)
-    assert mk.euler_pairing(structure, structure) == 2
-    v = a1_instance.v
-    for vi in a1_instance.v_list:
-        assert mk.euler_pairing(v, vi) == 0
 
 
 def test_delta_map(elliptic, a1_instance):
@@ -94,30 +66,12 @@ def test_delta_isometry_and_orthogonality(elliptic):
         assert mk.mukai_pairing(mk.rho(p), x) == 0
 
 
-def test_decompose(elliptic, a1_instance):
-    p, _, v = elliptic
-    assert mk.decompose(v, v) == (1, 0, (0, 0))
-    assert mk.decompose(v, mk.rho(p)) == (0, 1, (0, 0))
-    inst = a1_instance
-    cv, cr, d = mk.decompose(inst.v, inst.v_list[0])
-    rebuilt = cv * inst.v + cr * mk.rho(inst.lattice) + mk.delta_map(inst.v, d)
-    assert rebuilt == inst.v_list[0]
-    rng = random.Random(17)
-    for _ in range(100):
-        x = mk.MukaiVector(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                           tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-                                 for _ in range(2)),
-                           Fraction(rng.randint(-9, 9), rng.randint(1, 4)), p)
-        cv, cr, d = mk.decompose(v, x)
-        assert cv * v + cr * mk.rho(p) + mk.delta_map(v, d) == x
-
-
 def test_isotropic_primitive(elliptic):
     p, _, v = elliptic
-    assert mk.is_isotropic(v)
+    assert mk.mukai_square(v) == 0
     assert mk.is_primitive(v)
     assert not mk.is_primitive(2 * v)
-    assert mk.is_isotropic(mk.rho(p))
+    assert mk.mukai_square(mk.rho(p)) == 0
     with pytest.raises(ValueError):
         mk.is_primitive(mk.MukaiVector(Fraction(1, 2), (0, 0), 0, p))
 
@@ -134,29 +88,6 @@ def test_twist_parameter_constraints(a1_instance):
         mk.TwistParameter(mk.delta_map(v, (1, 0)), v, h)  # (c1, H) != 0
     with pytest.raises(InvalidTwist):
         mk.TwistParameter(mk.MukaiVector(0, (1, -1), 5, inst.lattice), v, h)  # bad s
-
-
-def test_twisted_comparator(elliptic, a1_instance):
-    p, h, v = elliptic
-    x = mk.MukaiVector(1, (0, 1), 2, p)
-    assert mk.twisted_comparator(v, h, x, x) == 0
-    # equal slopes, w-term decides: equality of <w,x>/rk x forces 0
-    inst = a1_instance
-    v0, v1 = inst.v_list
-    assert mk.twisted_comparator(inst.v, inst.polarization, v0, v1) == 0
-    # fundamental-chamber twist makes the stratum side strictly smaller
-    from k3walls import families
-    alpha = families.fundamental_alpha(inst).alpha
-    w = inst.v + alpha
-    assert mk.twisted_comparator(w, inst.polarization, v1, inst.v) == -1
-    assert mk.twisted_comparator(w, inst.polarization, inst.v, v1) == 1
-    with pytest.raises(ValueError):
-        mk.twisted_comparator(w, inst.polarization, mk.rho(inst.lattice), v1)
-    # equal slopes, w = v: the Euler term alone decides
-    x = mk.MukaiVector(1, (0, 1), 0, p)
-    y = mk.MukaiVector(1, (0, 1), 1, p)
-    assert mk.twisted_comparator(v, h, x, y) == -1
-    assert mk.twisted_comparator(v, h, y, x) == 1
 
 
 def _oracle_pairing(x, y):

@@ -234,15 +234,20 @@ def test_dot_output(a2_instance):
     assert dot.endswith("}\n")
 
 
-def run_cli(args, stdin_text=None, env_extra=None):
+def cli_env(env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"),
          env.get("PYTHONPATH", "")])
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(args, stdin_text=None, env_extra=None):
     return subprocess.run([sys.executable, "-m", "k3walls.cli", *args],
-                          input=stdin_text, capture_output=True, text=True, env=env)
+                          input=stdin_text, capture_output=True, text=True,
+                          env=cli_env(env_extra))
 
 
 def test_cli_example_classify_pipe(tmp_path):
@@ -462,3 +467,59 @@ def test_cli_over_wall_rank_cap_is_domain_error(tmp_path):
         res = run_cli([command, str(path)])
         assert res.returncode == 3, (command, res.stderr)
         assert "CapExceeded" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("family, n, r, a, alpha", [("A", 64, 1, 1, "1"), ("E", 8, 2, 3, None)],
+                         ids=["A64-alpha", "E8"])
+def test_cli_example_json_is_the_stdlib_indent_bytes(family, n, r, a, alpha):
+    # One writer for every JSON output: example's bytes are the ones
+    # json.dumps(doc, indent=2) gave before it went through dumps_report.
+    argv = ["example", "--family", family, "--n", str(n), "--r", str(r), "--a", str(a)]
+    if alpha is not None:
+        argv += ["--alpha", alpha]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    inst = families.generate_example(families.ExampleSpec(family, n, r, a))
+    doc = pipeline.instance_document(inst, alpha_scale=None if alpha is None else int(alpha))
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+def _full_device():
+    return os.open("/dev/full", os.O_WRONLY)
+
+
+UNWRITABLE_STDOUT = [pytest.param(_closed_pipe, id="closed-pipe"),
+                     pytest.param(_full_device, id="full-device",
+                                  marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                           reason="no /dev/full"))]
+
+
+@pytest.mark.parametrize("open_stdout", UNWRITABLE_STDOUT)
+@pytest.mark.parametrize("command", ["walls", "classify", "chamber", "reflect", "dual-graph",
+                                     "example", "example-text"])
+def test_cli_unwritable_stdout_is_schema_error(tmp_path, command, open_stdout):
+    a1 = tmp_path / "a1.json"
+    a1.write_text(json.dumps(a1_doc(alpha=1)))
+    elliptic = tmp_path / "elliptic.json"
+    elliptic.write_text(json.dumps(ELLIPTIC_DOC))
+    example = ["example", "--family", "A", "--n", "1", "--r", "1", "--a", "1"]
+    argv = {"walls": ["walls", str(a1)], "classify": ["classify", str(a1)],
+            "chamber": ["chamber", str(a1)], "reflect": ["reflect", str(elliptic), "--u-index", "0"],
+            "dual-graph": ["dual-graph", str(a1)], "example": example,
+            "example-text": example + ["--format", "text"]}[command]
+    stdout = open_stdout()
+    try:
+        res = subprocess.run([sys.executable, "-m", "k3walls.cli", *argv], stdout=stdout,
+                             stderr=subprocess.PIPE, text=True, env=cli_env())
+    finally:
+        os.close(stdout)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.count("\n") == 1 and "cannot write" in res.stderr, res.stderr
+    assert "Traceback" not in res.stderr and "Exception ignored" not in res.stderr

@@ -21,3 +21,87 @@ def test_no_assert_statements():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno}: raise AssertionError")
     assert not found, found
+
+
+#: Public functions that nothing in the package references, or only another
+#: name listed here, each kept for a reason outside the package.  A name
+#: leaves this list when its function is deleted.
+UNREFERENCED_ALLOWED = {
+    "linalg.signature": "bound by name in the benchmark tracer",
+    "lattice.signature": "bound by name in the benchmark tracer",
+    "linalg.solve_integer": "bound by name in the benchmark tracer",
+    "strata.psi_sets": "bound by the benchmark tracer and called by its strata-batch workload",
+    "strata.strata_orthogonality": "pinned by the acceptance tests",
+    "strata.no_triple_point_check": "pinned by the acceptance tests",
+    "roots.weyl_orbit": "pinned by the acceptance tests",
+    "roots.lie_algebra_dimension": "pinned by the acceptance tests",
+    "roots.weyl_group_order": "pinned by the acceptance tests",
+    "walls.curve_classes": "the curve-class strata of ROADMAP item 5 build on it",
+    "roots.apply_word_dual": "the curve-class strata of ROADMAP item 5 build on it",
+    "walls.small_twist_violations": "the small-twist check of ROADMAP item 5",
+    "roots.marks": "the benchmark population builds its documents with it",
+    "lattice.definiteness": "the public sign of a sublattice's shared definite form",
+    "mukai.rho": "the point class, a basic element of the Mukai lattice",
+}
+
+
+def _locals(func):
+    """Names a function (or lambda) binds: its arguments and every name stored in it."""
+    args = func.args
+    names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                             args.vararg, args.kwarg) if a is not None}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+    return names
+
+
+def _references(node, resolve, modules, shadowed=frozenset()):
+    """Qualified ``module.name`` keys of the module-level names ``node`` reads."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        shadowed = shadowed | _locals(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in shadowed:
+        yield resolve(node.id)
+    elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+          and node.value.id in modules and node.value.id not in shadowed):
+        yield f"{modules[node.value.id]}.{node.attr}"
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, resolve, modules, shadowed)
+
+
+def test_every_public_function_is_reached():
+    """Every public module-level function is referenced somewhere in the package.
+
+    References inside a function's own definition and in ``__init__.py`` (the
+    re-exports) do not count; a bare name resolves through the module's
+    relative imports, and ``module.name`` through its module aliases.
+    """
+    public, referenced = set(), set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        modules, imported = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        modules[local] = alias.name
+                    else:
+                        imported[local] = f"{node.module}.{alias.name}"
+
+        def resolve(name):
+            return imported.get(name, f"{module}.{name}")
+
+        for node in tree.body:
+            own = None
+            if isinstance(node, ast.FunctionDef):
+                own = f"{module}.{node.name}"
+                if not node.name.startswith("_"):
+                    public.add(own)
+            referenced.update(key for key in _references(node, resolve, modules) if key != own)
+    assert not set(UNREFERENCED_ALLOWED) - public, "allowlisted names that are not public functions"
+    unreached = sorted(public - referenced - set(UNREFERENCED_ALLOWED))
+    assert not unreached, unreached

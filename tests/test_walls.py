@@ -467,7 +467,7 @@ def test_cross_wall(elliptic):
     assert mk.mukai_pairing(v, u.u) == -1
     image = wl.cross_wall(v, u)
     assert image == v - u.u
-    assert mk.is_isotropic(image) and mk.is_primitive(image)
+    assert mk.mukai_square(image) == 0 and mk.is_primitive(image)
     assert wl.cross_wall(image, u) == v
     # origin walls refuse to be crossed
     a1 = families.generate_example(families.ExampleSpec("A", 1, 1, 1))
