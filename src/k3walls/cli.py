@@ -7,6 +7,7 @@ error, 3 domain error.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -39,21 +40,31 @@ def _read_document(path):
     return doc
 
 
-def _emit(payload, fmt="text", text_renderer=str):
-    """Write ``payload`` to stdout as a report (``fmt == "json"``) or as ``text_renderer`` renders it.
+def _write(stream, text):
+    """Write and flush ``text``; on an OSError point the stream at the null device and re-raise."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:  # closed pipe, full device: the interpreter's final flush must not fail too
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, stream.fileno())
+        os.close(null)
+        raise
 
-    A failed write (closed pipe, full device) is a SchemaError, and stdout then
-    points at the null device, so the interpreter's final flush cannot fail too.
-    """
+
+def _emit(payload, fmt="text", text_renderer=str):
+    """Write ``payload`` to stdout as a report (``fmt == "json"``) or as ``text_renderer``
+    renders it; a failed write is a SchemaError."""
     text = pipeline.dumps_report(payload) if fmt == "json" else text_renderer(payload)
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        _write(sys.stdout, text)
     except OSError as exc:
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
         raise SchemaError("stdout", f"cannot write: {exc}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's -h passes no file
+        _emit(self.format_help())  # a failed write to stdout exits 2
 
 
 def _walls_text(report):
@@ -188,7 +199,7 @@ def cmd_dual_graph(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="k3walls",
         description="Exact wall-and-chamber and ADE singularity computations "
                     "on the Mukai lattice of a K3 surface.")
@@ -246,16 +257,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        message, code = f"schema error: {exc}\n", EXIT_SCHEMA
     except DomainError as exc:
-        print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        message, code = f"domain error: {type(exc).__name__}: {exc}\n", EXIT_DOMAIN
+    with contextlib.suppress(OSError):  # the exit code still tells the two errors apart
+        _write(sys.stderr, message)
+    return code
 
 
 if __name__ == "__main__":

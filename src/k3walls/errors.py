@@ -8,6 +8,35 @@ the library rather than bad input; it is raised by explicit checks, so it
 survives ``python -O``.
 """
 
+from operator import attrgetter
+
+
+class _Record:
+    """Immutable record: its fields are its ``__slots__``, set in ``__init__`` by
+    ``object.__setattr__``; equality, hash and repr go by them unless a subclass defines its own."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)  # gives a tuple: records have two fields or more
+
+    def __setattr__(self, name, value=None):  # also __delattr__, which passes no value
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
 
 class DomainError(Exception):
     """A computation was asked for data that the theory rules out."""

@@ -13,7 +13,6 @@ indicate a bug, not bad input.  The identities that depend on the type alone
 per ``(family, n)`` per process and shared by every ``(r, a)``.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import mul
@@ -22,7 +21,7 @@ from . import lattice as lat
 from . import linalg
 from . import mukai as mk
 from . import roots
-from .errors import CapExceeded
+from .errors import CapExceeded, _Record
 from .strata import StratumData
 
 EMBEDDING_CAVEAT = (
@@ -42,37 +41,41 @@ SWEEP_TYPES = ([("A", n) for n in range(1, 19)]
                + [("E", n) for n in (6, 7, 8)])
 
 
-@dataclass(frozen=True)
-class ExampleSpec:
-    family: str
-    n: int
-    r: int
-    a: int
+class ExampleSpec(_Record):
+    __slots__ = ("family", "n", "r", "a")
 
-    def __post_init__(self):
-        if self.family not in ("A", "D", "E"):
-            raise ValueError(f"family must be A, D or E, got {self.family!r}")
-        if self.family == "A" and self.n < 1:
+    def __init__(self, family, n, r, a):
+        if family not in ("A", "D", "E"):
+            raise ValueError(f"family must be A, D or E, got {family!r}")
+        if family == "A" and n < 1:
             raise ValueError("extended A needs n >= 1")
-        if self.family == "D" and self.n < 4:
+        if family == "D" and n < 4:
             raise ValueError("extended D needs n >= 4")
-        if self.family == "E" and self.n not in (6, 7, 8):
+        if family == "E" and n not in (6, 7, 8):
             raise ValueError("extended E needs n in {6, 7, 8}")
-        if self.r < 1 or self.a < 1:
+        if r < 1 or a < 1:
             raise ValueError("r and a must be positive integers")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "a", a)
 
 
-@dataclass(frozen=True)
-class ExampleInstance:
-    spec: ExampleSpec
-    lattice: lat.PicardLattice
-    polarization: tuple
-    v_list: tuple
-    v: mk.MukaiVector
-    affine_matrix: roots.CartanMatrix
-    marks: tuple
-    verification: dict
-    caveat: str = EMBEDDING_CAVEAT
+class ExampleInstance(_Record):
+    __slots__ = ("spec", "lattice", "polarization", "v_list", "v", "affine_matrix", "marks",
+                 "verification", "caveat")
+
+    def __init__(self, spec, lattice, polarization, v_list, v, affine_matrix, marks, verification,
+                 caveat=EMBEDDING_CAVEAT):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "polarization", polarization)
+        object.__setattr__(self, "v_list", v_list)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "affine_matrix", affine_matrix)
+        object.__setattr__(self, "marks", marks)
+        object.__setattr__(self, "verification", verification)
+        object.__setattr__(self, "caveat", caveat)
 
     def stratum(self):
         """The stratum data ``[(v_i, a_i)]`` of the singular point."""

@@ -9,11 +9,11 @@ lattice basis.  All arithmetic is exact.
 from operator import mul
 
 from . import linalg
-from .errors import NotDefinite
+from .errors import NotDefinite, _Record
 from .linalg import normalize_number, normalize_vector
 
 
-class PicardLattice:
+class PicardLattice(_Record):
     """An even lattice with a fixed basis.
 
     ``gram`` must be a symmetric integer matrix with even diagonal.  The
@@ -46,9 +46,6 @@ class PicardLattice:
         object.__setattr__(self, "rank", n)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "basis_labels", basis_labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PicardLattice is immutable")
 
     def __eq__(self, other):
         return self is other or (isinstance(other, PicardLattice) and self.gram == other.gram

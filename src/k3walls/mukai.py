@@ -12,13 +12,13 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .errors import InvalidTwist
+from .errors import InvalidTwist, _Record
 from .lattice import pairing as picard_pairing
 from .linalg import (clear_denominators, mat_mul_vec, normalize_number, normalize_vector, vec_add,
                      vec_scale, vec_sub)
 
 
-class MukaiVector:
+class MukaiVector(_Record):
     """Element of H^0 + Pic + H^4 with exact rational components."""
 
     __slots__ = ("r", "c1", "s", "lattice")
@@ -33,9 +33,6 @@ class MukaiVector:
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "s", s if type(s) is int else normalize_number(Fraction(s)))
         object.__setattr__(self, "lattice", lattice)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MukaiVector is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, MukaiVector) and self.r == other.r

@@ -19,14 +19,13 @@ integers emitted as integers, non-integers as "p/q"), so
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattice as lat
 from . import mukai as mk
 from . import strata as st
 from . import walls as wl
-from .errors import SchemaError
+from .errors import SchemaError, _Record
 from .linalg import normalize_number
 
 TOP_LEVEL_KEYS = ("picard", "polarization", "mukai_vector", "strata", "alpha")
@@ -109,13 +108,15 @@ def mukai_to_json(u):
             "s": rational_to_json(u.s)}
 
 
-@dataclass(frozen=True)
-class ParsedInstance:
-    lattice: lat.PicardLattice
-    polarization: tuple
-    v: mk.MukaiVector
-    strata: tuple  # ((MukaiVector, int), ...) or None
-    alpha_c1: tuple  # rational divisor coordinates or None
+class ParsedInstance(_Record):
+    __slots__ = ("lattice", "polarization", "v", "strata", "alpha_c1")
+
+    def __init__(self, lattice, polarization, v, strata, alpha_c1):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "polarization", polarization)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "strata", strata)  # ((MukaiVector, int), ...) or None
+        object.__setattr__(self, "alpha_c1", alpha_c1)  # rational divisor coordinates or None
 
     def stratum_data(self):
         if self.strata is None:

@@ -11,19 +11,18 @@ standard labels, and every classification is verified by exact matrix
 equality after permutation, so a malformed shape can never be mislabelled.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from operator import add
 
 from . import linalg
 from .errors import (CapExceeded, InvariantError, MarkNotOne, NotAffineADE,
-                     NotFiniteADE)
+                     NotFiniteADE, _Record)
 
 ORBIT_CAP = 10 ** 6
 
 
-class CartanMatrix:
+class CartanMatrix(_Record):
     """Symmetric integer matrix with 2s on the diagonal, <= 0 off it."""
 
     __slots__ = ("n_nodes", "entries")
@@ -45,9 +44,6 @@ class CartanMatrix:
         object.__setattr__(self, "n_nodes", n)
         object.__setattr__(self, "entries", entries)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CartanMatrix is immutable")
-
     def __eq__(self, other):
         return isinstance(other, CartanMatrix) and self.entries == other.entries
 
@@ -58,8 +54,7 @@ class CartanMatrix:
         return f"CartanMatrix({[list(r) for r in self.entries]})"
 
 
-@dataclass(frozen=True)
-class AffineDiagram:
+class AffineDiagram(_Record):
     """A recognized affine ADE Cartan matrix.
 
     ``rank`` is the n of the extended type; ``node_perm[i]`` is the standard
@@ -67,11 +62,14 @@ class AffineDiagram:
     kernel marks in input node order.
     """
 
-    family: str
-    rank: int
-    node_perm: tuple
-    marks: tuple
-    matrix: CartanMatrix
+    __slots__ = ("family", "rank", "node_perm", "marks", "matrix")
+
+    def __init__(self, family, rank, node_perm, marks, matrix):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "node_perm", node_perm)
+        object.__setattr__(self, "marks", marks)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def affine_node(self):
@@ -88,8 +86,7 @@ class AffineDiagram:
         return f"{self.family}~{self.rank}"
 
 
-@dataclass(frozen=True)
-class FiniteDiagram:
+class FiniteDiagram(_Record):
     """A recognized finite ADE Cartan matrix.
 
     ``node_perm[i]`` is the Bourbaki label (1..n) of input node ``i``;
@@ -97,10 +94,13 @@ class FiniteDiagram:
     and Weyl operations below act on.
     """
 
-    family: str
-    rank: int
-    node_perm: tuple
-    matrix: CartanMatrix
+    __slots__ = ("family", "rank", "node_perm", "matrix")
+
+    def __init__(self, family, rank, node_perm, matrix):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "node_perm", node_perm)
+        object.__setattr__(self, "matrix", matrix)
 
     def type_name(self):
         return f"{self.family}{self.rank}"

@@ -9,7 +9,6 @@ dual graph of the exceptional curves with intersection numbers
 ``(C_i, C_j) = <u_i, u_j>`` and self-intersection -2.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import add, index, mul, sub
 
@@ -17,21 +16,19 @@ from . import mukai as mk
 from . import roots
 from .linalg import mat_mul_vec
 from .errors import (Inconsistent, InvariantError, MarksMismatch, NodeOutOfRange,
-                     TriplePoint)
+                     TriplePoint, _Record)
 
 
-@dataclass(frozen=True)
-class StratumData:
+class StratumData(_Record):
     """Context ``(P, H, v)`` plus the list of ``(u_i, multiplicity)`` pairs."""
 
-    lattice: object
-    polarization: tuple
-    v: mk.MukaiVector
-    strata: tuple
+    __slots__ = ("lattice", "polarization", "v", "strata")
 
-    def __post_init__(self):
-        object.__setattr__(self, "polarization", tuple(self.polarization))
-        strata = tuple(self.strata)
+    def __init__(self, lattice, polarization, v, strata):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "polarization", tuple(polarization))
+        object.__setattr__(self, "v", v)
+        strata = tuple(strata)
         if any(isinstance(m, bool) for _, m in strata):  # index() refuses floats and strings
             raise TypeError("multiplicities must be integers, got bool")
         object.__setattr__(self, "strata", tuple((u, index(m)) for u, m in strata))
@@ -45,31 +42,35 @@ class StratumData:
         return tuple(m for _, m in self.strata)
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(_Record):
     """Nodes are retained input indices; edges carry intersection numbers."""
 
-    nodes: tuple
-    edges: tuple
-    self_intersection: int = -2
+    __slots__ = ("nodes", "edges", "self_intersection")
+
+    def __init__(self, nodes, edges, self_intersection=-2):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "self_intersection", self_intersection)
 
     def node_labels(self):
         return tuple(f"C{i}" for i in self.nodes)
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(_Record):
     """One classification of a stratum; Psi-sets and chamber location read it.
 
     ``finite.matrix`` is ``(-<u_i, u_j>)`` on the retained classes in input order.
     """
 
-    affine: roots.AffineDiagram
-    deleted_node: int
-    finite: roots.FiniteDiagram
-    marks: tuple
-    dual_graph: DualGraph
-    data: StratumData
+    __slots__ = ("affine", "deleted_node", "finite", "marks", "dual_graph", "data")
+
+    def __init__(self, affine, deleted_node, finite, marks, dual_graph, data):
+        object.__setattr__(self, "affine", affine)
+        object.__setattr__(self, "deleted_node", deleted_node)
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "marks", marks)
+        object.__setattr__(self, "dual_graph", dual_graph)
+        object.__setattr__(self, "data", data)
 
     @property
     def retained(self):

@@ -11,7 +11,6 @@ of twist parameters; the chambers of the complement index the distinct
 numerical stability notions.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -21,7 +20,7 @@ from . import mukai as mk
 from . import roots
 from .errors import (CapExceeded, InvalidMukaiVector, InvariantError, NonIsotropicV,
                      NonPositivePolarization, NotMinusTwo, RankZeroImage,
-                     UOnUPrime, WrongSignature)
+                     UOnUPrime, WrongSignature, _Record)
 from .strata import check_node
 
 #: Largest ``rk v`` that :func:`enumerate_walls` searches.  Its one descent
@@ -32,17 +31,18 @@ from .strata import check_node
 WALL_RANK_CAP = 10 ** 4
 
 
-@dataclass(frozen=True)
-class WallVector:
+class WallVector(_Record):
     """A (-2)-class cutting a wall for the active ``(v, H)`` pair, with the
     integer ``<v, u>`` the wall search computed; later steps read it."""
 
-    u: mk.MukaiVector
-    pairing_with_v: int
+    __slots__ = ("u", "pairing_with_v")
+
+    def __init__(self, u, pairing_with_v):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "pairing_with_v", pairing_with_v)
 
 
-@dataclass(frozen=True)
-class ChamberPosition:
+class ChamberPosition(_Record):
     """Signs of ``<v + alpha, u>`` over a wall list.
 
     ``signs[k]`` is -1/0/+1 for ``walls[k]``; ``on_walls`` holds the indices
@@ -50,20 +50,23 @@ class ChamberPosition:
     the finite Weyl geometry (see :func:`locate`).
     """
 
-    walls: tuple
-    signs: tuple
-    on_walls: tuple
-    weyl_word: tuple = None
-    reduced_values: tuple = None
-    on_chamber_wall: bool = None
+    __slots__ = ("walls", "signs", "on_walls", "weyl_word", "reduced_values", "on_chamber_wall")
+
+    def __init__(self, walls, signs, on_walls, weyl_word=None, reduced_values=None,
+                 on_chamber_wall=None):
+        object.__setattr__(self, "walls", walls)
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "on_walls", on_walls)
+        object.__setattr__(self, "weyl_word", weyl_word)
+        object.__setattr__(self, "reduced_values", reduced_values)
+        object.__setattr__(self, "on_chamber_wall", on_chamber_wall)
 
     @property
     def is_generic(self):
         return not self.on_walls
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(_Record):
     """An exceptional curve class in v-perp, normalized modulo Zv.
 
     ``hom_side`` records which Hom-space cuts the curve locus: "from" for
@@ -71,9 +74,12 @@ class CurveClass:
     ``Hom(E, F_i) != 0`` (negative-rank image).
     """
 
-    representative: mk.MukaiVector
-    hom_side: str
-    image: mk.MukaiVector
+    __slots__ = ("representative", "hom_side", "image")
+
+    def __init__(self, representative, hom_side, image):
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "hom_side", hom_side)
+        object.__setattr__(self, "image", image)
 
 
 def _check_context(p, h, v):

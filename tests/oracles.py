@@ -6,10 +6,12 @@ searches with ellipsoid coordinate bounds, saturation indices from a small
 Smith-form routine.  Keep it dumb; that's the point.  The exceptions are
 :func:`per_rank_walls`, the wall search the library replaced, kept as the
 reference its single descent must reproduce, :func:`coset_descent`, the
-rational-centre descent that search ran, and :func:`dumps_report_stdlib`,
-the standard-library encoder its report writer replaced.
+rational-centre descent that search ran, :func:`dumps_report_stdlib`,
+the standard-library encoder its report writer replaced, and
+:func:`dataclass_twin`, the frozen dataclass its record classes replaced.
 """
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -213,6 +215,12 @@ def box_norm_vectors(sub, norm_min, norm_max):
 def dumps_report_stdlib(report):
     """Report bytes from the standard library: ``pipeline.dumps_report``'s contract."""
     return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+
+
+@functools.cache
+def dataclass_twin(cls):
+    """A frozen dataclass with the fields of the record class ``cls``, in order."""
+    return dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=True)
 
 
 def mukai_pairing(gram, x, y):

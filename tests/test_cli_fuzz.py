@@ -1,22 +1,28 @@
-"""Exit-code contract of the CLI under mutated input documents.
+"""Exit-code contract of the CLI under mutated input documents and failed writes.
 
 Valid A~2 and D~4 documents (with strata and alpha) are mutated by
 hypothesis: values replaced by wrong types, floats, bools, ``"1/0"`` and
 other junk, keys and list entries dropped, strata duplicated.  Whatever the
 document, ``cli.main`` run in-process must return 0, 2 or 3 and let no
-exception escape.
+exception escape.  The same holds when argparse's help cannot reach stdout
+or an error line cannot reach stderr.
 """
 
 import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from k3walls import cli, families, pipeline
+from test_pipeline import UNWRITABLE_STDOUT, cli_env
 
 SEED_DOCS = {
     name: pipeline.instance_document(
@@ -76,3 +82,34 @@ def test_cli_exit_contract_on_mutated_documents(seed, command, mutations, data):
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([command[0], "-", *command[1:]])
     assert code in (0, 2, 3), (code, err.getvalue())
+
+
+def _run_cli(argv, stream, fd):
+    """Run the CLI as a process with ``stream`` ("stdout" or "stderr") on ``fd``, which
+    it closes, and the other stream piped."""
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: fd}
+    try:
+        return subprocess.run([sys.executable, "-m", "k3walls.cli", *argv], text=True,
+                              env=cli_env(), **streams)
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("open_stdout", UNWRITABLE_STDOUT)
+@pytest.mark.parametrize("argv", [["--help"], ["walls", "--help"]], ids=" ".join)
+def test_cli_help_to_unwritable_stdout_is_schema_error(argv, open_stdout):
+    res = _run_cli(argv, "stdout", open_stdout())
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith(
+        "schema error: stdout: cannot write"), res.stderr
+
+
+@pytest.mark.parametrize("open_stderr", UNWRITABLE_STDOUT)
+@pytest.mark.parametrize("argv, code", [
+    (["walls", "missing.json"], 2),
+    (["example", "--family", "A", "--n", "65", "--r", "1", "--a", "1"], 3),
+], ids=("schema", "domain"))
+def test_cli_error_line_to_unwritable_stderr_keeps_exit_code(tmp_path, argv, code, open_stderr):
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    res = _run_cli(argv, "stderr", open_stderr())
+    assert (res.returncode, res.stdout) == (code, "")
