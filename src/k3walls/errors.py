@@ -25,6 +25,10 @@ class _Record:
 
     __delattr__ = __setattr__
 
+    def __setstate__(self, state):  # copy and pickle restore slots from (None, {name: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._key(self) == self._key(other)

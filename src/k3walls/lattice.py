@@ -213,10 +213,7 @@ def enumerate_norm_vectors(sub, norm_min, norm_max):
         out.append(sub.ambient.zero())
     lo, hi = (norm_min, norm_max) if sign > 0 else (-norm_max, -norm_min)
     if sub.rank and hi > 0:
-        seen = set()
-        for coeffs, value in linalg.short_vectors(form, hi):
-            if value < lo:
-                continue
-            seen.add(linalg.sign_normalize(sub.from_coefficients(coeffs)))
-        out.extend(seen)
+        vectors = linalg.short_vectors(form, hi)  # x, then -x: keep one of each pair
+        out.extend(linalg.sign_normalize(sub.from_coefficients(coeffs))
+                   for (coeffs, value), _ in zip(vectors, vectors) if value >= lo)
     return sorted(out)

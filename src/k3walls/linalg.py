@@ -6,12 +6,12 @@ once to an integer echelon, which gives saturated kernels, integer solutions
 and rational ones (of a right-hand side scaled by the pivots).
 :class:`QuadraticForm` factors a positive definite integer form once by
 fraction-free LDL^T for the definiteness test and the short/coset vector
-descent.  :func:`signature` runs on integers as well.
+descent, one walk per pair ``+-x``.  :func:`signature` runs on integers as well.
 """
 
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm, prod
-from operator import index, mul
+from operator import index, mul, neg
 
 from .errors import InvariantError
 
@@ -304,15 +304,16 @@ def _descent(form, bound):
     ``w_i = upper[i] . x``; every level is rescaled to one common
     denominator ``scale``, so the budget, the terms and the coordinate ranges
     are integers.  Coordinates are fixed from the last to the first, each in
-    increasing order.  Yields ``(x, Q(x))`` with ``Q(x)`` an ``int``; as Q is
-    integral, ``bound`` may be rational and is floored.
+    increasing order; as ``Q(x) = Q(-x)``, only x with last nonzero coordinate
+    positive are walked.  Yields ``(x, Q(x))``, ``Q(x)`` an ``int``: the origin
+    first, then each walked x followed by -x.  ``bound`` is floored (Q is integral).
     """
     n = form.rank
     bound = floor(bound)
     if bound < 0:
         return
+    yield (0,) * n, 0
     if n == 0:
-        yield (), 0
         return
     minors, upper = form.minors, form.upper
     dens = [a * b for a, b in zip((1,) + minors, minors)]
@@ -325,11 +326,12 @@ def _descent(form, bound):
     total = bound * scale
     x = [0] * n
 
-    def descend(i, remaining):
+    def descend(i, remaining, half):
+        # half: every coordinate above i is 0 (so is shift[i]), and x_i > 0 here.
         t, st, wt, col = shift[i], minors[i], weight[i], cols[i]
         w_max = isqrt(remaining // wt)
         # Exactly the x_i with |st * x_i + t| <= w_max, i.e. wt * w^2 <= remaining.
-        for xi in range(-((w_max + t) // st), (w_max - t) // st + 1):
+        for xi in range(1 if half else -((w_max + t) // st), (w_max - t) // st + 1):
             w = st * xi + t
             rest = remaining - wt * w * w
             x[i] = xi
@@ -338,33 +340,36 @@ def _descent(form, bound):
                 if rem:
                     raise InvariantError(f"Q{tuple(x)} = {total - rest}/{scale} is not an integer")
                 yield tuple(x), value
+                yield tuple(map(neg, x)), value
             else:
                 for k in range(i):
                     shift[k] += col[k] * xi
-                yield from descend(i - 1, rest)
+                yield from descend(i - 1, rest, False)
                 for k in range(i):
                     shift[k] -= col[k] * xi
         x[i] = 0
+        if half and i:
+            yield from descend(i - 1, remaining, True)
 
-    yield from descend(n - 1, total)
+    yield from descend(n - 1, total, True)
 
 
 def short_vectors(form, bound):
     """All integer x with ``0 < Q(x) <= bound`` for a :class:`QuadraticForm`.
 
-    Yields ``(x, Q(x))`` pairs, ``Q(x)`` an ``int``; both x and -x appear, the
-    zero vector does not.  No basis reduction, which is unnecessary at the
-    ranks this library targets.
+    Yields ``(x, Q(x))`` pairs, ``Q(x)`` an ``int``, each x followed by -x (see
+    :func:`_descent`); the zero vector does not appear.  No basis reduction,
+    which is unnecessary at the ranks this library targets.
     """
-    for x, value in _descent(form, bound):
-        if value:
-            yield x, value
+    vectors = _descent(form, bound)
+    next(vectors, None)  # the origin
+    yield from vectors
 
 
 def coset_vectors(form, bound):
     """All integer x with ``Q(x) <= bound`` for a :class:`QuadraticForm`, the origin included.
 
-    ``bound`` may be rational.  Yields ``(x, Q(x))`` pairs, ``Q(x)`` an
-    ``int``; the descent runs on integers over the form's stored factors.
+    ``bound`` may be rational.  Yields ``(x, Q(x))`` pairs, ``Q(x)`` an ``int``:
+    the origin first, then each x followed by -x (see :func:`_descent`).
     """
     yield from _descent(form, bound)

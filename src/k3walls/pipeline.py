@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from . import lattice as lat
 from . import mukai as mk
+from . import roots
 from . import strata as st
 from . import walls as wl
 from .errors import SchemaError, _Record
@@ -253,9 +254,7 @@ def pipeline_classify(doc, deleted_node=0):
     origin = wl.u_prime(wall_list, parsed.v)
 
     validation = None
-    affine_json = marks_json = finite_json = graph_json = None
-    psi_count = None
-    deleted_json = None
+    affine_json = marks_json = finite_json = graph_json = psi_count = deleted_json = None
     stratum = parsed.stratum_data()
     result = None
     if stratum is not None:
@@ -273,8 +272,8 @@ def pipeline_classify(doc, deleted_node=0):
                 "edges": [list(e) for e in result.dual_graph.edges],
                 "self_intersection": result.dual_graph.self_intersection,
             }
-            psi_plus, _ = result.psi_sets()
-            psi_count = len(psi_plus)
+            # |Psi_+| = |Phi_+|; the passed stratum checks imply the Psi-set checks.
+            psi_count = len(roots.root_tree(result.finite))
 
     chamber_json = None
     twist = parsed.twist()

@@ -12,7 +12,7 @@ numerical stability notions.
 """
 
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 
 from . import lattice as lat
 from . import linalg
@@ -25,7 +25,7 @@ from .strata import check_node
 
 #: Largest ``rk v`` that :func:`enumerate_walls` searches.  Its one descent
 #: did not grow with rk v where measured (2-vCPU VM, CPython 3.11: D~18 takes
-#: 0.04 s at rk v = 9,996 and 0.06 s at 99,994), but nothing bounds its node
+#: 0.03 s at rk v = 9,996 and at 99,994), but nothing bounds its node
 #: count in rk v, and each divisor tries up to gcd(rk v, content c1(v)) ranks,
 #: so the cap stays.  The sweep's largest rk v is 102.
 WALL_RANK_CAP = 10 ** 4
@@ -111,10 +111,10 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
     first, it has rows ``(D_i, s_i)`` spanning
     ``M = {D in H-perp : D = -s c1(v) (mod rk v) for some s}`` and one row
     ``(0, t)``, so each D of M carries its ranks as one class ``s mod t``.  One
-    descent enumerates ``-(D, D) <= 2 rk(v)^2`` on M; for each ``s`` of the
-    vector's class in ``(0, rk v)`` the search recovers ``eta`` by the exact
-    division, fixes ``b`` from ``<u, u> = -2``, and keeps u exactly when
-    ``<v, u> <= 0``; each wall carries that integer ``<v, u>``.
+    descent enumerates ``-(D, D) <= 2 rk(v)^2`` on M, D and -D as one pair; for
+    each ``s`` of the vector's class in ``(0, rk v)`` the search recovers
+    ``eta`` by the exact division, fixes ``b`` from ``<u, u> = -2``, and keeps u
+    exactly when ``<v, u> <= 0``; each wall carries that integer ``<v, u>``.
     """
     _check_context(p, h, v)
     if v.r > cap:
@@ -149,11 +149,10 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
     xi_col = [sum(map(mul, row, g_xi)) for row in rows]
 
     results = []
-    for z, value in linalg.coset_vectors(form, 2 * r * r):
-        d2 = -value
-        d = tuple(sum(map(mul, z, col)) for col in d_cols)
-        d_xi = sum(map(mul, z, xi_col))
-        for s in range(sum(map(mul, z, s_col)) % t or t, r, t):
+
+    def scan(d2, d, d_xi, c):
+        # The walls of divisor d, of class c = s (mod t), in ranks s of (0, r).
+        for s in range(c % t or t, r, t):
             num = d2 + 2 * s * d_xi + s * s * xi_sq
             if num % (r * r) or (d_xi + s * xi_sq) % r:
                 raise InvariantError(f"divisor {d} is not congruent to -s c1(v) mod rk v")
@@ -164,12 +163,18 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
             pv = (d_xi + s * xi_sq) // r - r * b - a_v * s
             if pv <= 0:
                 results.append((s, d, b, pv))
-    results.sort()
-    out = []
-    for s, d, b, pv in results:
-        eta = tuple((c + s * x) // r for c, x in zip(d, xi))
-        out.append(WallVector(mk.MukaiVector(s, eta, b, p), pv))
-    return out
+
+    # The origin, then z and -z in turn: D, (D, xi) and the class negate.
+    vectors = linalg.coset_vectors(form, 2 * r * r)
+    next(vectors)
+    scan(0, (0,) * rho, 0, 0)
+    for (z, value), _ in zip(vectors, vectors):
+        d = tuple(sum(map(mul, z, col)) for col in d_cols)
+        d_xi, c = sum(map(mul, z, xi_col)), sum(map(mul, z, s_col))
+        scan(-value, d, d_xi, c)
+        scan(-value, tuple(map(neg, d)), -d_xi, -c)
+    return [WallVector(mk.MukaiVector(s, tuple((e + s * x) // r for e, x in zip(d, xi)), b, p), pv)
+            for s, d, b, pv in sorted(results)]
 
 
 def u_prime(walls, v):

@@ -95,10 +95,27 @@ def test_centred_descent_against_box(seed, n, data):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(0, 5), bounds)
 def test_descent_matches_centred_descent_at_zero(seed, n, bound):
-    # The centre-free descent visits the same vectors in the same order.
+    # The centre-free descent visits the same vectors as the centred one;
+    # its order is pinned by the pair test below.
     form = linalg.QuadraticForm(random_positive_definite(random.Random(seed), n))
-    assert list(linalg.coset_vectors(form, bound)) == list(
+    assert sorted(linalg.coset_vectors(form, bound)) == sorted(
         oracles.coset_descent(form, (0,) * n, bound))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 5), bounds)
+def test_descent_yields_each_pair_in_turn(seed, n, bound):
+    # The origin first, then each x whose last nonzero coordinate is positive,
+    # immediately followed by -x; short_vectors is the same without the origin.
+    form = linalg.QuadraticForm(random_positive_definite(random.Random(seed), n))
+    got = list(linalg.coset_vectors(form, bound))
+    assert got[:1] == ([((0,) * n, 0)] if bound >= 0 else [])
+    pairs = got[1:]
+    assert len(pairs) % 2 == 0
+    for (x, value), (y, other) in zip(pairs[::2], pairs[1::2]):
+        assert [a for a in x if a][-1] > 0
+        assert y == tuple(-a for a in x) and other == value
+    assert list(linalg.short_vectors(form, bound)) == pairs
 
 
 def test_descent_on_rank_zero_and_negative_bound():

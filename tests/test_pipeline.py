@@ -2,6 +2,7 @@ import collections
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -185,14 +186,42 @@ def test_one_classification_pass_per_report(monkeypatch):
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
+    def refuse(self):
+        raise AssertionError("the report built the Psi-sets only to count them")
+
     count(roots, "classify_affine")
     count(roots, "classify_finite")
     count(st, "cartan_matrix_of")
+    monkeypatch.setattr(st.SingularityReport, "psi_sets", refuse)
     report = pipeline.pipeline_classify(pipeline.parse_instance(doc))
     assert report["finite"]["type"] == "A3"
     assert report["psi_plus_count"] == 6
     assert report["chamber"]["weyl_word"] == []
     assert calls == {"classify_affine": 1, "classify_finite": 1, "cartan_matrix_of": 1}
+
+
+def _degrees(diagram):
+    """The degrees of the basic invariants, whose product is the Weyl group order."""
+    n = diagram.rank
+    if diagram.family == "A":
+        return list(range(2, n + 2))
+    if diagram.family == "D":
+        return list(range(2, 2 * n - 1, 2)) + [n]
+    return list(roots._E_DEGREES[n])
+
+
+def test_psi_count_on_every_sweep_type():
+    # The count-only path against the Psi-sets it no longer builds, and both
+    # against |Phi_+| = sum (d_i - 1) over the degrees of the Weyl group.
+    for family, n in families.SWEEP_TYPES:
+        inst = families.generate_example(families.ExampleSpec(family, n, 1, 1))
+        parsed = pipeline.parse_instance(pipeline.instance_document(inst))
+        report = pipeline.pipeline_classify(parsed)
+        result = st.classify_singularity(parsed.stratum_data())
+        degrees = _degrees(result.finite)
+        assert math.prod(degrees) == roots.weyl_group_order(result.finite)
+        assert report["psi_plus_count"] == len(result.psi_sets()[0]) == sum(
+            d - 1 for d in degrees), (family, n)
 
 
 def test_weyl_word_through_the_pipeline():

@@ -3,15 +3,18 @@
 The eleven record classes share one slotted base.  On the records that sweep
 instances and their classify runs build, each must print, compare and hash as a
 frozen dataclass with the same fields does (:func:`oracles.dataclass_twin`),
-refuse to compare with another class, and refuse every mutation.
+refuse to compare with another class, and refuse every mutation.  Every class
+on the base, the three value classes included, copies and pickles.
 """
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
 import oracles
-from k3walls import families, pipeline, roots, strata, walls
+from k3walls import errors, families, pipeline, roots, strata, walls
 from k3walls import lattice as lat
 
 RECORD_CLASSES = (families.ExampleSpec, families.ExampleInstance, pipeline.ParsedInstance,
@@ -118,3 +121,19 @@ def test_value_classes_keep_their_own_equality_and_refuse_mutation(a2_instance):
         with pytest.raises(AttributeError):
             delattr(obj, name)
     assert (v.r, p.rank, m.n_nodes) == (3, 3, 3)
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_records_copy_and_pickle(records, duplicate):
+    inst = records[families.ExampleInstance][0]
+    samples = [xs[0] for xs in records.values()]
+    samples += [inst.v, inst.lattice, inst.affine_matrix]
+    assert {type(x) for x in samples} == set(errors._Record.__subclasses__())
+    assert len(samples) == 14
+    for x in samples:
+        y = duplicate(x)
+        assert type(y) is type(x) and y == x and _hash(y) == _hash(x)
+        with pytest.raises(AttributeError):
+            setattr(y, type(x).__slots__[0], None)
