@@ -12,13 +12,35 @@ from operator import attrgetter
 
 
 class _Record:
-    """Immutable record: its fields are its ``__slots__``, set in ``__init__`` by
-    ``object.__setattr__``; equality, hash and repr go by them unless a subclass defines its own."""
+    """Immutable record: its fields are its ``__slots__``; equality, hash and repr go by
+    them unless a subclass defines its own.
+
+    The one constructor fills the slots in order from positional arguments, then keywords,
+    then the class's ``_defaults`` (a slotted class cannot hold a class attribute named
+    after a slot); a surplus, unknown, repeated or missing argument raises TypeError.
+    A validating or normalising record ends its own ``__init__`` with ``super().__init__``.
+    """
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls.__slots__)  # gives a tuple: records have two fields or more
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters  # slot setters skip __setattr__, faster than object.__setattr__
+        if kwargs or len(args) != len(setters):
+            names = self.__slots__
+            values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            bad = [name for name in kwargs if name not in names or names.index(name) < len(args)]
+            missing = [name for name in names if name not in values]
+            if len(args) > len(names) or bad or missing:
+                raise TypeError(f"{type(self).__name__} takes {names}: got {len(args)} positional, "
+                                f"{bad} unknown or repeated, {missing} missing")
+            args = [values[name] for name in names]
+        for setter, value in zip(setters, args):
+            setter(self, value)
 
     def __setattr__(self, name, value=None):  # also __delattr__, which passes no value
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -26,8 +48,7 @@ class _Record:
     __delattr__ = __setattr__
 
     def __setstate__(self, state):  # copy and pickle restore slots from (None, {name: value})
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+        _Record.__init__(self, **state[1])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

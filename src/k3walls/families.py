@@ -15,7 +15,7 @@ per ``(family, n)`` per process and shared by every ``(r, a)``.
 
 from fractions import Fraction
 from functools import cache
-from operator import mul
+from operator import index, mul
 
 from . import lattice as lat
 from . import linalg
@@ -45,6 +45,9 @@ class ExampleSpec(_Record):
     __slots__ = ("family", "n", "r", "a")
 
     def __init__(self, family, n, r, a):
+        if any(isinstance(x, bool) for x in (n, r, a)):  # index() refuses floats and strings
+            raise TypeError("n, r and a must be integers, got bool")
+        n, r, a = index(n), index(r), index(a)
         if family not in ("A", "D", "E"):
             raise ValueError(f"family must be A, D or E, got {family!r}")
         if family == "A" and n < 1:
@@ -55,27 +58,13 @@ class ExampleSpec(_Record):
             raise ValueError("extended E needs n in {6, 7, 8}")
         if r < 1 or a < 1:
             raise ValueError("r and a must be positive integers")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "a", a)
+        super().__init__(family, n, r, a)
 
 
 class ExampleInstance(_Record):
     __slots__ = ("spec", "lattice", "polarization", "v_list", "v", "affine_matrix", "marks",
                  "verification", "caveat")
-
-    def __init__(self, spec, lattice, polarization, v_list, v, affine_matrix, marks, verification,
-                 caveat=EMBEDDING_CAVEAT):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "polarization", polarization)
-        object.__setattr__(self, "v_list", v_list)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "affine_matrix", affine_matrix)
-        object.__setattr__(self, "marks", marks)
-        object.__setattr__(self, "verification", verification)
-        object.__setattr__(self, "caveat", caveat)
+    _defaults = {"caveat": EMBEDDING_CAVEAT}
 
     def stratum(self):
         """The stratum data ``[(v_i, a_i)]`` of the singular point."""

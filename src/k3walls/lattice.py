@@ -24,7 +24,10 @@ class PicardLattice(_Record):
     __slots__ = ("rank", "gram", "basis_labels")
 
     def __init__(self, gram, basis_labels=None):
-        gram = tuple(tuple(int(e) for e in row) for row in gram)
+        rows = tuple(map(tuple, gram))
+        gram = tuple(tuple(map(int, row)) for row in rows)
+        if gram != rows:
+            raise ValueError("gram entries must be integers")
         n = len(gram)
         for i, row in enumerate(gram):
             if len(row) != n:
@@ -43,9 +46,7 @@ class PicardLattice(_Record):
                 raise ValueError("basis_labels length does not match rank")
             if len(set(basis_labels)) != n:
                 raise ValueError("basis_labels must be distinct")
-        object.__setattr__(self, "rank", n)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "basis_labels", basis_labels)
+        super().__init__(n, gram, basis_labels)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, PicardLattice) and self.gram == other.gram

@@ -29,10 +29,8 @@ class MukaiVector(_Record):
             c1 = normalize_vector(c1)
         if len(c1) != lattice.rank:
             raise ValueError("c1 length does not match Picard rank")
-        object.__setattr__(self, "r", r if type(r) is int else normalize_number(Fraction(r)))
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "s", s if type(s) is int else normalize_number(Fraction(s)))
-        object.__setattr__(self, "lattice", lattice)
+        super().__init__(r if type(r) is int else normalize_number(Fraction(r)), c1,
+                         s if type(s) is int else normalize_number(Fraction(s)), lattice)
 
     def __eq__(self, other):
         return (isinstance(other, MukaiVector) and self.r == other.r

@@ -110,14 +110,8 @@ def mukai_to_json(u):
 
 
 class ParsedInstance(_Record):
+    # strata: ((MukaiVector, int), ...) or None; alpha_c1: rational divisor coordinates or None
     __slots__ = ("lattice", "polarization", "v", "strata", "alpha_c1")
-
-    def __init__(self, lattice, polarization, v, strata, alpha_c1):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "polarization", polarization)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "strata", strata)  # ((MukaiVector, int), ...) or None
-        object.__setattr__(self, "alpha_c1", alpha_c1)  # rational divisor coordinates or None
 
     def stratum_data(self):
         if self.strata is None:

@@ -28,7 +28,10 @@ class CartanMatrix(_Record):
     __slots__ = ("n_nodes", "entries")
 
     def __init__(self, entries):
-        entries = tuple(tuple(int(e) for e in row) for row in entries)
+        rows = tuple(map(tuple, entries))
+        entries = tuple(tuple(map(int, row)) for row in rows)
+        if entries != rows:
+            raise ValueError("Cartan matrix entries must be integers")
         n = len(entries)
         for i, row in enumerate(entries):
             if len(row) != n:
@@ -41,8 +44,7 @@ class CartanMatrix(_Record):
                         raise ValueError(f"Cartan matrix not symmetric at ({i},{j})")
                     if entries[i][j] > 0:
                         raise ValueError(f"off-diagonal entry ({i},{j}) must be <= 0")
-        object.__setattr__(self, "n_nodes", n)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(n, entries)
 
     def __eq__(self, other):
         return isinstance(other, CartanMatrix) and self.entries == other.entries
@@ -63,13 +65,6 @@ class AffineDiagram(_Record):
     """
 
     __slots__ = ("family", "rank", "node_perm", "marks", "matrix")
-
-    def __init__(self, family, rank, node_perm, marks, matrix):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "node_perm", node_perm)
-        object.__setattr__(self, "marks", marks)
-        object.__setattr__(self, "matrix", matrix)
 
     @property
     def affine_node(self):
@@ -95,12 +90,6 @@ class FiniteDiagram(_Record):
     """
 
     __slots__ = ("family", "rank", "node_perm", "matrix")
-
-    def __init__(self, family, rank, node_perm, matrix):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "node_perm", node_perm)
-        object.__setattr__(self, "matrix", matrix)
 
     def type_name(self):
         return f"{self.family}{self.rank}"

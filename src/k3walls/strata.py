@@ -25,13 +25,10 @@ class StratumData(_Record):
     __slots__ = ("lattice", "polarization", "v", "strata")
 
     def __init__(self, lattice, polarization, v, strata):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "polarization", tuple(polarization))
-        object.__setattr__(self, "v", v)
         strata = tuple(strata)
         if any(isinstance(m, bool) for _, m in strata):  # index() refuses floats and strings
             raise TypeError("multiplicities must be integers, got bool")
-        object.__setattr__(self, "strata", tuple((u, index(m)) for u, m in strata))
+        super().__init__(lattice, tuple(polarization), v, tuple((u, index(m)) for u, m in strata))
 
     @property
     def vectors(self):
@@ -46,11 +43,7 @@ class DualGraph(_Record):
     """Nodes are retained input indices; edges carry intersection numbers."""
 
     __slots__ = ("nodes", "edges", "self_intersection")
-
-    def __init__(self, nodes, edges, self_intersection=-2):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "self_intersection", self_intersection)
+    _defaults = {"self_intersection": -2}
 
     def node_labels(self):
         return tuple(f"C{i}" for i in self.nodes)
@@ -63,14 +56,6 @@ class SingularityReport(_Record):
     """
 
     __slots__ = ("affine", "deleted_node", "finite", "marks", "dual_graph", "data")
-
-    def __init__(self, affine, deleted_node, finite, marks, dual_graph, data):
-        object.__setattr__(self, "affine", affine)
-        object.__setattr__(self, "deleted_node", deleted_node)
-        object.__setattr__(self, "finite", finite)
-        object.__setattr__(self, "marks", marks)
-        object.__setattr__(self, "dual_graph", dual_graph)
-        object.__setattr__(self, "data", data)
 
     @property
     def retained(self):

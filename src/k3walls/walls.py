@@ -37,10 +37,6 @@ class WallVector(_Record):
 
     __slots__ = ("u", "pairing_with_v")
 
-    def __init__(self, u, pairing_with_v):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "pairing_with_v", pairing_with_v)
-
 
 class ChamberPosition(_Record):
     """Signs of ``<v + alpha, u>`` over a wall list.
@@ -51,15 +47,7 @@ class ChamberPosition(_Record):
     """
 
     __slots__ = ("walls", "signs", "on_walls", "weyl_word", "reduced_values", "on_chamber_wall")
-
-    def __init__(self, walls, signs, on_walls, weyl_word=None, reduced_values=None,
-                 on_chamber_wall=None):
-        object.__setattr__(self, "walls", walls)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "on_walls", on_walls)
-        object.__setattr__(self, "weyl_word", weyl_word)
-        object.__setattr__(self, "reduced_values", reduced_values)
-        object.__setattr__(self, "on_chamber_wall", on_chamber_wall)
+    _defaults = dict.fromkeys(("weyl_word", "reduced_values", "on_chamber_wall"))
 
     @property
     def is_generic(self):
@@ -75,11 +63,6 @@ class CurveClass(_Record):
     """
 
     __slots__ = ("representative", "hom_side", "image")
-
-    def __init__(self, representative, hom_side, image):
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "hom_side", hom_side)
-        object.__setattr__(self, "image", image)
 
 
 def _check_context(p, h, v):
@@ -205,13 +188,11 @@ def locate(alpha, walls, v, singularity=None):
         signs.append(sign)
         if sign == 0:
             on.append(k)
-    word = reduced = on_chamber_wall = None
-    if singularity is not None:
-        values = [row[0] for row in mk.pairing_matrix(singularity.retained, [a])]
-        word, reduced, on_chamber_wall = roots.reduce_to_fundamental(
-            singularity.finite, values)
-    return ChamberPosition(tuple(walls), tuple(signs), tuple(on),
-                           word, reduced, on_chamber_wall)
+    position = (tuple(walls), tuple(signs), tuple(on))
+    if singularity is None:
+        return ChamberPosition(*position)
+    values = [row[0] for row in mk.pairing_matrix(singularity.retained, [a])]
+    return ChamberPosition(*position, *roots.reduce_to_fundamental(singularity.finite, values))
 
 
 def small_twist_violations(position, v):

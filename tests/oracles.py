@@ -219,8 +219,12 @@ def dumps_report_stdlib(report):
 
 @functools.cache
 def dataclass_twin(cls):
-    """A frozen dataclass with the fields of the record class ``cls``, in order."""
-    return dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=True)
+    """A frozen dataclass with the fields of the record class ``cls``, in order, and the
+    defaults of its ``_defaults``."""
+    defaults = cls._defaults
+    return dataclasses.make_dataclass(
+        cls.__name__, [(name, object, dataclasses.field(default=defaults[name]))
+                       if name in defaults else name for name in cls.__slots__], frozen=True)
 
 
 def mukai_pairing(gram, x, y):

@@ -42,6 +42,14 @@ def test_constructor_rejects_bad_gram():
         lat.PicardLattice([[0, 1], [1, 0]], ["x", "x"])
 
 
+def test_constructor_refuses_non_integer_entries():
+    for half in (Fraction(1, 2), 0.5):
+        with pytest.raises(ValueError):
+            lat.PicardLattice([[-2, half], [half, 0]])
+    p = lat.PicardLattice([[Fraction(-2), Fraction(1)], [1, 0.0]])
+    assert p.gram == ((-2, 1), (1, 0)) and {type(e) for row in p.gram for e in row} == {int}
+
+
 def test_equality_is_structural(elliptic):
     p, _, _ = elliptic
     twin = lat.PicardLattice([[-2, 1], [1, 0]], ["sigma", "f"])

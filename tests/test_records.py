@@ -81,6 +81,38 @@ def test_record_behaves_as_its_dataclass_twin(records, cls):
         assert _fields(x) == before
 
 
+def _call_shapes(cls, fields):
+    """Calls ``(args, kwargs)`` over one record's ``fields``: those that must build a
+    record, and those that must raise TypeError."""
+    names = cls.__slots__
+    given = dict(zip(names, fields))
+    half = len(names) // 2
+    builds = [(fields, {}), ((), given), (fields[:half], dict(list(given.items())[half:]))]
+    if cls._defaults:  # the defaulted fields come last
+        builds.append(([given[name] for name in names if name not in cls._defaults], {}))
+    raises = [((), dict(list(given.items())[1:])), ((*fields, None), {}),
+              (fields, {"extra": None}), (fields, {names[0]: fields[0]})]
+    return builds, raises
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_record_binds_arguments_as_its_dataclass_twin(records, cls):
+    """Positional, keyword, mixed and defaulted calls fill the same fields as on the
+    twin; a missing, surplus, unknown or repeated argument is a TypeError on both."""
+    twin = oracles.dataclass_twin(cls)
+    fields = _fields(records[cls][0])
+    builds, raises = _call_shapes(cls, fields)
+    for args, kwargs in builds:
+        built, twin_built = _fields(cls(*args, **kwargs)), twin(*args, **kwargs)
+        assert built == [getattr(twin_built, name) for name in cls.__slots__]
+        assert built == fields or len(args) + len(kwargs) < len(fields)
+    for args, kwargs in raises:
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*args, **kwargs)
+        with pytest.raises(TypeError):
+            twin(*args, **kwargs)
+
+
 def test_record_defaults_and_keywords():
     assert repr(walls.ChamberPosition((), (), ())) == (
         "ChamberPosition(walls=(), signs=(), on_walls=(), weyl_word=None, "
@@ -92,6 +124,13 @@ def test_record_defaults_and_keywords():
                                   ("E", 9, 1, 1), ("A", 1, 0, 1), ("A", 1, 1, -1)])
 def test_example_spec_rejects_what_it_rejected(args):
     with pytest.raises(ValueError):
+        families.ExampleSpec(*args)
+
+
+@pytest.mark.parametrize("args", [("A", True, True, True), ("A", 2, 1.5, 1), ("A", 2.0, 1, 1),
+                                  ("A", 2, 1, "1"), ("D", 4, 1, False)])
+def test_example_spec_refuses_what_is_not_an_integer(args):
+    with pytest.raises(TypeError):
         families.ExampleSpec(*args)
 
 

@@ -22,6 +22,14 @@ def permuted(matrix, perm):
         [[matrix.entries[inv[a]][inv[b]] for b in range(n)] for a in range(n)])
 
 
+def test_cartan_matrix_refuses_non_integer_entries():
+    for half in (Fraction(-3, 2), -1.5):
+        with pytest.raises(ValueError):
+            roots.CartanMatrix([[2, half], [half, 2]])
+    m = roots.CartanMatrix([[Fraction(2), Fraction(-1)], [-1.0, 2]])
+    assert m.entries == ((2, -1), (-1, 2)) and roots.classify_finite(m).type_name() == "A2"
+
+
 def test_classify_affine_examples():
     d = roots.classify_affine(roots.CartanMatrix([[2, -2], [-2, 2]]))
     assert (d.family, d.rank, d.marks) == ("A", 1, (1, 1))

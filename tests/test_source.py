@@ -110,6 +110,25 @@ def test_every_public_function_is_reached():
     assert not unreached, unreached
 
 
+def test_records_set_fields_only_through_the_base():
+    """Outside ``errors.py`` no ``_Record`` subclass calls ``object.__setattr__``:
+    ``_Record.__init__`` fills the slots, and a validating record ends its own
+    ``__init__`` with ``super().__init__(...)``."""
+    records, found = [], []
+    for path in SOURCES:
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id == "_Record" for base in node.bases):
+                records.append(node.name)
+                found += [f"{path.name}:{attr.lineno}: {node.name}" for attr in ast.walk(node)
+                          if isinstance(attr, ast.Attribute) and attr.attr == "__setattr__"
+                          and isinstance(attr.value, ast.Name) and attr.value.id == "object"]
+    assert len(records) == 14, records
+    assert not found, found
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """``import k3walls.cli`` leaves ``dataclasses`` and ``inspect`` unloaded.
 
