@@ -122,7 +122,7 @@ def generate_example(spec, cap=EXAMPLE_N_CAP):
            lat.enumerate_norm_vectors(h_perp, -2, -2) == [])
 
     _check(verification, "stratum_gram",
-           mk.pairing_matrix(v_list, v_list) == [[-e for e in row] for row in matrix.entries])
+           mk.gram(v_list) == [[-e for e in row] for row in matrix.entries])
     v_row, h_hat_row = mk.pairing_matrix([v, mk.delta_map(v, h)], v_list)
     _check(verification, "v_orthogonal", not any(v_row))
     _check(verification, "h_hat_orthogonal", not any(h_hat_row))

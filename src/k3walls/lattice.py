@@ -24,10 +24,7 @@ class PicardLattice(_Record):
     __slots__ = ("rank", "gram", "basis_labels")
 
     def __init__(self, gram, basis_labels=None):
-        rows = tuple(map(tuple, gram))
-        gram = tuple(tuple(map(int, row)) for row in rows)
-        if gram != rows:
-            raise ValueError("gram entries must be integers")
+        gram = linalg.integer_rows(gram, "gram")
         n = len(gram)
         for i, row in enumerate(gram):
             if len(row) != n:

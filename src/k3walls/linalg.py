@@ -41,6 +41,17 @@ def normalize_vector(x):
     return tuple(a if type(a) is int else normalize_number(Fraction(a)) for a in x)
 
 
+def integer_rows(rows, name):
+    """``rows`` as a tuple of ``int`` tuples; ``ValueError`` on an entry that is not an integer."""
+    rows = tuple(map(tuple, rows))
+    try:
+        if rows == (out := tuple(tuple(map(int, row)) for row in rows)):
+            return out
+    except (OverflowError, ValueError):  # int() of an infinity or a NaN
+        pass
+    raise ValueError(f"{name} entries must be integers")
+
+
 def content(x):
     """gcd of the entries of an integer vector (0 for the zero vector)."""
     return gcd(*map(int, x))

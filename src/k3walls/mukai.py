@@ -95,6 +95,31 @@ def pairing_matrix(xs, ys):
     return [[normalize_number(Fraction(n, q) if q != 1 else n) for n, q in row] for row in rows]
 
 
+def gram(xs):
+    """The symmetric ``[[<x, y> for y in xs] for x in xs]``, exact as :func:`mukai_pairing`.
+
+    One ``G c1(y)`` per ``y`` from the Gram rows at its nonzero coordinates, each pairing
+    summed over the nonzero coordinates of ``c1(x)``, one triangle computed and mirrored.
+    """
+    for z in xs:
+        xs[0]._check_ambient(z)
+    rows = xs[0].lattice.gram if xs else ()
+    support = [[(k, c) for k, c in enumerate(x.c1) if c] for x in xs]
+    images = []
+    for sup in support:
+        image = [0] * len(rows)
+        for k, c in sup:
+            image = [a + c * e for a, e in zip(image, rows[k])]
+        images.append(image)
+    out = [[0] * len(xs) for _ in xs]
+    for i, (x, sup) in enumerate(zip(xs, support)):
+        for j in range(i, len(xs)):
+            y, gy = xs[j], images[j]
+            out[i][j] = out[j][i] = normalize_number(
+                sum([c * gy[k] for k, c in sup]) - x.r * y.s - x.s * y.r)
+    return out
+
+
 def mukai_square(x):
     return mukai_pairing(x, x)
 

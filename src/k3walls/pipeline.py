@@ -104,9 +104,8 @@ def parse_mukai_vector(doc, lattice, path):
 
 
 def mukai_to_json(u):
-    return {"r": rational_to_json(u.r),
-            "c1": [rational_to_json(c) for c in u.c1],
-            "s": rational_to_json(u.s)}
+    c1 = u.c1 if set(map(type, u.c1)) == {int} else map(rational_to_json, u.c1)
+    return {"r": rational_to_json(u.r), "c1": list(c1), "s": rational_to_json(u.s)}
 
 
 class ParsedInstance(_Record):

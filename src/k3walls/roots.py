@@ -12,6 +12,7 @@ equality after permutation, so a malformed shape can never be mislabelled.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import prod
 from operator import add
 
@@ -28,10 +29,7 @@ class CartanMatrix(_Record):
     __slots__ = ("n_nodes", "entries")
 
     def __init__(self, entries):
-        rows = tuple(map(tuple, entries))
-        entries = tuple(tuple(map(int, row)) for row in rows)
-        if entries != rows:
-            raise ValueError("Cartan matrix entries must be integers")
+        entries = linalg.integer_rows(entries, "Cartan matrix")
         n = len(entries)
         for i, row in enumerate(entries):
             if len(row) != n:
@@ -72,10 +70,8 @@ class AffineDiagram(_Record):
         return self.node_perm.index(0)
 
     def marks_standard(self):
-        out = [0] * (self.rank + 1)
-        for i, std in enumerate(self.node_perm):
-            out[std] = self.marks[i]
-        return tuple(out)
+        """The marks in standard label order: the table ``marks`` was read from."""
+        return _standard_marks(self.family, self.rank)
 
     def type_name(self):
         return f"{self.family}~{self.rank}"
@@ -133,29 +129,27 @@ def _gram_from_edges(n_nodes, edges):
     return tuple(tuple(row) for row in g)
 
 
+@cache
 def standard_affine_matrix(family, n):
     if family == "A" and n == 1:
         return CartanMatrix(((2, -2), (-2, 2)))
     return CartanMatrix(_gram_from_edges(n + 1, affine_edges(family, n)))
 
 
+@cache
 def standard_finite_matrix(family, n):
     return CartanMatrix(_gram_from_edges(n, [(a - 1, b - 1) for a, b in finite_edges(family, n)]))
 
 
-def _adjacency(matrix, err):
-    """Neighbour lists of the diagram, ascending; ``err`` on an entry below -1."""
-    n = matrix.n_nodes
-    adj = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry = matrix.entries[i][j]
-            if entry < -1:
-                raise err
-            if entry:
-                adj[i].append(j)
-                adj[j].append(i)
-    return adj
+class _NotADE(Exception):
+    """A shape that is no ADE diagram; the public classifiers re-raise it with their text."""
+
+
+def _adjacency(matrix):
+    """Neighbour lists of the diagram, ascending; :class:`_NotADE` on an entry below -1."""
+    if min(map(min, matrix.entries), default=0) < -1:
+        raise _NotADE
+    return [[j for j, e in enumerate(row) if e and j != i] for i, row in enumerate(matrix.entries)]
 
 
 def _without(items, i):
@@ -177,8 +171,8 @@ def _is_connected(adj):
     return len(seen) == n
 
 
-def _arms(adj, center, err):
-    """Paths walking outward from ``center``, shortest first; ``err`` on a branch."""
+def _arms(adj, center):
+    """Paths walking outward from ``center``, shortest first; :class:`_NotADE` on a branch."""
     arms = []
     for first in adj[center]:
         arm = [first]
@@ -188,7 +182,7 @@ def _arms(adj, center, err):
             if not nxt:
                 break
             if len(nxt) > 1 or len(adj[cur]) > 2:
-                raise err
+                raise _NotADE
             prev, cur = cur, nxt[0]
             arm.append(cur)
         arms.append(arm)
@@ -196,7 +190,7 @@ def _arms(adj, center, err):
     return arms
 
 
-def _finite_labels(adj, err):
+def _finite_labels(adj):
     """``(family, rank, node_perm)`` of a finite ADE tree, read off its shape.
 
     ``node_perm`` holds Bourbaki labels 1..n: A is numbered from its lower
@@ -205,21 +199,21 @@ def _finite_labels(adj, err):
     """
     n = len(adj)
     if not _is_connected(adj):
-        raise err
+        raise _NotADE
     degrees = [len(a) for a in adj]
     if sum(degrees) != 2 * (n - 1) or max(degrees) > 3:
-        raise err
+        raise _NotADE
     perm = [None] * n
     if 3 not in degrees:
         start = degrees.index(min(degrees))  # the lower end, or the lone node of A1
-        walk = [start] + [node for arm in _arms(adj, start, err) for node in arm]
+        walk = [start] + [node for arm in _arms(adj, start) for node in arm]
         for std, node in enumerate(walk, start=1):
             perm[node] = std
         return "A", n, tuple(perm)
     if degrees.count(3) > 1:
-        raise err
+        raise _NotADE
     center = degrees.index(3)
-    arms = _arms(adj, center, err)
+    arms = _arms(adj, center)
     lengths = tuple(len(a) for a in arms)
     if lengths[1] == 1:
         family, perm[center] = "D", n - 2
@@ -228,53 +222,44 @@ def _finite_labels(adj, err):
         family, perm[center] = "E", 4
         labels = ((2,), (3, 1), range(5, n + 1))
     else:
-        raise err
+        raise _NotADE
     for arm, stds in zip(arms, labels):
         for node, std in zip(arm, stds):
             perm[node] = std
     return family, n, tuple(perm)
 
 
-def _kernel_marks(matrix):
+@cache
+def _standard_marks(family, n):
+    """The marks of ``X~n`` in standard label order: the primitive positive kernel vector."""
+    matrix = standard_affine_matrix(family, n)
     kernel = linalg.integer_kernel([list(r) for r in matrix.entries], matrix.n_nodes)
-    if len(kernel) != 1:
-        raise NotAffineADE("Cartan matrix kernel is not one-dimensional")
-    marks = kernel[0]
-    if any(m <= 0 for m in marks):
-        raise NotAffineADE("kernel vector of the Cartan matrix is not positive")
-    if linalg.content(marks) != 1:
-        raise NotAffineADE("kernel vector of the Cartan matrix is not primitive")
-    return marks
+    if len(kernel) != 1 or min(kernel[0]) <= 0 or linalg.content(kernel[0]) != 1:
+        raise InvariantError(f"{family}~{n} has no primitive positive kernel vector: {kernel}")
+    return kernel[0]
 
 
-def _verify_perm(matrix, perm, standard, exc):
+def _verify_perm(matrix, perm, standard):
+    """:class:`_NotADE` unless ``matrix`` is ``standard`` with node ``i`` relabelled ``perm[i]``."""
     n = matrix.n_nodes
     for i in range(n):
         for j in range(n):
             if matrix.entries[i][j] != standard.entries[perm[i]][perm[j]]:
-                raise exc
-    return True
+                raise _NotADE
 
 
 #: Sorted arm lengths of an extended E star -> the arm that ends in the extending node.
 _E_EXTENDING_ARM = {(2, 2, 2): 2, (1, 3, 3): 1, (1, 2, 5): 2}
 
 
-def classify_affine(matrix):
-    """Recognize an affine ADE Cartan matrix up to simultaneous permutation.
-
-    The shape singles out an extending node; the rest is labelled as a
-    finite diagram and the extending node gets label 0.  Raises
-    :class:`NotAffineADE` for anything else (positive definite matrices,
-    wrong graph shapes, entries below -1 other than the rank-1 affine A case).
-    """
+def _affine_labels(matrix):
+    """``(family, rank, node_perm)`` of an affine ADE matrix, verified; else :class:`_NotADE`."""
     n = matrix.n_nodes
-    err = NotAffineADE(f"not an affine ADE Cartan matrix: {matrix!r}")
     if n == 2 and matrix.entries == ((2, -2), (-2, 2)):
-        return AffineDiagram("A", 1, (0, 1), (1, 1), matrix)
+        return "A", 1, (0, 1)
     if n < 3:
-        raise err
-    adj = _adjacency(matrix, err)
+        raise _NotADE
+    adj = _adjacency(matrix)
     degrees = [len(a) for a in adj]
     branches = [i for i, d in enumerate(degrees) if d > 2]
     if sum(degrees) == 2 * n:
@@ -284,37 +269,56 @@ def classify_affine(matrix):
         # extended D_n, n >= 5: a leaf at the first branch node
         leaves = [k for k in adj[branches[0]] if degrees[k] == 1]
         if not leaves:
-            raise err
+            raise _NotADE
         extending = leaves[0]
     elif len(branches) == 1 and degrees[branches[0]] == 4:
         # extended D_4
         extending = adj[branches[0]][0]
     elif len(branches) == 1:
         # extended E: the end of one arm of the star
-        arms = _arms(adj, branches[0], err)
+        arms = _arms(adj, branches[0])
         arm = _E_EXTENDING_ARM.get(tuple(len(a) for a in arms))
         if arm is None:
-            raise err
+            raise _NotADE
         extending = arms[arm][-1]
     else:
-        raise err
+        raise _NotADE
 
     rest = [[j - (j > extending) for j in a if j != extending] for a in _without(adj, extending)]
-    family, rank, labels = _finite_labels(rest, err)
+    family, rank, labels = _finite_labels(rest)
     perm = labels[:extending] + (0,) + labels[extending:]
-    _verify_perm(matrix, perm, standard_affine_matrix(family, rank), err)
-    marks = _kernel_marks(matrix)
-    diagram = AffineDiagram(family, rank, perm, marks, matrix)
-    if marks[extending] != 1:
-        raise InvariantError(f"affine node has mark {marks[extending]}, expected 1")
-    return diagram
+    _verify_perm(matrix, perm, standard_affine_matrix(family, rank))
+    return family, rank, perm
+
+
+def classify_affine(matrix):
+    """Recognize an affine ADE Cartan matrix up to simultaneous permutation.
+
+    The shape singles out an extending node; the rest is labelled as a
+    finite diagram and the extending node gets label 0.  Raises
+    :class:`NotAffineADE` for anything else (positive definite matrices,
+    wrong graph shapes, entries below -1 other than the rank-1 affine A case).
+    The input is verified to be the standard matrix relabelled by ``node_perm``,
+    so its marks are the standard marks read through ``node_perm``.
+    """
+    try:
+        family, rank, perm = _affine_labels(matrix)
+    except _NotADE:
+        raise NotAffineADE(f"not an affine ADE Cartan matrix: {matrix!r}") from None
+    std_marks = _standard_marks(family, rank)
+    marks = tuple(std_marks[p] for p in perm)
+    if marks[perm.index(0)] != 1:
+        raise InvariantError(f"affine node has mark {marks[perm.index(0)]}, expected 1")
+    return AffineDiagram(family, rank, perm, marks, matrix)
 
 
 def classify_finite(matrix):
     """Recognize a finite ADE Cartan matrix up to simultaneous permutation."""
-    err = NotFiniteADE(f"not a finite ADE Cartan matrix: {matrix!r}")
-    family, rank, perm = _finite_labels(_adjacency(matrix, err), err)
-    _verify_perm(matrix, [p - 1 for p in perm], standard_finite_matrix(family, rank), err)
+    try:
+        family, rank, perm = _finite_labels(_adjacency(matrix))
+        _verify_perm(matrix, [p - 1 for p in perm], standard_finite_matrix(family, rank))
+    except _NotADE:
+        raise NotFiniteADE(f"not a finite ADE Cartan matrix: {matrix!r}") from None
     return FiniteDiagram(family, rank, perm, matrix)
 
 

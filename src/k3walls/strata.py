@@ -109,29 +109,24 @@ def validate_stratum(data):
     for k, m in enumerate(mults):
         if m <= 0:
             violations.append(f"multiplicity {k} is not positive")
+    g = mk.gram((*vecs, v, mk.delta_map(v, data.polarization)))  # v and H^ pair last
     for k, u in enumerate(vecs):
         if not u.is_integral():
             violations.append(f"stratum vector {k} is not integral")
         if not u.r > 0:
             violations.append(f"stratum vector {k} has rank {u.r}, expected > 0")
-        sq = mk.mukai_square(u)
-        if sq != -2:
-            violations.append(f"<u_{k}, u_{k}> = {sq}, expected -2")
-        pv = mk.mukai_pairing(v, u)
-        if pv != 0:
-            violations.append(f"<v, u_{k}> = {pv}, expected 0")
-    h_hat = mk.delta_map(v, data.polarization)
-    for k, u in enumerate(vecs):
-        ph = mk.mukai_pairing(h_hat, u)
-        if ph != 0:
-            violations.append(f"<H^, u_{k}> = {ph}, expected 0")
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            pij = mk.mukai_pairing(vecs[i], vecs[j])
-            if pij < 0:
-                violations.append(f"<u_{i}, u_{j}> = {pij}, expected >= 0")
-    # sum a_i u_i by integer dot products, as in psi_sets; mukai_pairing(v, u)
-    # above has already checked that every u lies over v's lattice.
+        if g[k][k] != -2:
+            violations.append(f"<u_{k}, u_{k}> = {g[k][k]}, expected -2")
+        if g[-2][k] != 0:
+            violations.append(f"<v, u_{k}> = {g[-2][k]}, expected 0")
+    for k in range(len(vecs)):
+        if g[-1][k] != 0:
+            violations.append(f"<H^, u_{k}> = {g[-1][k]}, expected 0")
+    for i, j in combinations(range(len(vecs)), 2):
+        if g[i][j] < 0:
+            violations.append(f"<u_{i}, u_{j}> = {g[i][j]}, expected >= 0")
+    # sum a_i u_i by integer dot products, as in psi_sets; mk.gram above has
+    # already checked that every u lies over v's lattice.
     total = (sum(map(mul, mults, (u.r for u in vecs))),
              tuple(sum(map(mul, mults, col)) for col in zip(*(u.c1 for u in vecs))),
              sum(map(mul, mults, (u.s for u in vecs))))
@@ -142,13 +137,7 @@ def validate_stratum(data):
 
 def cartan_matrix_of(data):
     """The candidate affine Cartan matrix ``(-<u_i, u_j>)`` in input order."""
-    vecs = data.vectors
-    n = len(vecs)
-    rows = [[0] * n for _ in vecs]
-    for i, x in enumerate(vecs):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = -mk.mukai_pairing(x, vecs[j])
-    return roots.CartanMatrix(rows)
+    return roots.CartanMatrix([[-p for p in row] for row in mk.gram(data.vectors)])
 
 
 def retained_vectors(data, deleted=0):

@@ -157,10 +157,10 @@ def test_type_cache_gives_equal_instances():
 
 def test_failed_identity_raises(monkeypatch):
     # A wrong Mukai pairing must stop the build, not be recorded as False.
-    def off_by_one(xs, ys):
-        return [[e + 1 for e in row] for row in real(xs, ys)]
+    def off_by_one(real):
+        return lambda *args: [[e + 1 for e in row] for row in real(*args)]
 
-    real = mk.pairing_matrix
-    monkeypatch.setattr(mk, "pairing_matrix", off_by_one)
+    for name in ("gram", "pairing_matrix"):
+        monkeypatch.setattr(mk, name, off_by_one(getattr(mk, name)))
     with pytest.raises(RuntimeError, match="stratum_gram"):
         families.generate_example(families.ExampleSpec("A", 3, 1, 1))

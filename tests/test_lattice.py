@@ -50,6 +50,12 @@ def test_constructor_refuses_non_integer_entries():
     assert p.gram == ((-2, 1), (1, 0)) and {type(e) for row in p.gram for e in row} == {int}
 
 
+def test_constructor_refuses_infinite_and_nan_entries():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="gram entries must be integers"):
+            lat.PicardLattice([[-2, bad], [bad, 0]])
+
+
 def test_equality_is_structural(elliptic):
     p, _, _ = elliptic
     twin = lat.PicardLattice([[-2, 1], [1, 0]], ["sigma", "f"])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles
 from k3walls import lattice as lat
@@ -124,6 +126,48 @@ def test_pairing_matrix_empty_and_mixed(elliptic, a1_instance):
         mk.pairing_matrix([v, a1_instance.v], [])
     with pytest.raises(ValueError):
         mk.pairing_matrix([], [v, a1_instance.v])
+
+
+_GRAM_LATTICES = (lat.PicardLattice([[-2, 1], [1, 0]]),  # the elliptic lattice, and A~3's model
+                  lat.PicardLattice([[0, 3, 2, 3], [3, 0, 3, 2], [2, 3, 0, 3], [3, 2, 3, 0]]))
+_SMALL = hst.integers(-6, 6)
+_RATIONAL = hst.builds(Fraction, hst.integers(-6, 6), hst.integers(1, 4))
+
+
+@hst.composite
+def _mukai_vectors(draw, p):
+    """A basis class ``c e_k`` (sparse), a dense integer class, or one with Fraction components."""
+    kind = draw(hst.sampled_from(("basis", "dense", "rational")))
+    number = _RATIONAL if kind == "rational" else _SMALL
+    if kind == "basis":
+        k, c = draw(hst.integers(0, p.rank - 1)), draw(_SMALL)
+        c1 = tuple(c if i == k else 0 for i in range(p.rank))
+    else:
+        c1 = tuple(draw(number) for _ in range(p.rank))
+    return mk.MukaiVector(draw(number), c1, draw(number), p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_gram_matches_the_oracle_pairing(data):
+    p = data.draw(hst.sampled_from(_GRAM_LATTICES))
+    xs = data.draw(hst.lists(_mukai_vectors(p), max_size=6))
+    got = mk.gram(xs)
+    assert len(got) == len(xs) and all(len(row) == len(xs) for row in got)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            assert got[i][j] == got[j][i] == _oracle_pairing(x, y)
+            # integral entries come back as int, as from mukai_pairing
+            assert type(got[i][j]) is int or got[i][j].denominator != 1
+
+
+def test_gram_empty_and_mixed(elliptic, a1_instance):
+    _, _, v = elliptic
+    assert mk.gram([]) == [] and mk.gram(()) == []
+    assert mk.gram((v,)) == [[0]]
+    for xs in ([v, a1_instance.v], [v, v, a1_instance.v], (a1_instance.v, v)):
+        with pytest.raises(ValueError, match="different Picard lattices"):
+            mk.gram(xs)
 
 
 def test_constructor_normalizes_c1(elliptic):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,12 @@ def test_cartan_matrix_refuses_non_integer_entries():
             roots.CartanMatrix([[2, half], [half, 2]])
     m = roots.CartanMatrix([[Fraction(2), Fraction(-1)], [-1.0, 2]])
     assert m.entries == ((2, -1), (-1, 2)) and roots.classify_finite(m).type_name() == "A2"
+
+
+def test_cartan_matrix_refuses_infinite_and_nan_entries():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="Cartan matrix entries must be integers"):
+            roots.CartanMatrix([[2, bad], [bad, 2]])
 
 
 def test_classify_affine_examples():
@@ -77,20 +84,28 @@ def test_marks_examples():
 
 
 def test_marks_kernel_property():
+    # The marks are read from a per-type table through node_perm; check them
+    # against the kernel of the permuted input itself, for every type.
     rng = random.Random(1)
-    for family, n in [("A", 5), ("D", 7), ("E", 6), ("E", 7), ("E", 8)]:
-        perm = list(range(n + 1))
-        rng.shuffle(perm)
-        m = permuted(roots.standard_affine_matrix(family, n), perm)
-        marks = roots.marks(m)
-        assert all(v > 0 for v in marks)
-        from math import gcd
-        g = 0
-        for v in marks:
-            g = gcd(g, v)
-        assert g == 1
-        for j in range(m.n_nodes):
-            assert sum(marks[i] * m.entries[i][j] for i in range(m.n_nodes)) == 0
+    for family, n in ALL_AFFINE:
+        for _ in range(4):
+            perm = list(range(n + 1))
+            rng.shuffle(perm)
+            m = permuted(roots.standard_affine_matrix(family, n), perm)
+            marks = roots.marks(m)
+            assert all(v > 0 for v in marks) and gcd(*marks) == 1
+            for j in range(m.n_nodes):
+                assert sum(marks[i] * m.entries[i][j] for i in range(m.n_nodes)) == 0
+
+
+def test_rejection_messages_name_the_matrix():
+    with pytest.raises(NotAffineADE) as affine:
+        roots.classify_affine(roots.CartanMatrix([[2, -1], [-1, 2]]))
+    assert str(affine.value) == "not an affine ADE Cartan matrix: CartanMatrix([[2, -1], [-1, 2]])"
+    with pytest.raises(NotFiniteADE) as finite:
+        roots.classify_finite(roots.standard_affine_matrix("A", 2))
+    assert str(finite.value) == ("not a finite ADE Cartan matrix: "
+                                 "CartanMatrix([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])")
 
 
 def test_delete_node_examples():

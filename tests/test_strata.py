@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from k3walls import families
 from k3walls import lattice as lat
+from k3walls import linalg
 from k3walls import mukai as mk
 from k3walls import roots
 from k3walls import strata as st
@@ -393,3 +396,36 @@ def test_psi_sets_with_fraction_components():
     want_psi, want_comp = rep.psi_sets()
     assert psi == [halved(u) for u in want_psi]
     assert comp == [halved(u) for u in want_comp]
+
+
+def test_stratum_checks_pair_each_class_once(monkeypatch):
+    # validate_stratum and classify_singularity read one Gram each, and the
+    # marks of a type already seen come from its table, not a new kernel.
+    inst = families.generate_example(families.ExampleSpec("D", 18, 1, 1))
+    data = st.StratumData(inst.lattice, inst.polarization, inst.v,
+                          zip(inst.v_list, inst.marks))
+    std = roots.standard_affine_matrix("D", 18)
+    roots.classify_affine(std)
+    calls = Counter()
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(mk, "mukai_pairing")
+    count(mk, "gram")
+    count(linalg, "integer_kernel")
+    assert st.validate_stratum(data) == []
+    report = st.classify_singularity(data)
+    assert report.affine.type_name() == "D~18" and report.marks == inst.marks
+    assert calls == {"gram": 2}
+    perm = list(range(19))
+    random.Random(18).shuffle(perm)
+    shuffled = roots.CartanMatrix([[std.entries[perm[i]][perm[j]] for j in range(19)]
+                                   for i in range(19)])
+    assert roots.classify_affine(shuffled).type_name() == "D~18"
+    assert calls == {"gram": 2}
