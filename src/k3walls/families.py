@@ -89,10 +89,10 @@ def _type_data(family, n):
     return matrix, marks, lat.enumerate_norm_vectors(phi_image, 2, 2) == []
 
 
-def generate_example(spec, cap=EXAMPLE_N_CAP):
-    """Build and verify one diagonal model instance; CapExceeded when ``spec.n > cap``."""
-    if spec.n > cap:
-        raise CapExceeded(f"example rank n = {spec.n} exceeds cap {cap}")
+def generate_example(spec):
+    """Build and verify one diagonal model instance; CapExceeded when ``spec.n > EXAMPLE_N_CAP``."""
+    if spec.n > EXAMPLE_N_CAP:
+        raise CapExceeded(f"example rank n = {spec.n} exceeds cap {EXAMPLE_N_CAP}")
     matrix, marks, phi_ok = _type_data(spec.family, spec.n)
     n_nodes = matrix.n_nodes
     shift = 2 * spec.r * spec.a
@@ -121,12 +121,12 @@ def generate_example(spec, cap=EXAMPLE_N_CAP):
     _check(verification, "h_perp_no_minus_two",
            lat.enumerate_norm_vectors(h_perp, -2, -2) == [])
 
+    g = mk.gram((*v_list, v, mk.delta_map(v, h)))  # v and H^ pair last, as in validate_stratum
     _check(verification, "stratum_gram",
-           mk.gram(v_list) == [[-e for e in row] for row in matrix.entries])
-    v_row, h_hat_row = mk.pairing_matrix([v, mk.delta_map(v, h)], v_list)
-    _check(verification, "v_orthogonal", not any(v_row))
-    _check(verification, "h_hat_orthogonal", not any(h_hat_row))
-    _check(verification, "v_isotropic", mk.mukai_square(v) == 0)
+           [row[:n_nodes] for row in g[:n_nodes]] == [[-e for e in row] for row in matrix.entries])
+    _check(verification, "v_orthogonal", not any(g[-2][:n_nodes]))
+    _check(verification, "h_hat_orthogonal", not any(g[-1][:n_nodes]))
+    _check(verification, "v_isotropic", g[-2][-2] == 0)
     _check(verification, "v_primitive", mk.is_primitive(v))
     _check(verification, "phi_image_no_norm_two", phi_ok)
 

@@ -132,18 +132,12 @@ class Sublattice:
                     out[j] += c * v[j]
         return normalize_vector(out)
 
-    def contains(self, x, over_z=True):
-        """Whether ``x`` lies in the sublattice, or with ``over_z=False`` in its rational span.
-
-        Over Z: forward substitution on the echelon rows with a divisibility
-        check at each pivot.  Over Q: the same test on ``x`` scaled by
-        :func:`k3walls.linalg.clear_pivot_denominators`.
-        """
+    def contains(self, x):
+        """Whether ``x`` lies in the sublattice: forward substitution on the
+        echelon rows with a divisibility check at each pivot."""
         if len(x) != self.ambient.rank:
             raise ValueError(f"vector length does not match ambient rank {self.ambient.rank}")
-        if not over_z:
-            x = linalg.clear_pivot_denominators(self.echelon, x)[1]
-        elif linalg.clear_denominators(x)[0] != 1:
+        if linalg.clear_denominators(x)[0] != 1:
             return False
         return linalg.echelon_coefficients(self.echelon, x) is not None
 

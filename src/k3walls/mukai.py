@@ -79,20 +79,17 @@ def mukai_pairing(x, y):
     return normalize_number(picard_pairing(x.lattice, x.c1, y.c1) - x.r * y.s - x.s * y.r)
 
 
-def cleared_functional(x):
-    """Integers ``(q, gx, r, s)`` with ``q <x, y> = gx . c1(y) - r s(y) - s r(y)`` for every ``y``."""
-    q, (*c1, r, s) = clear_denominators((*x.c1, x.r, x.s))
-    return q, mat_mul_vec(x.lattice.gram, c1), r, s
+def scaled_pairings(xs, y):
+    """``(q, [q <x, y> for x in xs])``, ``q > 0`` the lcm of the denominators of ``y``.
 
-
-def pairing_matrix(xs, ys):
-    """``[[<x, y> for y in ys] for x in xs]``, with one :func:`cleared_functional` per ``y``."""
-    vectors = (*xs, *ys)
-    for z in vectors:
-        vectors[0]._check_ambient(z)
-    cols = [cleared_functional(y) for y in ys]
-    rows = [[(sum(map(mul, x.c1, gy)) - x.r * s - x.s * r, q) for q, gy, r, s in cols] for x in xs]
-    return [[normalize_number(Fraction(n, q) if q != 1 else n) for n, q in row] for row in rows]
+    ``y`` is cleared once, so each entry is one dot product with the integer
+    ``G c1(q y)``, an integer for integral ``x``.
+    """
+    q, (*c1, r, s) = clear_denominators((*y.c1, y.r, y.s))
+    gy = mat_mul_vec(y.lattice.gram, c1)
+    for x in xs:
+        y._check_ambient(x)
+    return q, [sum(map(mul, x.c1, gy)) - x.r * s - x.s * r for x in xs]
 
 
 def gram(xs):

@@ -121,9 +121,7 @@ class ParsedInstance(_Record):
         """Build the twist parameter; raises InvalidTwist on bad alpha."""
         if self.alpha_c1 is None:
             return None
-        s = Fraction(lat.pairing(self.lattice, self.alpha_c1, self.v.c1)) / Fraction(self.v.r)
-        alpha = mk.MukaiVector(0, self.alpha_c1, s, self.lattice)
-        return mk.TwistParameter(alpha, self.v, self.polarization)
+        return mk.TwistParameter(mk.delta_map(self.v, self.alpha_c1), self.v, self.polarization)
 
 
 def parse_instance(doc):

@@ -410,7 +410,7 @@ def apply_word_dual(diagram, word, values):
     return tuple(values)
 
 
-def weyl_orbit(diagram, x, cap=ORBIT_CAP):
+def weyl_orbit(diagram, x):
     """BFS closure of a root-coordinate vector under all simple reflections."""
     n = diagram.matrix.n_nodes
     orbit = [tuple(x)]
@@ -419,8 +419,8 @@ def weyl_orbit(diagram, x, cap=ORBIT_CAP):
         for i in range(1, n + 1):
             image = simple_reflection(diagram, i, y)
             if image not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(f"orbit exceeded cap {cap}")
+                if len(seen) >= ORBIT_CAP:
+                    raise CapExceeded(f"orbit exceeded cap {ORBIT_CAP}")
                 seen.add(image)
                 orbit.append(image)
     return frozenset(seen)

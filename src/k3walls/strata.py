@@ -104,6 +104,8 @@ def validate_stratum(data):
     mults = data.multiplicities
     if not vecs:
         return ["stratum list is empty"]
+    if not v.r > 0:  # H^ = delta(H) divides by rk v
+        return [f"v has rank {v.r}, expected > 0"]
     if len(set(vecs)) != len(vecs):
         violations.append("stratum vectors are not pairwise distinct")
     for k, m in enumerate(mults):
@@ -188,9 +190,9 @@ def strata_orthogonality(first, second):
         raise ValueError("strata live in different (P, H, v) contexts")
     if sorted(first.strata, key=_stratum_key) == sorted(second.strata, key=_stratum_key):
         return "equal"
-    for u in first.vectors:
-        for w in second.vectors:
-            p = mk.mukai_pairing(u, w)
+    n = len(first.strata)
+    for row in mk.gram((*first.vectors, *second.vectors))[:n]:
+        for p in row[n:]:
             if p != 0:
                 raise Inconsistent(
                     f"distinct strata with <u, u'> = {p}; inputs cannot both be "
@@ -207,13 +209,14 @@ def no_triple_point_check(data, deleted=0):
     """Assert no three retained classes pair like a triangle.
 
     ``<(u_i + u_j + u_k)^2> = 0`` forces three mutual edges, which ADE dual
-    graphs exclude; anything >= 0 is reported as :class:`TriplePoint`.  A
+    graphs exclude; anything >= 0 is reported as :class:`TriplePoint`.  Each
+    square is a sum over the 3x3 block of one Gram of the retained classes.  A
     node outside the stratum list raises :class:`NodeOutOfRange`.
     """
     check_node(data.strata, deleted)
-    vecs = retained_vectors(data, deleted)
-    for (i, x), (j, y), (k, z) in combinations(enumerate(vecs), 3):
-        sq = mk.mukai_square(x + y + z)
+    g = mk.gram(retained_vectors(data, deleted))
+    for i, j, k in combinations(range(len(g)), 3):
+        sq = g[i][i] + g[j][j] + g[k][k] + 2 * (g[i][j] + g[i][k] + g[j][k])
         if sq >= 0:
             raise TriplePoint(f"<(u_{i}+u_{j}+u_{k})^2> = {sq}; not negative definite data")
     return True

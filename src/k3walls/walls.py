@@ -78,10 +78,10 @@ def _check_context(p, h, v):
         raise NonPositivePolarization(f"(H, H) = {lat.pairing(p, h, h)}, expected > 0")
 
 
-def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
+def enumerate_walls(p, h, v):
     """The finite wall set for ``(Pic, H, v)``, sorted by (rank, lex divisor).
 
-    ``rk v > cap`` raises :class:`CapExceeded` before the search starts.  As
+    ``rk v > WALL_RANK_CAP`` raises :class:`CapExceeded` before the search starts.  As
     ``(H, H) > 0``, Pic has signature (1, rank-1) iff H-perp is negative
     definite, so :class:`WrongSignature` comes from the search's own
     factorization of minus the form on a full-rank sublattice of H-perp.
@@ -100,8 +100,8 @@ def enumerate_walls(p, h, v, cap=WALL_RANK_CAP):
     exactly when ``<v, u> <= 0``; each wall carries that integer ``<v, u>``.
     """
     _check_context(p, h, v)
-    if v.r > cap:
-        raise CapExceeded(f"rk v = {v.r} exceeds the wall search cap {cap}")
+    if v.r > WALL_RANK_CAP:
+        raise CapExceeded(f"rk v = {v.r} exceeds the wall search cap {WALL_RANK_CAP}")
     r = int(v.r)
     xi = tuple(int(c) for c in v.c1)
     a_v = int(v.s)
@@ -168,31 +168,22 @@ def u_prime(walls, v):
 def locate(alpha, walls, v, singularity=None):
     """Exact chamber position of a twist parameter against a wall list.
 
-    The signs come from one integer functional: ``x = v + alpha`` is built
-    once and cleared of denominators, so each wall's sign is that of one
-    integer dot product with ``u``.  With ``singularity`` (a
+    The signs are those of :func:`k3walls.mukai.scaled_pairings` of the walls
+    with ``v + alpha``, whose scale is positive.  With ``singularity`` (a
     :class:`k3walls.strata.SingularityReport`), the position also carries the
     Weyl word reducing ``alpha`` into the closed fundamental chamber of the
     report's finite diagram; the values reduced are the pairings of
     ``alpha`` with the report's retained classes.
     """
     a = alpha.alpha if isinstance(alpha, mk.TwistParameter) else alpha
-    x = v + a
-    _, gx, rx, sx = mk.cleared_functional(x)
-    signs = []
-    on = []
-    for k, u in enumerate(w.u for w in walls):
-        x._check_ambient(u)
-        val = sum(map(mul, gx, u.c1)) - rx * u.s - sx * u.r
-        sign = 0 if val == 0 else (1 if val > 0 else -1)
-        signs.append(sign)
-        if sign == 0:
-            on.append(k)
-    position = (tuple(walls), tuple(signs), tuple(on))
+    _, values = mk.scaled_pairings([w.u for w in walls], v + a)
+    signs = tuple((val > 0) - (val < 0) for val in values)
+    position = (tuple(walls), signs, tuple(k for k, sign in enumerate(signs) if not sign))
     if singularity is None:
         return ChamberPosition(*position)
-    values = [row[0] for row in mk.pairing_matrix(singularity.retained, [a])]
-    return ChamberPosition(*position, *roots.reduce_to_fundamental(singularity.finite, values))
+    q, values = mk.scaled_pairings(singularity.retained, a)
+    return ChamberPosition(*position, *roots.reduce_to_fundamental(
+        singularity.finite, [Fraction(n, q) for n in values]))
 
 
 def small_twist_violations(position, v):
@@ -290,7 +281,8 @@ def slope_condition(alpha, v, strata, deleted=0):
     check_node(strata, deleted)
     a = alpha.alpha if isinstance(alpha, mk.TwistParameter) else alpha
     retained = [(u, m) for k, (u, m) in enumerate(strata) if k != deleted]
-    va, *pairs = [row[0] for row in mk.pairing_matrix([v, *(u for u, _ in retained)], [a])]
+    # Each pairing with alpha scaled by the same q > 0, which cancels in every inequality.
+    _, (va, *pairs) = mk.scaled_pairings([v, *(u for u, _ in retained)], a)
     # <total, alpha> and rk total by linearity, total = v + sum a_j v_j.
     total_pair = va + sum(m * ua for (_, m), ua in zip(retained, pairs))
     rhs = Fraction(total_pair) / Fraction(v.r + sum(m * u.r for u, m in retained))

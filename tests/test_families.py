@@ -100,12 +100,14 @@ def test_sweep_path_runs_no_rational_elimination(monkeypatch):
         assert all(inst.verification.values())
 
 
-def test_example_rank_cap():
+def test_example_rank_cap(monkeypatch):
     assert families.EXAMPLE_N_CAP >= max(n for _, n in families.SWEEP_TYPES)
     spec = families.ExampleSpec("D", 5, 1, 1)
+    monkeypatch.setattr(families, "EXAMPLE_N_CAP", 4)
     with pytest.raises(CapExceeded):
-        families.generate_example(spec, cap=4)
-    assert all(families.generate_example(spec, cap=5).verification.values())
+        families.generate_example(spec)
+    monkeypatch.setattr(families, "EXAMPLE_N_CAP", 5)
+    assert all(families.generate_example(spec).verification.values())
 
 
 def test_type_data_factors_each_form_once(monkeypatch):
@@ -160,7 +162,23 @@ def test_failed_identity_raises(monkeypatch):
     def off_by_one(real):
         return lambda *args: [[e + 1 for e in row] for row in real(*args)]
 
-    for name in ("gram", "pairing_matrix"):
-        monkeypatch.setattr(mk, name, off_by_one(getattr(mk, name)))
+    monkeypatch.setattr(mk, "gram", off_by_one(mk.gram))
     with pytest.raises(RuntimeError, match="stratum_gram"):
         families.generate_example(families.ExampleSpec("A", 3, 1, 1))
+
+
+def test_stratum_identities_read_one_gram(monkeypatch):
+    # The four stratum identities read one Gram of (v_i, v, H^); no pairing one by one.
+    calls = {"gram": 0, "mukai_pairing": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mk, name, counted(name, getattr(mk, name)))
+    inst = families.generate_example(families.ExampleSpec("D", 7, 2, 1))
+    assert calls == {"gram": 1, "mukai_pairing": 0}
+    assert all(inst.verification.values())

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -96,38 +97,6 @@ def _oracle_pairing(x, y):
     return oracles.mukai_pairing(x.lattice.gram, (x.r, x.c1, x.s), (y.r, y.c1, y.s))
 
 
-def test_pairing_matrix_against_oracle(elliptic, a2_instance):
-    rng = random.Random(17)
-    for p in (elliptic[0], a2_instance.lattice):
-        for _ in range(20):
-            xs = [rnd_vector(rng, p) for _ in range(rng.randint(0, 4))]
-            ys = [rnd_vector(rng, p) for _ in range(rng.randint(0, 4))]
-            # Rational entries, as in twist parameters and h-hat.
-            rational = [mk.MukaiVector(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                                       [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                                        for _ in range(p.rank)], Fraction(rng.randint(-5, 5), 3),
-                                       p) for _ in range(2)]
-            xs.append(rational[0])
-            ys.append(rational[1])
-            got = mk.pairing_matrix(xs, ys)
-            assert got == [[_oracle_pairing(x, y) for y in ys] for x in xs]
-            assert got == [[mk.mukai_pairing(x, y) for y in ys] for x in xs]
-            assert all(type(e) is int or e.denominator != 1 for row in got for e in row)
-
-
-def test_pairing_matrix_empty_and_mixed(elliptic, a1_instance):
-    _, _, v = elliptic
-    assert mk.pairing_matrix([], []) == []
-    assert mk.pairing_matrix([], [v]) == []
-    assert mk.pairing_matrix([v, v], []) == [[], []]
-    with pytest.raises(ValueError):
-        mk.pairing_matrix([v], [a1_instance.v])
-    with pytest.raises(ValueError):
-        mk.pairing_matrix([v, a1_instance.v], [])
-    with pytest.raises(ValueError):
-        mk.pairing_matrix([], [v, a1_instance.v])
-
-
 _GRAM_LATTICES = (lat.PicardLattice([[-2, 1], [1, 0]]),  # the elliptic lattice, and A~3's model
                   lat.PicardLattice([[0, 3, 2, 3], [3, 0, 3, 2], [2, 3, 0, 3], [3, 2, 3, 0]]))
 _SMALL = hst.integers(-6, 6)
@@ -168,6 +137,30 @@ def test_gram_empty_and_mixed(elliptic, a1_instance):
     for xs in ([v, a1_instance.v], [v, v, a1_instance.v], (a1_instance.v, v)):
         with pytest.raises(ValueError, match="different Picard lattices"):
             mk.gram(xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_scaled_pairings_match_the_oracle_pairing(data):
+    p = data.draw(hst.sampled_from(_GRAM_LATTICES))
+    xs = data.draw(hst.lists(_mukai_vectors(p), max_size=6))
+    y = data.draw(_mukai_vectors(p))
+    q, got = mk.scaled_pairings(xs, y)
+    assert q == lcm(*(Fraction(c).denominator for c in (y.r, *y.c1, y.s)))
+    assert got == [q * _oracle_pairing(x, y) for x in xs]
+    # one integer per integral class
+    assert all(type(n) is int for x, n in zip(xs, got) if x.is_integral())
+
+
+def test_scaled_pairings_empty_and_foreign(elliptic, a1_instance):
+    p, _, v = elliptic
+    half = mk.MukaiVector(0, (Fraction(1, 2), 0), Fraction(1, 3), p)
+    assert mk.scaled_pairings([], v) == (1, [])
+    assert mk.scaled_pairings((), half) == (6, [])
+    assert mk.scaled_pairings([v], half) == (6, [6 * mk.mukai_pairing(v, half)])
+    for xs in ([a1_instance.v], [v, a1_instance.v]):
+        with pytest.raises(ValueError, match="different Picard lattices"):
+            mk.scaled_pairings(xs, v)
 
 
 def test_constructor_normalizes_c1(elliptic):

@@ -439,6 +439,15 @@ def test_cli_invalid_mukai_vector_is_domain_error(tmp_path):
             res = run_cli([command, str(path)])
             assert res.returncode == 3, (name, command, res.stderr)
             assert "InvalidMukaiVector" in res.stderr and "Traceback" not in res.stderr
+    # dual-graph validates the stratum without a wall search: a rank <= 0 v is
+    # one stratum violation, not a failure inside H^ = delta(H).
+    a2 = pipeline.instance_document(families.generate_example(families.ExampleSpec("A", 2, 1, 1)))
+    for k, r in enumerate((0, "0/5", -3)):
+        path = tmp_path / f"a2-rank{k}.json"
+        path.write_text(json.dumps(dict(a2, mukai_vector=dict(a2["mukai_vector"], r=r))))
+        res = run_cli(["dual-graph", str(path)])
+        assert res.returncode == 3, (r, res.stderr)
+        assert "expected > 0" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_cli_wrong_signature_is_domain_error(tmp_path):

@@ -254,7 +254,7 @@ def test_simple_reflection():
         roots.simple_reflection(a2, 3, (1, 0))
 
 
-def test_weyl_orbit():
+def test_weyl_orbit(monkeypatch):
     a2 = finite("A", 2)
     orbit = roots.weyl_orbit(a2, (1, 0))
     assert len(orbit) == 6
@@ -263,8 +263,9 @@ def test_weyl_orbit():
     assert roots.weyl_orbit(a2, (0, 0)) == frozenset({(0, 0)})
     a1 = finite("A", 1)
     assert roots.weyl_orbit(a1, (1,)) == frozenset({(1,), (-1,)})
+    monkeypatch.setattr(roots, "ORBIT_CAP", 3)
     with pytest.raises(CapExceeded):
-        roots.weyl_orbit(finite("A", 3), (1, 0, 0), cap=3)
+        roots.weyl_orbit(finite("A", 3), (1, 0, 0))
 
 
 def test_weyl_group_order():

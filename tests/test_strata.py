@@ -55,6 +55,15 @@ def test_validate_reports_all_failures(a1_instance):
     assert sum(1 for _ in violations) >= 1
 
 
+def test_validate_refuses_v_without_positive_rank(a2_instance):
+    # H^ = delta(H) divides by rk v, so rk v <= 0 is the one violation reported.
+    inst = a2_instance
+    for r, shown in ((0, "0"), (Fraction(0, 5), "0"), (-3, "-3")):
+        v = mk.MukaiVector(r, inst.v.c1, inst.v.s, inst.lattice)
+        data = st.StratumData(inst.lattice, inst.polarization, v, inst.stratum().strata)
+        assert st.validate_stratum(data) == [f"v has rank {shown}, expected > 0"]
+
+
 def test_multiplicities_must_be_integers(a1_instance):
     # 1.7, "1" and True used to become multiplicity 1 and validate cleanly.
     inst = a1_instance
@@ -179,6 +188,21 @@ def test_no_triple_point_rejects_triangle():
                           ((extra, 1), (u0, 1), (u1, 1), (u2, 1)))
     with pytest.raises(TriplePoint):
         st.no_triple_point_check(data, deleted=0)
+
+
+def test_no_triple_point_check_builds_no_vectors(monkeypatch):
+    # Every triple's square is a sum over one Gram of the retained classes.
+    data = families.generate_example(families.ExampleSpec("D", 18, 1, 1)).stratum()
+    built = []
+    init = mk.MukaiVector.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(mk.MukaiVector, "__init__", counting)
+    assert st.no_triple_point_check(data)
+    assert built == []
 
 
 def test_no_triple_point_check_node_out_of_range(a2_instance):

@@ -64,14 +64,16 @@ def test_wall_rank_cap(a2_instance, monkeypatch):
     inst = a2_instance
     assert inst.v.r == 3
     full = wl.enumerate_walls(inst.lattice, inst.polarization, inst.v)
-    assert wl.enumerate_walls(inst.lattice, inst.polarization, inst.v, cap=3) == full
+    monkeypatch.setattr(wl, "WALL_RANK_CAP", 3)
+    assert wl.enumerate_walls(inst.lattice, inst.polarization, inst.v) == full
 
     def refuse(*args):
         raise AssertionError("wall search started above the cap")
 
     monkeypatch.setattr(linalg, "integer_kernel", refuse)
+    monkeypatch.setattr(wl, "WALL_RANK_CAP", 2)
     with pytest.raises(CapExceeded):
-        wl.enumerate_walls(inst.lattice, inst.polarization, inst.v, cap=2)
+        wl.enumerate_walls(inst.lattice, inst.polarization, inst.v)
 
 
 def test_one_descent_matches_per_rank_search():
@@ -410,7 +412,7 @@ def test_no_per_wall_mukai_arithmetic(monkeypatch):
         raise AssertionError("MukaiVector sum on the slope-condition path")
 
     # With a singularity report, the Weyl values are pairings with alpha too,
-    # read from alpha's cleared functional.
+    # read from alpha's scaled pairings.
     pos = wl.locate(alpha, walls, inst.v, singularity=report)
     assert pos.reduced_values == roots.reduce_to_fundamental(report.finite, values)[1]
     assert calls == {"pairing": 0, "add": 2}
