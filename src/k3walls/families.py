@@ -7,10 +7,12 @@ carries the polarization ``H = sum a_i xi_i`` and the Mukai vectors
 whole dictionary of identities used by the singularity classification:
 ``<v_i, v_j> = -a_ij``, ``v`` primitive isotropic, ``H^perp`` negative
 definite without (-2)-classes, and so on.  ``generate_example`` re-verifies
-every identity by direct computation and raises on any failure, which would
-indicate a bug, not bad input.  The identities that depend on the type alone
-(the standard matrix, its marks and the phi-image check) are computed once
-per ``(family, n)`` per process and shared by every ``(r, a)``.
+every identity by exact computation and raises on any failure, which would
+indicate a bug, not bad input.  What depends on the type alone is computed
+once per ``(family, n)`` per process: the standard matrix C, its marks, and
+for the phi image (the span of ``d_i = e_i - e_{i+1}`` under C) whether it
+is saturated, positive definite and free of norm-2 vectors, and its Gram.
+Each instance checks its ``H^perp`` identities against these in O(n^2).
 """
 
 from fractions import Fraction
@@ -29,11 +31,15 @@ EMBEDDING_CAVEAT = (
     "extended A/D types of rank <= 18 and the extended E types, not verified here"
 )
 
-#: Largest diagram rank ``n`` that :func:`generate_example` builds.  The
-#: verification grows like n^3: on a 2-vCPU VM (CPython 3.11) an instance of
-#: rank 64 takes 0.2-0.25 s and a whole ``example --alpha`` CLI process
-#: 0.4-0.45 s; an instance of rank 100 takes 0.8-0.9 s.  The sweep stops at 18.
+#: Largest diagram rank ``n`` that :func:`generate_example` builds.  On a
+#: 2-vCPU VM (CPython 3.11.7) the first instance of rank 64 of a type takes
+#: 65-80 ms, a later one 7-10 ms and a whole ``example --alpha`` CLI process
+#: 0.25-0.28 s; a first instance of rank 100 takes 0.22-0.25 s.  The sweep stops at 18.
 EXAMPLE_N_CAP = 64
+
+#: Most decimal digits of ``r * a`` that :func:`generate_example` accepts: every
+#: number of its document, alpha included, then prints within CPython's 4,300-digit limit.
+EXAMPLE_RA_DIGIT_CAP = 1000
 
 #: (family, n) pairs covered by the standard sweep.
 SWEEP_TYPES = ([("A", n) for n in range(1, 19)]
@@ -78,22 +84,36 @@ def _check(verification, name, ok):
         raise RuntimeError(f"model instance identity failed: {name}")
 
 
+def _difference_gram(gram):
+    """Gram of the differences ``d_i = e_i - e_{i+1}`` under ``gram``, by bilinearity, in O(n^2)."""
+    k = len(gram) - 1
+    return [[gram[i][j] - gram[i][j + 1] - gram[i + 1][j] + gram[i + 1][j + 1] for j in range(k)]
+            for i in range(k)]
+
+
 @cache
 def _type_data(family, n):
-    """``(matrix, marks, phi_ok)`` of one type, ``phi_ok`` the ``phi_image_no_norm_two`` identity."""
+    """``(matrix, marks, saturated, definite, no_norm_two, minus_gram)``: the facts of
+    one type that every ``(r, a)`` shares, the last four about the phi image."""
     matrix = roots.standard_affine_matrix(family, n)
     marks = roots.classify_affine(matrix).marks
     host = lat.PicardLattice(matrix.entries, [f"alpha{i}" for i in range(matrix.n_nodes)])
     phi_image = lat.Sublattice(host, [linalg.vec_sub(host.basis_vector(i), host.basis_vector(i + 1))
-                                      for i in range(matrix.n_nodes - 1)])
-    return matrix, marks, lat.enumerate_norm_vectors(phi_image, 2, 2) == []
+                                      for i in range(n)])
+    definite = lat.definiteness(phi_image) == 1
+    return (matrix, marks,
+            phi_image.rank == n and all(abs(row[col]) == 1 for col, row in phi_image.echelon),
+            definite, definite and lat.enumerate_norm_vectors(phi_image, 2, 2) == [],
+            [[-e for e in row] for row in _difference_gram(matrix.entries)])
 
 
 def generate_example(spec):
-    """Build and verify one diagonal model instance; CapExceeded when ``spec.n > EXAMPLE_N_CAP``."""
+    """Build and verify one diagonal model instance; CapExceeded past either cap above."""
     if spec.n > EXAMPLE_N_CAP:
         raise CapExceeded(f"example rank n = {spec.n} exceeds cap {EXAMPLE_N_CAP}")
-    matrix, marks, phi_ok = _type_data(spec.family, spec.n)
+    if spec.r * spec.a >= 10 ** EXAMPLE_RA_DIGIT_CAP:
+        raise CapExceeded(f"r * a has more than {EXAMPLE_RA_DIGIT_CAP} digits")
+    matrix, marks, saturated, definite, no_norm_two, minus_gram = _type_data(spec.family, spec.n)
     n_nodes = matrix.n_nodes
     shift = 2 * spec.r * spec.a
     gram = [[-matrix.entries[i][j] + shift for j in range(n_nodes)] for i in range(n_nodes)]
@@ -109,17 +129,15 @@ def generate_example(spec):
     _check(verification, "h_pairs_constant", all(e == shift * mark_sum for e in gh))
     _check(verification, "h_square", sum(map(mul, h, gh)) == shift * mark_sum ** 2 > 0)
 
-    h_perp = lat.orthogonal_complement(lattice, [h])
-    diffs = [linalg.vec_sub(lattice.basis_vector(i), lattice.basis_vector(i + 1))
-             for i in range(n_nodes - 1)]
-    diff_sub = lat.Sublattice(lattice, diffs)
+    # H-perp, the kernel of the row (Gh)^T != 0, is saturated of rank n.  The d_i
+    # lie in it and span a saturated sublattice of rank n (the phi image, same
+    # coordinates), so they span H-perp: the quotient is torsion inside the
+    # torsion-free Z^(n+1) / span(d_i).  Its Gram is then the one on the d_i.
     _check(verification, "h_perp_span",
-           h_perp.rank == len(diffs)
-           and all(diff_sub.contains(b) for b in h_perp.basis)
-           and all(h_perp.contains(d) for d in diffs))
-    _check(verification, "h_perp_negative_definite", lat.is_negative_definite(h_perp))
-    _check(verification, "h_perp_no_minus_two",
-           lat.enumerate_norm_vectors(h_perp, -2, -2) == [])
+           not any(gh[i] - gh[i + 1] for i in range(spec.n)) and any(gh) and saturated)
+    gram_ok = _difference_gram(lattice.gram) == minus_gram
+    _check(verification, "h_perp_negative_definite", gram_ok and definite)
+    _check(verification, "h_perp_no_minus_two", gram_ok and no_norm_two)
 
     g = mk.gram((*v_list, v, mk.delta_map(v, h)))  # v and H^ pair last, as in validate_stratum
     _check(verification, "stratum_gram",
@@ -128,7 +146,7 @@ def generate_example(spec):
     _check(verification, "h_hat_orthogonal", not any(g[-1][:n_nodes]))
     _check(verification, "v_isotropic", g[-2][-2] == 0)
     _check(verification, "v_primitive", mk.is_primitive(v))
-    _check(verification, "phi_image_no_norm_two", phi_ok)
+    _check(verification, "phi_image_no_norm_two", no_norm_two)
 
     return ExampleInstance(spec, lattice, h, v_list, v, matrix, marks, verification)
 

@@ -7,8 +7,10 @@ Smith-form routine.  Keep it dumb; that's the point.  The exceptions are
 :func:`per_rank_walls`, the wall search the library replaced, kept as the
 reference its single descent must reproduce, :func:`coset_descent`, the
 rational-centre descent that search ran, :func:`dumps_report_stdlib`,
-the standard-library encoder its report writer replaced, and
-:func:`dataclass_twin`, the frozen dataclass its record classes replaced.
+the standard-library encoder its report writer replaced,
+:func:`dataclass_twin`, the frozen dataclass its record classes replaced,
+and :func:`h_perp_identities`, the general H-perp check the model
+instances replaced.
 """
 
 import dataclasses
@@ -434,6 +436,29 @@ def per_rank_walls(p, h, v):
                 results.append((s, d, b, pv, eta))
     results.sort()
     return [WallVector(mk.MukaiVector(s, eta, b, p), pv) for s, d, b, pv, eta in results]
+
+
+def h_perp_identities(lattice, h):
+    """The three H-perp identities of a model instance, checked from scratch.
+
+    This is how :func:`k3walls.families.generate_example` checked them on
+    every instance: the saturated kernel of ``(G h)^T``, mutual membership
+    with the span of the differences ``e_i - e_{i+1}``, the definiteness of
+    the restricted form and its (-2)-vectors.  Returns the three booleans
+    under the names of the instance's ``verification`` keys.
+    """
+    h_perp = lat.orthogonal_complement(lattice, [h])
+    diffs = [linalg.vec_sub(lattice.basis_vector(i), lattice.basis_vector(i + 1))
+             for i in range(lattice.rank - 1)]
+    diff_sub = lat.Sublattice(lattice, diffs)
+    negative = lat.is_negative_definite(h_perp)
+    return {
+        "h_perp_span": (h_perp.rank == len(diffs)
+                        and all(diff_sub.contains(b) for b in h_perp.basis)
+                        and all(h_perp.contains(d) for d in diffs)),
+        "h_perp_negative_definite": negative,
+        "h_perp_no_minus_two": negative and lat.enumerate_norm_vectors(h_perp, -2, -2) == [],
+    }
 
 
 def smith_invariants(rows):

@@ -113,3 +113,17 @@ def test_cli_error_line_to_unwritable_stderr_keeps_exit_code(tmp_path, argv, cod
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     res = _run_cli(argv, "stderr", open_stderr())
     assert (res.returncode, res.stdout) == (code, "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_example_with_huge_r_a_is_cap_exceeded(fmt):
+    # r * a of 6,000 digits once built the instance and then failed to print
+    # it past the interpreter's int-to-str digit limit, with a traceback.
+    nines = "9" * 3000
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["example", "--family", "A", "--n", "1", "--r", nines, "--a", nines,
+                         "--format", fmt])
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue().count("\n") == 1
+    assert err.getvalue().startswith("domain error: CapExceeded: r * a has more than")

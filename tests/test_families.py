@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import oracles
@@ -5,6 +7,7 @@ from k3walls import families
 from k3walls import lattice as lat
 from k3walls import linalg
 from k3walls import mukai as mk
+from k3walls import pipeline
 from k3walls import roots
 from k3walls import strata as st
 from k3walls.errors import CapExceeded
@@ -110,23 +113,107 @@ def test_example_rank_cap(monkeypatch):
     assert all(families.generate_example(spec).verification.values())
 
 
+def test_example_digit_cap():
+    # r * a with more digits than the cap is refused before any work; at the
+    # cap every number of the document, alpha included, converts to decimal.
+    cap = families.EXAMPLE_RA_DIGIT_CAP
+    for r, a in [(10 ** cap, 1), (10 ** (cap // 2), 10 ** (cap // 2))]:
+        with pytest.raises(CapExceeded, match="digits"):
+            families.generate_example(families.ExampleSpec("A", 1, r, a))
+    inst = families.generate_example(families.ExampleSpec("A", 2, 10 ** cap - 1, 1))
+    assert all(inst.verification.values())
+    assert pipeline.dumps_report(pipeline.instance_document(inst, alpha_scale=1))
+
+
 def test_type_data_factors_each_form_once(monkeypatch):
-    # H-perp's Gram is built once for its definiteness test and its (-2)
-    # enumeration; the phi image's once per type, not once per (r, a).
-    calls = []
-    original = lat.Sublattice.restricted_gram
+    # The phi image's Gram is built and factored once per type; a warm build
+    # (same type, other (r, a)) builds no sublattice, Gram, kernel, factor or
+    # descent.  The cold build's one kernel is the marks', the kernel of C,
+    # which roots caches per type as well.
+    calls = Counter()
 
-    def counting(sub):
-        calls.append(sub.rank)
-        return original(sub)
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(lat.Sublattice, "restricted_gram", counting)
+    monkeypatch.setattr(lat.Sublattice, "restricted_gram",
+                        counting("restricted_gram", lat.Sublattice.restricted_gram))
+    monkeypatch.setattr(lat.Sublattice, "__init__", counting("Sublattice", lat.Sublattice.__init__))
+    for name in ("ldlt", "integer_kernel", "_descent"):
+        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
     families._type_data.cache_clear()
+    roots._standard_marks.cache_clear()
     families.generate_example(families.ExampleSpec("D", 6, 1, 1))
-    assert len(calls) == 2
+    assert calls == {"Sublattice": 1, "restricted_gram": 1, "ldlt": 1, "integer_kernel": 1,
+                     "_descent": 1}
     calls.clear()
-    families.generate_example(families.ExampleSpec("D", 6, 2, 1))
-    assert len(calls) == 1
+    inst = families.generate_example(families.ExampleSpec("D", 6, 2, 1))
+    assert calls == {}
+    assert all(inst.verification.values())
+
+
+@pytest.mark.parametrize("r, a", [(1, 1), (3, 2)])
+def test_h_perp_identities_match_the_oracle(r, a):
+    # The general check, H-perp as a kernel with membership, definiteness and
+    # a (-2) enumeration, agrees on every sweep type with the per-type one.
+    names = ("h_perp_span", "h_perp_negative_definite", "h_perp_no_minus_two")
+    for family, n in families.SWEEP_TYPES:
+        inst = families.generate_example(families.ExampleSpec(family, n, r, a))
+        expected = oracles.h_perp_identities(inst.lattice, inst.polarization)
+        assert expected == {name: inst.verification[name] for name in names}, (family, n)
+        assert all(expected.values()), (family, n)
+
+
+def test_type_gram_is_minus_the_phi_images():
+    # The closed form the instances are compared with is minus the restricted
+    # Gram of the phi image, the form whose definiteness the type records.
+    for family, n in families.SWEEP_TYPES:
+        matrix, _, saturated, definite, no_norm_two, minus_gram = families._type_data(family, n)
+        host = lat.PicardLattice(matrix.entries)
+        phi = lat.Sublattice(host, [linalg.vec_sub(host.basis_vector(i), host.basis_vector(i + 1))
+                                    for i in range(n)])
+        assert minus_gram == [[-e for e in row] for row in phi.restricted_gram()], (family, n)
+        assert saturated and definite and no_norm_two, (family, n)
+
+
+@pytest.mark.parametrize("field, change, identity", [
+    (2, lambda _: False, "h_perp_span"),
+    (3, lambda _: False, "h_perp_negative_definite"),
+    (4, lambda _: False, "h_perp_no_minus_two"),
+    (5, lambda gram: [[e + 1 for e in row] for row in gram], "h_perp_negative_definite"),
+], ids=("unsaturated", "indefinite", "norm-two", "wrong-gram"))
+def test_failed_type_fact_raises(monkeypatch, field, change, identity):
+    # A type fact that does not hold, or a phi Gram that is not minus the
+    # instance's Gram on the d_i, stops every build of that type.
+    real = families._type_data
+
+    def patched(family, n):
+        data = list(real(family, n))
+        data[field] = change(data[field])
+        return tuple(data)
+
+    monkeypatch.setattr(families, "_type_data", patched)
+    with pytest.raises(RuntimeError, match=identity):
+        families.generate_example(families.ExampleSpec("D", 5, 2, 1))
+
+
+def test_unsaturated_phi_image_raises(monkeypatch):
+    # With the phi image spanned by 2 d_0, d_1, ..., its echelon has a pivot
+    # +-2: the d_i would not be shown to span H-perp, and the build stops.
+    real = lat.Sublattice
+
+    def doubled(ambient, basis):
+        return real(ambient, [linalg.vec_scale(2, basis[0]), *basis[1:]])
+
+    monkeypatch.setattr(lat, "Sublattice", doubled)
+    families._type_data.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="h_perp_span"):
+            families.generate_example(families.ExampleSpec("A", 3, 1, 1))
+    finally:
+        families._type_data.cache_clear()
 
 
 def test_type_cache_gives_equal_instances():
