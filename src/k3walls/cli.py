@@ -3,7 +3,7 @@
 Subcommands: ``walls``, ``classify``, ``example``, ``chamber``, ``reflect``,
 ``dual-graph``.  Input is a JSON document (path or ``-`` for stdin) matching
 the contract in :mod:`k3walls.pipeline`.  Exit codes: 0 success, 2 schema
-error, 3 domain error.
+error (a bad argument too), 3 domain error.
 """
 
 import argparse
@@ -65,6 +65,18 @@ def _emit(payload, fmt="text", text_renderer=str):
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):  # argparse's -h passes no file
         _emit(self.format_help())  # a failed write to stdout exits 2
+
+    def error(self, message):  # one short schema error line instead of argparse's usage block
+        import textwrap  # only on this path: a CLI process does not load it otherwise
+        raise SchemaError("arguments", textwrap.shorten(message, 160))
+
+
+def _integer(text):
+    """An ``int`` argument; the error does not echo the value, which may be huge."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer") from None
 
 
 def _walls_text(report):
@@ -143,11 +155,12 @@ def cmd_example(args):
 def cmd_chamber(args):
     doc = _read_document(args.input)
     if args.alpha_file:
+        if not isinstance(doc, dict):
+            raise SchemaError("$", f"expected an object, got {type(doc).__name__}")
         alpha_doc = _read_document(args.alpha_file)
         if not isinstance(alpha_doc, dict) or "c1" not in alpha_doc:
             raise SchemaError("$.c1", "alpha file must be an object with a c1 list")
-        doc = dict(doc)
-        doc["alpha"] = {"c1": alpha_doc["c1"]}
+        doc = {**doc, "alpha": {"c1": alpha_doc["c1"]}}
     parsed = pipeline.parse_instance(doc)
     if parsed.alpha_c1 is None:
         raise SchemaError("$.alpha", "chamber location needs an alpha")
@@ -216,17 +229,17 @@ def build_parser():
     p = sub.add_parser("classify", parents=[common],
                        help="validate strata and classify the singularity")
     p.add_argument("input", help="instance JSON path, or - for stdin")
-    p.add_argument("--delete-node", type=int, default=0,
+    p.add_argument("--delete-node", type=_integer, default=0,
                    help="mark-1 node to delete (default 0)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("example", parents=[common],
                        help="generate a verified diagonal model instance")
     p.add_argument("--family", required=True, choices=("A", "D", "E"))
-    p.add_argument("--n", required=True, type=int,
+    p.add_argument("--n", required=True, type=_integer,
                    help=f"diagram rank, at most {families.EXAMPLE_N_CAP} (exit 3 above)")
-    p.add_argument("--r", required=True, type=int)
-    p.add_argument("--a", required=True, type=int)
+    p.add_argument("--r", required=True, type=_integer)
+    p.add_argument("--a", required=True, type=_integer)
     p.add_argument("--alpha", type=str, default=None, metavar="SCALE",
                    help="also emit a fundamental-chamber alpha with this scale")
     p.set_defaults(func=cmd_example)
@@ -236,13 +249,13 @@ def build_parser():
     p.add_argument("input", help="instance JSON path, or - for stdin")
     p.add_argument("--alpha-file", default=None,
                    help="JSON file {\"c1\": [...]} overriding the instance alpha")
-    p.add_argument("--delete-node", type=int, default=0)
+    p.add_argument("--delete-node", type=_integer, default=0)
     p.set_defaults(func=cmd_chamber)
 
     p = sub.add_parser("reflect", parents=[common],
                        help="cross a wall: reflect v in the k-th wall vector")
     p.add_argument("input", help="instance JSON path, or - for stdin")
-    p.add_argument("--u-index", type=int, required=True,
+    p.add_argument("--u-index", type=_integer, required=True,
                    help="index into the enumerated wall list")
     p.set_defaults(func=cmd_reflect)
 
@@ -251,7 +264,7 @@ def build_parser():
     p.add_argument("input", help="instance JSON path, or - for stdin")
     p.add_argument("--dot", default=None, metavar="OUT",
                    help="write DOT to this file instead of stdout")
-    p.add_argument("--delete-node", type=int, default=0)
+    p.add_argument("--delete-node", type=_integer, default=0)
     p.set_defaults(func=cmd_dual_graph)
     return parser
 

@@ -1,9 +1,10 @@
 """Even integer lattices: Gram arithmetic, signatures, complements, enumeration.
 
 A :class:`PicardLattice` is an abstract even lattice given by a symmetric
-integer Gram matrix with labelled basis vectors.  Vectors are plain tuples of
-``int`` (or ``Fraction`` where an operation documents rational inputs) in the
-lattice basis.  All arithmetic is exact.
+integer Gram matrix with labelled basis vectors; a :class:`Sublattice` reduces
+its basis and factors its definite form once, when it is built.  Vectors are
+plain tuples of ``int`` (or ``Fraction`` where an operation documents rational
+inputs) in the lattice basis.  All arithmetic is exact.
 """
 
 from operator import mul
@@ -79,17 +80,25 @@ def signature(lattice):
     return linalg.signature([list(row) for row in lattice.gram])
 
 
-class Sublattice:
+def _restricted_gram(ambient, basis):
+    gram_basis = [linalg.mat_mul_vec(ambient.gram, w) for w in basis]
+    return [[sum(map(mul, v, gw)) for gw in gram_basis] for v in basis]
+
+
+class Sublattice(_Record):
     """A sublattice given by an independent integer basis in ambient coordinates.
 
     The basis is reduced once, by unimodular row operations, to an integer
     row echelon basis of the same lattice (``echelon``: ``(col, row)`` pivot
     pairs); the independence check and every membership test read it.
-    The definite form of the restricted Gram is factored once, on first use, and
-    shared by the definiteness tests and :func:`enumerate_norm_vectors`.
+    The restricted Gram G is factored once too: ``form`` is the
+    :class:`~k3walls.linalg.QuadraticForm` of ``sign * G`` for the ``sign``, +1 or
+    -1, that makes it positive definite (+1 at rank 0), and ``(sign, form)`` is
+    ``(0, None)`` when G is indefinite or degenerate.  The definiteness tests and
+    :func:`enumerate_norm_vectors` read the two fields.
     """
 
-    __slots__ = ("ambient", "basis", "echelon", "_form")
+    __slots__ = ("ambient", "basis", "echelon", "sign", "form")
 
     def __init__(self, ambient, basis):
         basis = tuple(tuple(int(a) for a in v) for v in basis)
@@ -102,13 +111,16 @@ class Sublattice:
             if len(system.pivot_cols) < len(basis):
                 raise ValueError("sublattice basis is linearly dependent")
             echelon = system.pivot_rows()
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "echelon", echelon)
-        object.__setattr__(self, "_form", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Sublattice is immutable")
+        gram = _restricted_gram(ambient, basis)
+        for sign in (1, -1):
+            try:
+                form = linalg.QuadraticForm([[sign * e for e in row] for row in gram])
+                break
+            except ValueError:
+                pass
+        else:
+            sign, form = 0, None
+        super().__init__(ambient, basis, echelon, sign, form)
 
     def __repr__(self):
         return f"Sublattice(rank={self.rank})"
@@ -119,8 +131,7 @@ class Sublattice:
 
     def restricted_gram(self):
         """Gram matrix of the basis under the ambient form."""
-        gram_basis = [linalg.mat_mul_vec(self.ambient.gram, w) for w in self.basis]
-        return [[sum(map(mul, v, gw)) for gw in gram_basis] for v in self.basis]
+        return _restricted_gram(self.ambient, self.basis)
 
     def from_coefficients(self, coeffs):
         """Map a coefficient vector on the basis to ambient coordinates."""
@@ -157,34 +168,14 @@ def orthogonal_complement(lattice, vectors):
     return Sublattice(lattice, kernel)
 
 
-def _definite_form(sub):
-    """``(sign, form)``: ``form`` factors ``sign * G`` of the restricted Gram G.
-
-    ``sign`` is +1 or -1 when that form is positive definite, read off the
-    pivot signs of one fraction-free factorization; ``(0, None)`` when G is
-    indefinite or degenerate.  Rank 0 counts as positive definite.
-    """
-    if sub._form is None:
-        gram = sub.restricted_gram()
-        form = 0, None
-        for sign in (1, -1):
-            try:
-                form = sign, linalg.QuadraticForm([[sign * e for e in row] for row in gram])
-                break
-            except ValueError:
-                pass
-        object.__setattr__(sub, "_form", form)
-    return sub._form
-
-
 def definiteness(sub):
     """+1 positive definite, -1 negative definite, 0 neither.  Rank 0 gives +1."""
-    return _definite_form(sub)[0]
+    return sub.sign
 
 
 def is_negative_definite(sub):
     """True iff the restricted form is negative definite (vacuously for rank 0)."""
-    return sub.rank == 0 or _definite_form(sub)[0] == -1
+    return sub.rank == 0 or sub.sign == -1
 
 
 def enumerate_norm_vectors(sub, norm_min, norm_max):
@@ -197,7 +188,7 @@ def enumerate_norm_vectors(sub, norm_min, norm_max):
     """
     if norm_min > norm_max:
         raise ValueError("norm_min exceeds norm_max")
-    sign, form = _definite_form(sub)
+    sign = sub.sign
     if sign == 0:
         raise NotDefinite("sublattice is not definite")
     out = []
@@ -205,7 +196,7 @@ def enumerate_norm_vectors(sub, norm_min, norm_max):
         out.append(sub.ambient.zero())
     lo, hi = (norm_min, norm_max) if sign > 0 else (-norm_max, -norm_min)
     if sub.rank and hi > 0:
-        vectors = linalg.short_vectors(form, hi)  # x, then -x: keep one of each pair
+        vectors = linalg.short_vectors(sub.form, hi)  # x, then -x: keep one of each pair
         out.extend(linalg.sign_normalize(sub.from_coefficients(coeffs))
                    for (coeffs, value), _ in zip(vectors, vectors) if value >= lo)
     return sorted(out)

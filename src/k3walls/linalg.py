@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import floor, gcd, isqrt, lcm, prod
 from operator import index, mul, neg
 
-from .errors import InvariantError
+from .errors import InvariantError, _Record
 
 
 def vec_add(x, y):
@@ -94,14 +94,14 @@ def _euclid_sweep(rows, aux, col, start):
             return True
 
 
-class IntegerSystem:
+class IntegerSystem(_Record):
     """The integer system ``A x = b`` in ``n_cols`` unknowns for a fixed ``A``, reduced once.
 
     Unimodular row operations on ``A^T``, mirrored on an identity matrix,
-    bring it to echelon form.  The zero rows give a basis of the integer
-    kernel, which generates a saturated (primitive) sublattice of Z^n; the
-    pivot rows give one integer solution per right-hand side by forward
-    substitution with divisibility checks.
+    bring it to echelon form (``echelon``, ``transform``: tuples of rows).  The
+    zero rows give a basis of the integer kernel, which generates a saturated
+    (primitive) sublattice of Z^n; the pivot rows give one integer solution per
+    right-hand side by forward substitution with divisibility checks.
     """
 
     __slots__ = ("echelon", "transform", "pivot_cols")
@@ -116,9 +116,7 @@ class IntegerSystem:
                 break
             if _euclid_sweep(t, u, col, len(pivot_cols)):
                 pivot_cols.append(col)
-        self.echelon = t
-        self.transform = u
-        self.pivot_cols = tuple(pivot_cols)
+        super().__init__(tuple(map(tuple, t)), tuple(map(tuple, u)), tuple(pivot_cols))
 
     def kernel(self):
         """Basis of ``{x in Z^n : A x = 0}`` in canonical sign and order; empty when trivial."""
@@ -134,11 +132,11 @@ class IntegerSystem:
         Over Z they are a basis of the lattice spanned by the rows of ``A^T``,
         in the shape :func:`echelon_coefficients` reads.
         """
-        return tuple((col, tuple(self.echelon[r])) for r, col in enumerate(self.pivot_cols))
+        return tuple(zip(self.pivot_cols, self.echelon))
 
     def solve(self, b):
         """One integer solution of ``A x = b``, or None when none exists."""
-        z = echelon_coefficients(zip(self.pivot_cols, self.echelon), b)
+        z = echelon_coefficients(self.pivot_rows(), b)
         if z is None:
             return None
         u = self.transform
@@ -290,7 +288,7 @@ def ldlt(gram):
     return tuple(a[i][i] for i in range(n)), upper
 
 
-class QuadraticForm:
+class QuadraticForm(_Record):
     """A positive definite integer quadratic form ``Q(x) = x^T G x``, factored once.
 
     Holds the fraction-free factors of :func:`ldlt`; the short/coset vector
@@ -301,7 +299,7 @@ class QuadraticForm:
     __slots__ = ("minors", "upper")
 
     def __init__(self, gram):
-        self.minors, self.upper = ldlt(gram)
+        super().__init__(*ldlt(gram))
 
     @property
     def rank(self):

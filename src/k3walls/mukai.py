@@ -144,7 +144,7 @@ def delta_map(v, d):
     return MukaiVector(0, d, s, v.lattice)
 
 
-class TwistParameter:
+class TwistParameter(_Record):
     """A rational twist class ``alpha`` in the image of H-perp under delta.
 
     For the active pair ``(v, H)`` this means: ``alpha.r == 0``,
@@ -165,12 +165,7 @@ class TwistParameter:
         expected_s = Fraction(picard_pairing(v.lattice, alpha.c1, v.c1)) / Fraction(v.r)
         if alpha.s != expected_s:
             raise InvalidTwist("twist parameter point component must equal (c1, c1(v))/r")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "h", tuple(h))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistParameter is immutable")
+        super().__init__(alpha, v, tuple(h))
 
     def __repr__(self):
         return f"TwistParameter({self.alpha!r})"

@@ -5,7 +5,8 @@ hypothesis: values replaced by wrong types, floats, bools, ``"1/0"`` and
 other junk, keys and list entries dropped, strata duplicated.  Whatever the
 document, ``cli.main`` run in-process must return 0, 2 or 3 and let no
 exception escape.  The same holds when argparse's help cannot reach stdout
-or an error line cannot reach stderr.
+or an error line cannot reach stderr.  A bad argument is one short schema
+error line, without argparse's usage block.
 """
 
 import contextlib
@@ -33,8 +34,18 @@ SEED_DOCS = {
 JUNK = (None, True, False, 0, -1, 2, 10 ** 6, 1.5, -0.0, "1/0", "3/2", "x", "",
         [], {}, [1], {"r": 1})
 
+#: Stands in a command for the path of a file holding the A~2 document's alpha.
+ALPHA_FILE = "<alpha file>"
+
 COMMANDS = (("walls",), ("classify",), ("classify", "--format", "text"), ("chamber",),
-            ("dual-graph",), ("reflect", "--u-index", "0"))
+            ("chamber", "--alpha-file", ALPHA_FILE), ("dual-graph",), ("reflect", "--u-index", "0"))
+
+
+@pytest.fixture(scope="module")
+def alpha_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("alpha") / "alpha.json"
+    path.write_text(json.dumps(SEED_DOCS["A~2"]["alpha"]), encoding="utf-8")
+    return str(path)
 
 
 def _slots(node, out):
@@ -73,15 +84,64 @@ def _mutate(doc, data):
 @settings(max_examples=150, deadline=None)
 @given(hst.sampled_from(sorted(SEED_DOCS)), hst.sampled_from(COMMANDS),
        hst.integers(1, 3), hst.data())
-def test_cli_exit_contract_on_mutated_documents(seed, command, mutations, data):
+def test_cli_exit_contract_on_mutated_documents(alpha_file, seed, command, mutations, data):
     doc = copy.deepcopy(SEED_DOCS[seed])
     for _ in range(mutations):
         doc = _mutate(doc, data)
+    argv = [command[0], "-", *(alpha_file if a == ALPHA_FILE else a for a in command[1:])]
+    code, _, err = _main(argv, json.dumps(doc))
+    assert code in (0, 2, 3), (code, err)
+
+
+def _main(argv, stdin=""):
+    """``cli.main(argv)`` in-process on ``stdin``: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
+    with mock.patch("sys.stdin", io.StringIO(stdin)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command[0], "-", *command[1:]])
-    assert code in (0, 2, 3), (code, err.getvalue())
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("doc", [[1, 2], [[1, 2]], "x", [], [1]], ids=json.dumps)
+def test_chamber_with_alpha_file_on_a_non_object_is_schema_error(alpha_file, doc):
+    # dict(doc) once raised TypeError or ValueError here, or made keys of pairs.
+    code, out, err = _main(["chamber", "-", "--alpha-file", alpha_file], json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err == f"schema error: $: expected an object, got {type(doc).__name__}\n"
+
+
+NINES = "9" * 5000  # past the interpreter's int-to-str digit limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "--family", "A", "--n", "1", "--r", NINES, "--a", "1"],
+    ["example", "--family", "A", "--n", "x", "--r", "1", "--a", "1"],
+    ["example", "--family", "A", "--n", "1", "--r", "1", "--a", "1.5"],
+    ["example", "--family", "B" * 5000, "--n", "1", "--r", "1", "--a", "1"],
+    ["example", "--family", "A"],
+    ["classify", "-", "--delete-node", "x"],
+    ["chamber", "-", "--delete-node", NINES],
+    ["dual-graph", "-", "--delete-node", ""],
+    ["reflect", "-", "--u-index", "1.5"],
+    ["reflect", "-"],
+    ["walls", "-", "--format", "xml\nyaml"],
+    ["walls", "-", "--bogus", NINES, "a\nb"],
+    [NINES],
+    [],
+], ids=lambda argv: " ".join(a[:12] for a in argv) or "no-arguments")
+def test_cli_argument_error_is_one_schema_error_line(argv):
+    code, out, err = _main(argv)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("schema error: arguments: ") and err.count("\n") == 1, err
+    assert len(err) < 200 and "usage:" not in err and NINES[:200] not in err, err
+
+
+def test_cli_argument_error_as_a_process():
+    res = subprocess.run([sys.executable, "-m", "k3walls.cli", "example", "--family", "A",
+                          "--n", "1", "--r", NINES, "--a", "1"],
+                         capture_output=True, text=True, env=cli_env())
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "schema error: arguments: argument --r: expected an integer\n"
 
 
 def _run_cli(argv, stream, fd):

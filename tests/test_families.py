@@ -126,10 +126,10 @@ def test_example_digit_cap():
 
 
 def test_type_data_factors_each_form_once(monkeypatch):
-    # The phi image's Gram is built and factored once per type; a warm build
-    # (same type, other (r, a)) builds no sublattice, Gram, kernel, factor or
-    # descent.  The cold build's one kernel is the marks', the kernel of C,
-    # which roots caches per type as well.
+    # The phi image's Gram is built and factored once per type, when its
+    # Sublattice is built; a warm build (same type, other (r, a)) builds no
+    # sublattice, Gram, kernel, factor or descent.  The cold build's one kernel
+    # is the marks', the kernel of C, which roots caches per type as well.
     calls = Counter()
 
     def counting(name, real):
@@ -138,8 +138,8 @@ def test_type_data_factors_each_form_once(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(lat.Sublattice, "restricted_gram",
-                        counting("restricted_gram", lat.Sublattice.restricted_gram))
+    monkeypatch.setattr(lat, "_restricted_gram",
+                        counting("restricted_gram", lat._restricted_gram))
     monkeypatch.setattr(lat.Sublattice, "__init__", counting("Sublattice", lat.Sublattice.__init__))
     for name in ("ldlt", "integer_kernel", "_descent"):
         monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))

@@ -4,7 +4,9 @@ The eleven record classes share one slotted base.  On the records that sweep
 instances and their classify runs build, each must print, compare and hash as a
 frozen dataclass with the same fields does (:func:`oracles.dataclass_twin`),
 refuse to compare with another class, and refuse every mutation.  Every class
-on the base, the three value classes included, copies and pickles.
+on the base copies and pickles: the three value classes with their own equality
+and the four that compute their fields (``Sublattice``, ``QuadraticForm``,
+``IntegerSystem`` and ``TwistParameter``) included.
 """
 
 import copy
@@ -14,7 +16,7 @@ import pickle
 import pytest
 
 import oracles
-from k3walls import errors, families, pipeline, roots, strata, walls
+from k3walls import errors, families, linalg, pipeline, roots, strata, walls
 from k3walls import lattice as lat
 
 RECORD_CLASSES = (families.ExampleSpec, families.ExampleInstance, pipeline.ParsedInstance,
@@ -169,10 +171,29 @@ def test_records_copy_and_pickle(records, duplicate):
     inst = records[families.ExampleInstance][0]
     samples = [xs[0] for xs in records.values()]
     samples += [inst.v, inst.lattice, inst.affine_matrix]
+    h_perp = lat.orthogonal_complement(inst.lattice, [inst.polarization])
+    samples += [h_perp, h_perp.form, linalg.IntegerSystem(inst.lattice.gram, inst.lattice.rank),
+                families.fundamental_alpha(inst)]
     assert {type(x) for x in samples} == set(errors._Record.__subclasses__())
-    assert len(samples) == 14
+    assert len(samples) == 18
     for x in samples:
         y = duplicate(x)
         assert type(y) is type(x) and y == x and _hash(y) == _hash(x)
         with pytest.raises(AttributeError):
             setattr(y, type(x).__slots__[0], None)
+
+
+def test_sublattice_is_a_record_of_its_basis(a2_instance):
+    """Two sublattices built from one basis compare and hash equal; the fields set at
+    construction, the factored form included, cannot be set afterwards."""
+    lattice, h = a2_instance.lattice, a2_instance.polarization
+    basis = lat.orthogonal_complement(lattice, [h]).basis
+    x, y = lat.Sublattice(lattice, basis), lat.Sublattice(lattice, list(basis))
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert (x.sign, x.form) == (-1, y.form) and isinstance(x.form, linalg.QuadraticForm)
+    assert x != lat.Sublattice(lattice, basis[::-1])
+    assert repr(x) == "Sublattice(rank=2)"
+    for name in ("sign", "form", "basis"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+    assert (x.sign, x.form) == (y.sign, y.form)

@@ -114,21 +114,34 @@ def test_every_public_function_is_reached():
 
 
 def test_records_set_fields_only_through_the_base():
-    """Outside ``errors.py`` no ``_Record`` subclass calls ``object.__setattr__``:
-    ``_Record.__init__`` fills the slots, and a validating record ends its own
-    ``__init__`` with ``super().__init__(...)``."""
+    """Outside ``errors.py`` every slotted class is a ``_Record``, and nothing writes
+    to an object: no ``object.__setattr__`` or ``setattr`` call, no ``__setattr__``
+    definition and no assignment to an attribute.  ``_Record.__init__`` fills the
+    slots, a validating record ends its own ``__init__`` with ``super().__init__(...)``,
+    and no object changes after that."""
     records, found = [], []
     for path in SOURCES:
         if path.name == "errors.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.ClassDef) and any(
-                    isinstance(base, ast.Name) and base.id == "_Record" for base in node.bases):
-                records.append(node.name)
-                found += [f"{path.name}:{attr.lineno}: {node.name}" for attr in ast.walk(node)
-                          if isinstance(attr, ast.Attribute) and attr.attr == "__setattr__"
-                          and isinstance(attr.value, ast.Name) and attr.value.id == "object"]
-    assert len(records) == 14, records
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.ClassDef):
+                slotted = any(isinstance(t, ast.Name) and t.id == "__slots__"
+                              for stmt in node.body if isinstance(stmt, ast.Assign)
+                              for t in stmt.targets)
+                if any(isinstance(base, ast.Name) and base.id == "_Record" for base in node.bases):
+                    records.append(node.name)
+                elif slotted:
+                    found.append(f"{where}: {node.name} has __slots__ but is not a _Record")
+            elif isinstance(node, ast.FunctionDef) and node.name == "__setattr__":
+                found.append(f"{where}: __setattr__ defined")
+            elif isinstance(node, ast.Attribute) and (
+                    isinstance(node.ctx, ast.Store) or node.attr == "__setattr__"):
+                found.append(f"{where}: {ast.unparse(node)}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "setattr":
+                found.append(f"{where}: setattr call")
+    assert len(records) == 18, records
     assert not found, found
 
 
