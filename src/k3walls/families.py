@@ -12,7 +12,9 @@ indicate a bug, not bad input.  What depends on the type alone is computed
 once per ``(family, n)`` per process: the standard matrix C, its marks, and
 for the phi image (the span of ``d_i = e_i - e_{i+1}`` under C) whether it
 is saturated, positive definite and free of norm-2 vectors, and its Gram.
-Each instance checks its ``H^perp`` identities against these in O(n^2).
+Each instance checks its ``H^perp`` identities against these in O(n^2), and
+reads its stratum identities (the Mukai pairings among the ``v_i``, ``v`` and
+``H^ = delta(H)``) off its own Gram and ``G H`` in O(n^2) as well.
 """
 
 from fractions import Fraction
@@ -33,8 +35,8 @@ EMBEDDING_CAVEAT = (
 
 #: Largest diagram rank ``n`` that :func:`generate_example` builds.  On a
 #: 2-vCPU VM (CPython 3.11.7) the first instance of rank 64 of a type takes
-#: 65-80 ms, a later one 7-10 ms and a whole ``example --alpha`` CLI process
-#: 0.25-0.28 s; a first instance of rank 100 takes 0.22-0.25 s.  The sweep stops at 18.
+#: 40-55 ms, a later one 2-3 ms and a whole ``example --alpha`` CLI process
+#: 0.15-0.20 s; a first instance of rank 100 takes 0.14-0.17 s.  The sweep stops at 18.
 EXAMPLE_N_CAP = 64
 
 #: Most decimal digits of ``r * a`` that :func:`generate_example` accepts: every
@@ -86,9 +88,8 @@ def _check(verification, name, ok):
 
 def _difference_gram(gram):
     """Gram of the differences ``d_i = e_i - e_{i+1}`` under ``gram``, by bilinearity, in O(n^2)."""
-    k = len(gram) - 1
-    return [[gram[i][j] - gram[i][j + 1] - gram[i + 1][j] + gram[i + 1][j + 1] for j in range(k)]
-            for i in range(k)]
+    rows = [[a - b for a, b in zip(upper, lower)] for upper, lower in zip(gram, gram[1:])]
+    return [[a - b for a, b in zip(row, row[1:])] for row in rows]
 
 
 @cache
@@ -116,18 +117,19 @@ def generate_example(spec):
     matrix, marks, saturated, definite, no_norm_two, minus_gram = _type_data(spec.family, spec.n)
     n_nodes = matrix.n_nodes
     shift = 2 * spec.r * spec.a
-    gram = [[-matrix.entries[i][j] + shift for j in range(n_nodes)] for i in range(n_nodes)]
+    gram = [[shift - e for e in row] for row in matrix.entries]
     lattice = lat.PicardLattice(gram, [f"xi{i}" for i in range(n_nodes)])
     h = marks
     mark_sum = sum(marks)
-    v_list = tuple(mk.MukaiVector(spec.r, lattice.basis_vector(i), spec.a, lattice)
-                   for i in range(n_nodes))
+    basis = [lattice.basis_vector(i) for i in range(n_nodes)]
+    v_list = tuple(mk.MukaiVector(spec.r, e, spec.a, lattice) for e in basis)
     v = mk.MukaiVector(spec.r * mark_sum, h, spec.a * mark_sum, lattice)
 
     verification = {}
     gh = linalg.mat_mul_vec(lattice.gram, h)
     _check(verification, "h_pairs_constant", all(e == shift * mark_sum for e in gh))
-    _check(verification, "h_square", sum(map(mul, h, gh)) == shift * mark_sum ** 2 > 0)
+    hh = sum(map(mul, h, gh))
+    _check(verification, "h_square", hh == shift * mark_sum ** 2 > 0)
 
     # H-perp, the kernel of the row (Gh)^T != 0, is saturated of rank n.  The d_i
     # lie in it and span a saturated sublattice of rank n (the phi image, same
@@ -139,12 +141,21 @@ def generate_example(spec):
     _check(verification, "h_perp_negative_definite", gram_ok and definite)
     _check(verification, "h_perp_no_minus_two", gram_ok and no_norm_two)
 
-    g = mk.gram((*v_list, v, mk.delta_map(v, h)))  # v and H^ pair last, as in validate_stratum
-    _check(verification, "stratum_gram",
-           [row[:n_nodes] for row in g[:n_nodes]] == [[-e for e in row] for row in matrix.entries])
-    _check(verification, "v_orthogonal", not any(g[-2][:n_nodes]))
-    _check(verification, "h_hat_orthogonal", not any(g[-1][:n_nodes]))
-    _check(verification, "v_isotropic", g[-2][-2] == 0)
+    # The stratum identities, in O(n^2) on the r, c1 and s of the built vectors.
+    # With c1(v_i) = e_i and c1(v) = H, each checked by the first identity that
+    # reads it (a failed identity raises, so later ones rely on it), the Picard part
+    # of <v_i, v_j> is G[i][j] and that of <v, v_i> is (G H)_i: <v_i, v_j> = -C[i][j]
+    # reads G[i][j] + C[i][j] = r_i s_j + s_i r_j.  H^ = delta(H) = (0, H, (H, H) / rk v),
+    # so <H^, v_i> = 0 is rk v (G H)_i = rk v_i (H, H).  It fails for rk v = 0: (H, H) > 0,
+    # and rk v_i = 0 for all i would make G = -C, so G H = 0.  Last, <v, v> = (H, H) - 2 rk v s(v).
+    rks, pts = [x.r for x in v_list], [x.s for x in v_list]
+    _check(verification, "stratum_gram", [x.c1 for x in v_list] == basis and not any(
+        any([g + c - xr * s - xs * r for g, c, r, s in zip(row, c_row, rks, pts)])
+        for xr, xs, row, c_row in zip(rks, pts, lattice.gram, matrix.entries)))
+    _check(verification, "v_orthogonal",
+           v.c1 == h and not any([g - v.r * s - v.s * r for g, r, s in zip(gh, rks, pts)]))
+    _check(verification, "h_hat_orthogonal", not any([v.r * g - r * hh for g, r in zip(gh, rks)]))
+    _check(verification, "v_isotropic", hh - 2 * v.r * v.s == 0)
     _check(verification, "v_primitive", mk.is_primitive(v))
     _check(verification, "phi_image_no_norm_two", no_norm_two)
 

@@ -30,12 +30,14 @@ class PicardLattice(_Record):
         for i, row in enumerate(gram):
             if len(row) != n:
                 raise ValueError(f"gram row {i} has length {len(row)}, expected {n}")
-        for i in range(n):
-            if gram[i][i] % 2 != 0:
-                raise ValueError(f"gram[{i}][{i}] = {gram[i][i]} is odd; the lattice must be even")
-            for j in range(i + 1, n):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError(f"gram is not symmetric at ({i},{j})")
+        if gram != tuple(zip(*gram)) or any(gram[i][i] % 2 for i in range(n)):
+            for i in range(n):  # name the first fault
+                if gram[i][i] % 2 != 0:
+                    raise ValueError(
+                        f"gram[{i}][{i}] = {gram[i][i]} is odd; the lattice must be even")
+                for j in range(i + 1, n):
+                    if gram[i][j] != gram[j][i]:
+                        raise ValueError(f"gram is not symmetric at ({i},{j})")
         if basis_labels is None:
             basis_labels = tuple(f"e{i}" for i in range(n))
         else:
@@ -57,7 +59,10 @@ class PicardLattice(_Record):
         return f"PicardLattice(rank={self.rank}, labels={list(self.basis_labels)})"
 
     def basis_vector(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.rank))
+        """The ``i``-th basis vector, ``0 <= i < rank``; ``IndexError`` otherwise."""
+        if not 0 <= i < self.rank:
+            raise IndexError(f"basis index {i} is out of range 0..{self.rank - 1}")
+        return (0,) * i + (1,) + (0,) * (self.rank - i - 1)
 
     def zero(self):
         return (0,) * self.rank

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from . import lattice as lat
 from . import mukai as mk
-from . import roots
 from . import strata as st
 from . import walls as wl
 from .errors import SchemaError, _Record
@@ -263,8 +262,9 @@ def pipeline_classify(doc, deleted_node=0):
                 "edges": [list(e) for e in result.dual_graph.edges],
                 "self_intersection": result.dual_graph.self_intersection,
             }
-            # |Psi_+| = |Phi_+|; the passed stratum checks imply the Psi-set checks.
-            psi_count = len(roots.root_tree(result.finite))
+            # |Psi_+| = |Phi_+| = n h / 2, h = sum of the affine marks the Coxeter number;
+            # the passed stratum checks imply the Psi-set checks.
+            psi_count = result.finite.rank * sum(result.marks) // 2
 
     chamber_json = None
     twist = parsed.twist()

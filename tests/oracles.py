@@ -9,8 +9,9 @@ reference its single descent must reproduce, :func:`coset_descent`, the
 rational-centre descent that search ran, :func:`dumps_report_stdlib`,
 the standard-library encoder its report writer replaced,
 :func:`dataclass_twin`, the frozen dataclass its record classes replaced,
-and :func:`h_perp_identities`, the general H-perp check the model
-instances replaced.
+:func:`h_perp_identities`, the general H-perp check the model
+instances replaced, and :func:`stratum_identities`, the Mukai Gram they
+read their stratum identities from before.
 """
 
 import dataclasses
@@ -458,6 +459,25 @@ def h_perp_identities(lattice, h):
                         and all(h_perp.contains(d) for d in diffs)),
         "h_perp_negative_definite": negative,
         "h_perp_no_minus_two": negative and lat.enumerate_norm_vectors(h_perp, -2, -2) == [],
+    }
+
+
+def stratum_identities(instance):
+    """The four stratum identities of a model instance, from one Mukai Gram.
+
+    This is how :func:`k3walls.families.generate_example` checked them on
+    every instance: one ``mukai.gram`` of ``(v_0, ..., v_n, v, H^)`` with
+    ``H^ = delta(H)``, ``v`` and ``H^`` last.  Returns the four booleans under
+    the names of the instance's ``verification`` keys.
+    """
+    n_nodes = len(instance.v_list)
+    g = mk.gram((*instance.v_list, instance.v, mk.delta_map(instance.v, instance.polarization)))
+    return {
+        "stratum_gram": [row[:n_nodes] for row in g[:n_nodes]]
+        == [[-e for e in row] for row in instance.affine_matrix.entries],
+        "v_orthogonal": not any(g[-2][:n_nodes]),
+        "h_hat_orthogonal": not any(g[-1][:n_nodes]),
+        "v_isotropic": g[-2][-2] == 0,
     }
 
 

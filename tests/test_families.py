@@ -244,19 +244,57 @@ def test_type_cache_gives_equal_instances():
             assert oracles.box_norm_vectors(phi, 2, 2) == []
 
 
-def test_failed_identity_raises(monkeypatch):
-    # A wrong Mukai pairing must stop the build, not be recorded as False.
-    def off_by_one(real):
-        return lambda *args: [[e + 1 for e in row] for row in real(*args)]
+def test_stratum_identities_match_the_oracle():
+    # The O(n^2) reading agrees with one Mukai Gram of (v_i, v, H^) on all 324 sweep specs.
+    names = ("stratum_gram", "v_orthogonal", "h_hat_orthogonal", "v_isotropic")
+    for family, n in families.SWEEP_TYPES:
+        for r in (1, 2, 3):
+            for a in (1, 2, 3):
+                inst = families.generate_example(families.ExampleSpec(family, n, r, a))
+                expected = oracles.stratum_identities(inst)
+                assert expected == {name: inst.verification[name] for name in names}, (
+                    family, n, r, a)
+                assert all(expected.values()), (family, n, r, a)
 
-    monkeypatch.setattr(mk, "gram", off_by_one(mk.gram))
-    with pytest.raises(RuntimeError, match="stratum_gram"):
-        families.generate_example(families.ExampleSpec("A", 3, 1, 1))
+
+def test_failed_identity_raises(monkeypatch):
+    # A vector built with a wrong s or c1 (the index-th built on A~3: v_0, or v
+    # after v_0..v_3) must stop the build, not be recorded as False; the
+    # Gram oracle finds the same identity false on the same vectors.  v built as
+    # (2 rk v, H, 0) still pairs to 0 with every v_i, but not H^.
+    real = mk.MukaiVector
+    spec = families.ExampleSpec("A", 3, 1, 1)
+    inst = families.generate_example(spec)
+    for index, field, identity in [(0, "s", "stratum_gram"), (0, "c1", "stratum_gram"),
+                                   (4, "s", "v_orthogonal"), (4, "c1", "v_orthogonal"),
+                                   (4, "r", "h_hat_orthogonal")]:
+        built = []
+
+        def faulty(r, c1, s, lattice):
+            if len(built) == index:
+                if field == "s":
+                    s += 1
+                elif field == "r":
+                    r, s = 2 * r, 0
+                else:
+                    c1 = linalg.vec_add(c1, lattice.basis_vector(1))
+            built.append(real(r, c1, s, lattice))
+            return built[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mk, "MukaiVector", faulty)
+            with pytest.raises(RuntimeError, match=identity):
+                families.generate_example(spec)
+        wrong = families.ExampleInstance(spec, inst.lattice, inst.polarization,
+                                         tuple(built[:-1]), built[-1], inst.affine_matrix,
+                                         inst.marks, {})
+        assert oracles.stratum_identities(wrong)[identity] is False, (index, field)
 
 
 def test_stratum_identities_read_one_gram(monkeypatch):
-    # The four stratum identities read one Gram of (v_i, v, H^); no pairing one by one.
-    calls = {"gram": 0, "mukai_pairing": 0}
+    # The four stratum identities read the lattice's own Gram and G H: no Mukai
+    # Gram, pairing or delta image is built per instance.
+    calls = {"gram": 0, "mukai_pairing": 0, "delta_map": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -267,5 +305,5 @@ def test_stratum_identities_read_one_gram(monkeypatch):
     for name in calls:
         monkeypatch.setattr(mk, name, counted(name, getattr(mk, name)))
     inst = families.generate_example(families.ExampleSpec("D", 7, 2, 1))
-    assert calls == {"gram": 1, "mukai_pairing": 0}
+    assert calls == {"gram": 0, "mukai_pairing": 0, "delta_map": 0}
     assert all(inst.verification.values())

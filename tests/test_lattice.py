@@ -40,6 +40,22 @@ def test_constructor_rejects_bad_gram():
         lat.PicardLattice([[1]])
     with pytest.raises(ValueError):
         lat.PicardLattice([[0, 1], [1, 0]], ["x", "x"])
+    # The first fault in row order is named: row 0's asymmetry before row 1's odd entry.
+    with pytest.raises(ValueError, match=r"not symmetric at \(0,2\)"):
+        lat.PicardLattice([[0, 1, 5], [1, 1, 7], [3, 7, 0]])
+    with pytest.raises(ValueError, match=r"gram\[1\]\[1\] = 1 is odd"):
+        lat.PicardLattice([[0, 1, 5], [1, 1, 7], [5, 4, 0]])
+
+
+def test_basis_vector_bounds():
+    # In range: the unit vector, as before; out of range: IndexError, not the zero vector.
+    for n in range(1, 6):
+        p = lat.PicardLattice([[2 if i == j else 0 for j in range(n)] for i in range(n)])
+        assert [p.basis_vector(i) for i in range(n)] == [
+            tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        for i in (-1, n):
+            with pytest.raises(IndexError):
+                p.basis_vector(i)
 
 
 def test_constructor_refuses_non_integer_entries():
