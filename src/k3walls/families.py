@@ -10,8 +10,9 @@ definite without (-2)-classes, and so on.  ``generate_example`` re-verifies
 every identity by exact computation and raises on any failure, which would
 indicate a bug, not bad input.  What depends on the type alone is computed
 once per ``(family, n)`` per process: the standard matrix C, its marks, and
-for the phi image (the span of ``d_i = e_i - e_{i+1}`` under C) whether it
-is saturated, positive definite and free of norm-2 vectors, and its Gram.
+the facts of the phi image (the span of ``d_i = e_i - e_{i+1}`` under C): its
+Gram on the d_i, built once in O(n^2); positive definite and free of norm-2
+vectors, by that Gram's one factorization; saturated, by one echelon of the d_i.
 Each instance checks its ``H^perp`` identities against these in O(n^2), and
 reads its stratum identities (the Mukai pairings among the ``v_i``, ``v`` and
 ``H^ = delta(H)``) off its own Gram and ``G H`` in O(n^2) as well.
@@ -35,8 +36,8 @@ EMBEDDING_CAVEAT = (
 
 #: Largest diagram rank ``n`` that :func:`generate_example` builds.  On a
 #: 2-vCPU VM (CPython 3.11.7) the first instance of rank 64 of a type takes
-#: 40-55 ms, a later one 2-3 ms and a whole ``example --alpha`` CLI process
-#: 0.15-0.20 s; a first instance of rank 100 takes 0.14-0.17 s.  The sweep stops at 18.
+#: 18-21 ms, a later one about 2 ms and a whole ``example --alpha`` CLI process
+#: 0.13-0.16 s; a first instance of rank 100 takes 70-125 ms.  The sweep stops at 18.
 EXAMPLE_N_CAP = 64
 
 #: Most decimal digits of ``r * a`` that :func:`generate_example` accepts: every
@@ -94,18 +95,22 @@ def _difference_gram(gram):
 
 @cache
 def _type_data(family, n):
-    """``(matrix, marks, saturated, definite, no_norm_two, minus_gram)``: the facts of
-    one type that every ``(r, a)`` shares, the last four about the phi image."""
+    """``(matrix, marks, saturated, definite, no_norm_two, minus_gram)``: the facts of one
+    type every ``(r, a)`` shares; the phi image's from one Gram, factorization and echelon."""
     matrix = roots.standard_affine_matrix(family, n)
     marks = roots.classify_affine(matrix).marks
-    host = lat.PicardLattice(matrix.entries, [f"alpha{i}" for i in range(matrix.n_nodes)])
-    phi_image = lat.Sublattice(host, [linalg.vec_sub(host.basis_vector(i), host.basis_vector(i + 1))
-                                      for i in range(n)])
-    definite = lat.definiteness(phi_image) == 1
-    return (matrix, marks,
-            phi_image.rank == n and all(abs(row[col]) == 1 for col, row in phi_image.echelon),
-            definite, definite and lat.enumerate_norm_vectors(phi_image, 2, 2) == [],
-            [[-e for e in row] for row in _difference_gram(matrix.entries)])
+    gram = _difference_gram(matrix.entries)
+    columns = [[(i == j) - (i == j + 1) for j in range(n)] for i in range(n + 1)]  # d_j in column j
+    diffs = linalg.IntegerSystem(columns, n)
+    try:
+        form = linalg.QuadraticForm(gram)  # the phi image's +1 definiteness test
+    except ValueError:
+        form = None
+    definite = form is not None
+    return (matrix, marks, len(diffs.pivot_cols) == n
+            and all(abs(row[col]) == 1 for col, row in diffs.pivot_rows()),
+            definite, definite and all(value != 2 for _, value in linalg.short_vectors(form, 2)),
+            [[-e for e in row] for row in gram])
 
 
 def generate_example(spec):

@@ -99,14 +99,14 @@ class Sublattice(_Record):
     The restricted Gram G is factored once too: ``form`` is the
     :class:`~k3walls.linalg.QuadraticForm` of ``sign * G`` for the ``sign``, +1 or
     -1, that makes it positive definite (+1 at rank 0), and ``(sign, form)`` is
-    ``(0, None)`` when G is indefinite or degenerate.  The definiteness tests and
-    :func:`enumerate_norm_vectors` read the two fields.
+    ``(0, None)`` when G is indefinite or degenerate.  ``sign`` is the definiteness
+    :func:`is_negative_definite` reads; :func:`enumerate_norm_vectors` reads both.
     """
 
     __slots__ = ("ambient", "basis", "echelon", "sign", "form")
 
     def __init__(self, ambient, basis):
-        basis = tuple(tuple(int(a) for a in v) for v in basis)
+        basis = linalg.integer_rows(basis, "basis")
         for v in basis:
             if len(v) != ambient.rank:
                 raise ValueError("basis vector length does not match ambient rank")
@@ -171,11 +171,6 @@ def orthogonal_complement(lattice, vectors):
     rows = [linalg.mat_mul_vec(lattice.gram, v) for v in vectors]
     kernel = linalg.integer_kernel([list(r) for r in rows], lattice.rank)
     return Sublattice(lattice, kernel)
-
-
-def definiteness(sub):
-    """+1 positive definite, -1 negative definite, 0 neither.  Rank 0 gives +1."""
-    return sub.sign
 
 
 def is_negative_definite(sub):

@@ -10,8 +10,9 @@ rational-centre descent that search ran, :func:`dumps_report_stdlib`,
 the standard-library encoder its report writer replaced,
 :func:`dataclass_twin`, the frozen dataclass its record classes replaced,
 :func:`h_perp_identities`, the general H-perp check the model
-instances replaced, and :func:`stratum_identities`, the Mukai Gram they
-read their stratum identities from before.
+instances replaced, :func:`stratum_identities`, the Mukai Gram they
+read their stratum identities from before, and :func:`phi_image_facts`,
+the sublattice their type facts came from before.
 """
 
 import dataclasses
@@ -479,6 +480,23 @@ def stratum_identities(instance):
         "h_hat_orthogonal": not any(g[-1][:n_nodes]),
         "v_isotropic": g[-2][-2] == 0,
     }
+
+
+def phi_image_facts(matrix, n):
+    """``(saturated, definite, no_norm_two, gram)`` of the phi image of a type.
+
+    This is how :func:`k3walls.families._type_data` computed them: a
+    ``Sublattice`` spanned by the differences ``e_i - e_{i+1}`` (i < n) in the
+    lattice with Gram ``matrix.entries``; saturated when its echelon has n
+    pivots +-1, definite when its restricted Gram is positive definite, and
+    its norm-2 vectors enumerated.  ``gram`` is the restricted Gram.
+    """
+    host = lat.PicardLattice(matrix.entries)
+    phi = lat.Sublattice(host, [linalg.vec_sub(host.basis_vector(i), host.basis_vector(i + 1))
+                                for i in range(n)])
+    definite = phi.sign == 1
+    return (phi.rank == n and all(abs(row[col]) == 1 for col, row in phi.echelon), definite,
+            definite and lat.enumerate_norm_vectors(phi, 2, 2) == [], phi.restricted_gram())
 
 
 def smith_invariants(rows):

@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -126,10 +128,11 @@ def test_example_digit_cap():
 
 
 def test_type_data_factors_each_form_once(monkeypatch):
-    # The phi image's Gram is built and factored once per type, when its
-    # Sublattice is built; a warm build (same type, other (r, a)) builds no
-    # sublattice, Gram, kernel, factor or descent.  The cold build's one kernel
-    # is the marks', the kernel of C, which roots caches per type as well.
+    # The phi image's Gram is built once per type, on the d_i by bilinearity,
+    # and factored once; no Sublattice or restricted Gram is built.  A warm
+    # build (same type, other (r, a)) builds no Gram, kernel, factor or descent.
+    # The cold build's one kernel is the marks', the kernel of C, which roots
+    # caches per type as well.
     calls = Counter()
 
     def counting(name, real):
@@ -146,8 +149,8 @@ def test_type_data_factors_each_form_once(monkeypatch):
     families._type_data.cache_clear()
     roots._standard_marks.cache_clear()
     families.generate_example(families.ExampleSpec("D", 6, 1, 1))
-    assert calls == {"Sublattice": 1, "restricted_gram": 1, "ldlt": 1, "integer_kernel": 1,
-                     "_descent": 1}
+    assert calls == Counter(Sublattice=0, restricted_gram=0, ldlt=1, integer_kernel=1,
+                            _descent=1)
     calls.clear()
     inst = families.generate_example(families.ExampleSpec("D", 6, 2, 1))
     assert calls == {}
@@ -167,15 +170,48 @@ def test_h_perp_identities_match_the_oracle(r, a):
 
 
 def test_type_gram_is_minus_the_phi_images():
-    # The closed form the instances are compared with is minus the restricted
-    # Gram of the phi image, the form whose definiteness the type records.
-    for family, n in families.SWEEP_TYPES:
+    # The type facts, read off one difference Gram, are the phi image's as a
+    # Sublattice computes them, and the closed form the instances are compared
+    # with is minus its restricted Gram: on the sweep types and past them.
+    types = (families.SWEEP_TYPES + [("A", n) for n in range(19, 41)]
+             + [("D", n) for n in range(19, 31)] + [("A", 64), ("D", 64)])
+    for family, n in types:
         matrix, _, saturated, definite, no_norm_two, minus_gram = families._type_data(family, n)
-        host = lat.PicardLattice(matrix.entries)
-        phi = lat.Sublattice(host, [linalg.vec_sub(host.basis_vector(i), host.basis_vector(i + 1))
-                                    for i in range(n)])
-        assert minus_gram == [[-e for e in row] for row in phi.restricted_gram()], (family, n)
+        expected = oracles.phi_image_facts(matrix, n)
+        assert (saturated, definite, no_norm_two) == expected[:3], (family, n)
+        assert minus_gram == [[-e for e in row] for row in expected[3]], (family, n)
         assert saturated and definite and no_norm_two, (family, n)
+
+
+def test_type_facts_match_the_oracle_off_the_affine_types(monkeypatch):
+    # On even Grams that are not affine Cartan matrices the phi image can be
+    # indefinite, degenerate or hold norm-2 vectors; the facts read off the
+    # difference Gram still agree with the Sublattice oracle, each way.
+    rng = random.Random(22)
+    grams = [[[2, 0], [0, 0]], [[4, 0], [0, 0]], [[2, 2], [2, 2]]]
+    for _ in range(60):
+        k = rng.randint(3, 5)
+        gram = [[0] * k for _ in range(k)]
+        for i in range(k):
+            gram[i][i] = 2 * rng.randint(0, 4)
+            for j in range(i + 1, k):
+                gram[i][j] = gram[j][i] = rng.randint(-2, 2)
+        grams.append(gram)
+    monkeypatch.setattr(roots, "classify_affine", lambda matrix: SimpleNamespace(marks=None))
+    seen = set()
+    try:
+        for gram in grams:
+            matrix = SimpleNamespace(entries=gram)
+            monkeypatch.setattr(roots, "standard_affine_matrix", lambda family, n: matrix)
+            families._type_data.cache_clear()
+            _, _, *facts, minus_gram = families._type_data("A", len(gram) - 1)
+            expected = oracles.phi_image_facts(matrix, len(gram) - 1)
+            assert facts == list(expected[:3]), gram
+            assert minus_gram == [[-e for e in row] for row in expected[3]], gram
+            seen.add(tuple(facts))
+    finally:
+        families._type_data.cache_clear()
+    assert seen == {(True, False, False), (True, True, False), (True, True, True)}
 
 
 @pytest.mark.parametrize("field, change, identity", [
@@ -202,18 +238,25 @@ def test_failed_type_fact_raises(monkeypatch, field, change, identity):
 def test_unsaturated_phi_image_raises(monkeypatch):
     # With the phi image spanned by 2 d_0, d_1, ..., its echelon has a pivot
     # +-2: the d_i would not be shown to span H-perp, and the build stops.
-    real = lat.Sublattice
+    real = linalg.IntegerSystem
+    n = 3
+    columns = [[(i == j) - (i == j + 1) for j in range(n)] for i in range(n + 1)]  # d_j in column j
+    doubled = []
 
-    def doubled(ambient, basis):
-        return real(ambient, [linalg.vec_scale(2, basis[0]), *basis[1:]])
+    def doubling(a_rows, n_cols):
+        if [list(row) for row in a_rows] == columns:
+            doubled.append(n_cols)
+            a_rows = [[2 * row[0], *row[1:]] for row in a_rows]
+        return real(a_rows, n_cols)
 
-    monkeypatch.setattr(lat, "Sublattice", doubled)
+    monkeypatch.setattr(linalg, "IntegerSystem", doubling)
     families._type_data.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="h_perp_span"):
-            families.generate_example(families.ExampleSpec("A", 3, 1, 1))
+            families.generate_example(families.ExampleSpec("A", n, 1, 1))
     finally:
         families._type_data.cache_clear()
+    assert doubled == [n]
 
 
 def test_type_cache_gives_equal_instances():

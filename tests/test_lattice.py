@@ -59,11 +59,20 @@ def test_basis_vector_bounds():
 
 
 def test_constructor_refuses_non_integer_entries():
+    # A Gram or a sublattice basis entry that is not an integer raises; one
+    # that equals an integer becomes that int, and nothing is truncated.
     for half in (Fraction(1, 2), 0.5):
         with pytest.raises(ValueError):
             lat.PicardLattice([[-2, half], [half, 0]])
     p = lat.PicardLattice([[Fraction(-2), Fraction(1)], [1, 0.0]])
     assert p.gram == ((-2, 1), (1, 0)) and {type(e) for row in p.gram for e in row} == {int}
+    for bad in (Fraction(3, 2), 1.7, "1"):
+        with pytest.raises(ValueError, match="basis entries must be integers"):
+            lat.Sublattice(p, [(bad, 0)])
+    for basis in ([(1, 0)], [(Fraction(1), 0.0)], ((1, 0), (0, 1)), []):
+        sub = lat.Sublattice(p, basis)
+        assert sub.basis == tuple(tuple(int(a) for a in v) for v in basis)
+        assert {type(a) for v in sub.basis for a in v} <= {int}
 
 
 def test_constructor_refuses_infinite_and_nan_entries():
@@ -308,11 +317,13 @@ def test_orthogonal_complement_rejects_wrong_length():
             lat.orthogonal_complement(p, [(1, 0), v])
 
 
-FORM_CALLS = ("definiteness", "is_negative_definite", "enumerate_norm_vectors")
+FORM_CALLS = ("sign", "is_negative_definite", "enumerate_norm_vectors")
 
 
 def _form_call(sub, name, lo, hi):
     """One of the three readers of the shared form, with NotDefinite as a value."""
+    if name == "sign":
+        return sub.sign
     if name != "enumerate_norm_vectors":
         return getattr(lat, name)(sub)
     try:
@@ -345,7 +356,7 @@ def test_shared_form_answers_as_fresh_sublattices(seed, n, sign, order, lo, widt
     for name in order:
         got = _form_call(shared, name, lo, hi)
         assert got == _form_call(lat.Sublattice(p, basis), name, lo, hi), name
-    sign_found = lat.definiteness(shared)
+    sign_found = shared.sign
     event(f"definiteness {sign_found}")
     if sign and k:  # every nonzero sublattice of a definite lattice has its sign
         assert sign_found == sign

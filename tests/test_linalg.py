@@ -165,7 +165,7 @@ def test_definiteness_agrees_with_charpoly(seed, n, definite):
     even = lat.PicardLattice([[2 * e for e in row] for row in gram])
     sub = lat.full_sublattice(even)
     expected = 1 if pos == n else -1 if neg == n else 0
-    assert lat.definiteness(sub) == expected
+    assert sub.sign == expected
     assert lat.is_negative_definite(sub) == (neg == n)
 
 
