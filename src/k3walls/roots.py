@@ -12,7 +12,7 @@ equality after permutation, so a malformed shape can never be mislabelled.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import prod
 from operator import add
 
@@ -291,6 +291,7 @@ def _affine_labels(matrix):
     return family, rank, perm
 
 
+@lru_cache
 def classify_affine(matrix):
     """Recognize an affine ADE Cartan matrix up to simultaneous permutation.
 
@@ -299,7 +300,9 @@ def classify_affine(matrix):
     :class:`NotAffineADE` for anything else (positive definite matrices,
     wrong graph shapes, entries below -1 other than the rank-1 affine A case).
     The input is verified to be the standard matrix relabelled by ``node_perm``,
-    so its marks are the standard marks read through ``node_perm``.
+    so its marks are the standard marks read through ``node_perm``.  Memoized
+    per matrix, as are :func:`classify_finite` and the root tree; a call that
+    raises is not cached.
     """
     try:
         family, rank, perm = _affine_labels(matrix)
@@ -312,6 +315,7 @@ def classify_affine(matrix):
     return AffineDiagram(family, rank, perm, marks, matrix)
 
 
+@lru_cache
 def classify_finite(matrix):
     """Recognize a finite ADE Cartan matrix up to simultaneous permutation."""
     try:
@@ -351,9 +355,16 @@ def root_tree(diagram):
     height h, and for simply laced types b + e_i is a root exactly when
     (b, alpha_i) = -1.  The simple root ``e_i`` comes first, at index i,
     with ``parent`` None; every later ``parent`` indexes the earlier triple
-    holding ``b - e_i``.
+    holding ``b - e_i``.  An affine root system is infinite: :class:`NotFiniteADE`.
     """
-    entries = diagram.matrix.entries
+    if not isinstance(diagram, FiniteDiagram):
+        raise NotFiniteADE(f"{diagram.type_name()} has infinitely many roots")
+    return _root_tree(diagram.matrix)
+
+
+@lru_cache
+def _root_tree(matrix):
+    entries = matrix.entries
     n = len(entries)
     tree = [(tuple(1 if j == i else 0 for j in range(n)), None, i) for i in range(n)]
     seen = {b for b, _, _ in tree}

@@ -1,8 +1,28 @@
+import importlib
+import pkgutil
+
 import pytest
 
+import k3walls
 from k3walls import families
 from k3walls import lattice as lat
 from k3walls import mukai as mk
+
+
+def clear_library_caches():
+    """Empty every ``functools`` cache in the library; returns their ``module.name``s.
+
+    A test that counts calls starts from cold caches this way, so what it
+    counts does not depend on the tests that ran before it in the process.
+    """
+    cleared = []
+    for info in pkgutil.iter_modules(k3walls.__path__):
+        module = importlib.import_module(f"k3walls.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == module.__name__:
+                obj.cache_clear()
+                cleared.append(f"{info.name}.{name}")
+    return sorted(cleared)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
+from conftest import clear_library_caches
 from k3walls import families
 from k3walls import lattice as lat
 from k3walls import linalg
@@ -146,8 +147,7 @@ def test_type_data_factors_each_form_once(monkeypatch):
     monkeypatch.setattr(lat.Sublattice, "__init__", counting("Sublattice", lat.Sublattice.__init__))
     for name in ("ldlt", "integer_kernel", "_descent"):
         monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
-    families._type_data.cache_clear()
-    roots._standard_marks.cache_clear()
+    clear_library_caches()
     families.generate_example(families.ExampleSpec("D", 6, 1, 1))
     assert calls == Counter(Sublattice=0, restricted_gram=0, ldlt=1, integer_kernel=1,
                             _descent=1)

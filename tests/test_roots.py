@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import oracles
+from conftest import clear_library_caches
 from k3walls import roots
 from k3walls.errors import CapExceeded, MarkNotOne, NotAffineADE, NotFiniteADE
 
@@ -164,6 +165,17 @@ FINITE_UP_TO_8 = ([("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 
                   + [("E", n) for n in (6, 7, 8)])
 
 
+def moved_box_roots(standard, perm):
+    """The box oracle's roots of ``standard``, node i moved to node ``perm[i]``."""
+    moved = set()
+    for b in oracles.box_positive_roots(standard.entries):
+        root = [0] * standard.n_nodes
+        for i, p in enumerate(perm):
+            root[p] = b[i]
+        moved.add(tuple(root))
+    return moved
+
+
 @settings(max_examples=60, deadline=None)
 @given(hst.sampled_from(FINITE_UP_TO_8), hst.data())
 def test_positive_roots_on_permuted_matrices(type_, data):
@@ -171,14 +183,8 @@ def test_positive_roots_on_permuted_matrices(type_, data):
     # oracle's roots of the standard matrix move with it.
     std = roots.standard_finite_matrix(*type_)
     perm = data.draw(hst.permutations(range(std.n_nodes)))
-    expected = set()
-    for b in oracles.box_positive_roots(std.entries):
-        moved = [0] * std.n_nodes
-        for i, p in enumerate(perm):
-            moved[p] = b[i]
-        expected.add(tuple(moved))
     diagram = roots.classify_finite(permuted(std, perm))
-    assert roots.positive_roots(diagram) == tuple(sorted(expected))
+    assert roots.positive_roots(diagram) == tuple(sorted(moved_box_roots(std, perm)))
 
 
 def _check_tree(diagram):
@@ -216,6 +222,110 @@ def test_root_tree_on_permuted_matrices(type_, data):
     diagram = roots.classify_finite(permuted(std, perm))
     found = _check_tree(diagram)
     assert roots.positive_roots(diagram) == tuple(sorted(found))
+
+
+ALL_FINITE = ([("A", n) for n in range(1, 19)] + [("D", n) for n in range(4, 19)]
+              + [("E", n) for n in (6, 7, 8)])
+MEMOS = (roots.classify_affine, roots.classify_finite, roots._root_tree)
+
+
+def draw_permuted(data, standard):
+    """``standard`` with its nodes relabelled by a drawn permutation, and the permutation."""
+    perm = data.draw(hst.permutations(range(standard.n_nodes)))
+    return permuted(standard, perm), perm
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from(ALL_AFFINE), hst.data())
+def test_memoized_classify_affine_matches_the_uncached(type_, data):
+    m, _ = draw_permuted(data, roots.standard_affine_matrix(*type_))
+    first = roots.classify_affine(m)
+    assert first == roots.classify_affine.__wrapped__(m)
+    assert roots.classify_affine(roots.CartanMatrix(m.entries)) is first
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from(ALL_FINITE), hst.data())
+def test_memoized_classify_finite_and_tree_match_the_uncached(type_, data):
+    # The tree is also checked against the box oracle up to rank 8 (its box
+    # search is too slow past that) and against the root count beyond.
+    std = roots.standard_finite_matrix(*type_)
+    m, perm = draw_permuted(data, std)
+    diagram = roots.classify_finite(m)
+    assert diagram == roots.classify_finite.__wrapped__(m)
+    assert roots.classify_finite(roots.CartanMatrix(m.entries)) is diagram
+    tree = roots.root_tree(diagram)
+    assert tree == roots._root_tree.__wrapped__(m) and roots.root_tree(diagram) is tree
+    found = _check_tree(diagram)
+    family, n = type_
+    if n <= 8:
+        assert found == moved_box_roots(std, perm)
+    else:
+        assert len(found) == (n * (n + 1) // 2 if family == "A" else n * (n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from([t for t in ALL_AFFINE if t[1] >= 3]), hst.booleans(), hst.data())
+def test_non_ade_matrices_raise_on_every_call(type_, add_edge, data):
+    # An affine diagram with one edge more, or one edge doubled, is neither
+    # affine nor finite.  A call that raises caches nothing: the second call
+    # misses and raises again.
+    m, _ = draw_permuted(data, roots.standard_affine_matrix(*type_))
+    n = m.n_nodes
+    entries = [list(row) for row in m.entries]
+    i, j = data.draw(hst.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)
+                                       if (entries[i][j] == 0) == add_edge]))
+    entries[i][j] = entries[j][i] = -1 if add_edge else -2
+    junk = roots.CartanMatrix(entries)
+    for classify, error, matrix in ((roots.classify_affine, NotAffineADE, junk),
+                                    (roots.classify_finite, NotFiniteADE, junk),
+                                    (roots.classify_finite, NotFiniteADE, m)):
+        before = classify.cache_info()
+        for _ in range(2):
+            with pytest.raises(error):
+                classify(matrix)
+        after = classify.cache_info()
+        assert (after.misses - before.misses, after.currsize) == (2, before.currsize)
+
+
+def test_memos_stay_within_their_bound():
+    rng = random.Random(23)
+
+    def distinct_permutations(standard):
+        matrices = {}  # insertion ordered
+        while len(matrices) < 200:
+            perm = list(range(standard.n_nodes))
+            rng.shuffle(perm)
+            matrices.setdefault(permuted(standard, perm))
+        return list(matrices)
+
+    for m in distinct_permutations(roots.standard_affine_matrix("D", 8)):
+        roots.classify_affine(m)
+    for m in distinct_permutations(roots.standard_finite_matrix("D", 8)):
+        roots.root_tree(roots.classify_finite(m))
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize == 128, memo
+
+
+def test_root_tree_refuses_affine_diagrams():
+    # An affine root system is infinite; the refusal comes before the memo.
+    before = roots._root_tree.cache_info()
+    for family, n in ALL_AFFINE:
+        diagram = roots.classify_affine(roots.standard_affine_matrix(family, n))
+        for func in (roots.root_tree, roots.positive_roots, roots.lie_algebra_dimension):
+            with pytest.raises(NotFiniteADE, match="infinitely many roots"):
+                func(diagram)
+    assert roots._root_tree.cache_info() == before
+
+
+def test_clear_library_caches_empties_every_memo():
+    roots.root_tree(finite("E", 6))
+    assert clear_library_caches() == [
+        "families._type_data", "roots._root_tree", "roots._standard_marks",
+        "roots.classify_affine", "roots.classify_finite", "roots.standard_affine_matrix",
+        "roots.standard_finite_matrix"]
+    assert all(memo.cache_info().currsize == 0 for memo in MEMOS)
 
 
 def test_highest_root():

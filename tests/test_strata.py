@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from conftest import clear_library_caches
 from k3walls import families
 from k3walls import lattice as lat
 from k3walls import linalg
 from k3walls import mukai as mk
+from k3walls import pipeline
 from k3walls import roots
 from k3walls import strata as st
 from k3walls.errors import (Inconsistent, InvariantError, MarkNotOne, MarksMismatch,
@@ -358,6 +360,32 @@ def test_psi_sets_catch_a_wrong_tree(monkeypatch, field):
     monkeypatch.setattr(roots, "root_tree", lambda diagram: tuple(tree))
     with pytest.raises(InvariantError):
         rep.psi_sets()
+
+
+def test_one_type_is_recognised_once(monkeypatch):
+    # The D~7 strata of r = 1, 2, 3 share one affine matrix and, after node 0
+    # goes, one finite one.  Run as in a strata batch, each stratum is
+    # classified twice, yet the affine shape is read once, the finite shape
+    # twice (once inside the affine reading) and the root tree walked once.
+    data = [families.generate_example(families.ExampleSpec("D", 7, r, 1)).stratum()
+            for r in (1, 2, 3)]
+    clear_library_caches()
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("_affine_labels", "_finite_labels"):
+        monkeypatch.setattr(roots, name, counting(name, getattr(roots, name)))
+    for d in data:
+        assert st.validate_stratum(d) == []
+        pipeline.dot_graph(st.classify_singularity(d).dual_graph)
+        st.psi_sets(d)
+    assert calls == Counter(_affine_labels=1, _finite_labels=2)
+    assert roots._root_tree.cache_info().misses == 1
 
 
 def test_psi_sets_pair_nothing_and_build_each_vector_once(monkeypatch):
