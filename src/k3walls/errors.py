@@ -18,7 +18,8 @@ class _Record:
     The one constructor fills the slots in order from positional arguments, then keywords,
     then the class's ``_defaults`` (a slotted class cannot hold a class attribute named
     after a slot); a surplus, unknown, repeated or missing argument raises TypeError.
-    A validating or normalising record ends its own ``__init__`` with ``super().__init__``.
+    A validating or normalising record ends its own ``__init__`` with ``super().__init__``;
+    ``_from_fields`` fills the slots with no ``__init__``, so no check and no normalisation.
     """
 
     __slots__ = ()
@@ -41,6 +42,14 @@ class _Record:
             args = [values[name] for name in names]
         for setter, value in zip(setters, args):
             setter(self, value)
+
+    @classmethod
+    def _from_fields(cls, *values):
+        """A record holding ``values`` as given, for values already in normal form."""
+        self = object.__new__(cls)
+        for setter, value in zip(cls._setters, values):
+            setter(self, value)
+        return self
 
     def __setattr__(self, name, value=None):  # also __delattr__, which passes no value
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -336,10 +336,17 @@ def marks(matrix):
 
 
 def delete_node(diagram, i):
-    """Delete mark-1 node ``i`` of an affine diagram; classify the rest in input order."""
+    """Delete mark-1 node ``i`` of an affine diagram; classify the rest in input order.
+
+    Memoized per ``(matrix, i)`` after the mark check, so a call that raises caches nothing."""
     if diagram.marks[i] != 1:
         raise MarkNotOne(f"node {i} has mark {diagram.marks[i]}, expected 1")
-    entries = diagram.matrix.entries
+    return _delete_node(diagram.matrix, i)
+
+
+@lru_cache
+def _delete_node(matrix, i):
+    entries = matrix.entries
     return classify_finite(CartanMatrix(tuple(_without(row, i) for row in _without(entries, i))))
 
 
@@ -349,13 +356,14 @@ def _pairing_with_simple(matrix, x, i):
 
 
 def root_tree(diagram):
-    """The positive roots as ``(b, parent, i)`` triples, in order of height.
+    """The positive roots as ``(b, parent, i)`` triples, in lexicographic order of ``b``.
 
     A positive root of height h+1 is always a simple root away from one of
     height h, and for simply laced types b + e_i is a root exactly when
-    (b, alpha_i) = -1.  The simple root ``e_i`` comes first, at index i,
-    with ``parent`` None; every later ``parent`` indexes the earlier triple
-    holding ``b - e_i``.  An affine root system is infinite: :class:`NotFiniteADE`.
+    (b, alpha_i) = -1.  The simple root ``e_i`` has ``parent`` None; every
+    other ``parent`` indexes the triple holding ``b - e_i``, which is
+    lexicographically smaller and so comes earlier.  An affine root system is
+    infinite: :class:`NotFiniteADE`.
     """
     if not isinstance(diagram, FiniteDiagram):
         raise NotFiniteADE(f"{diagram.type_name()} has infinitely many roots")
@@ -366,26 +374,27 @@ def root_tree(diagram):
 def _root_tree(matrix):
     entries = matrix.entries
     n = len(entries)
-    tree = [(tuple(1 if j == i else 0 for j in range(n)), None, i) for i in range(n)]
-    seen = {b for b, _, _ in tree}
-    # Each root travels with its pairings C b against the simple roots; C is
-    # symmetric, so C (b + e_i) = C b + entries[i].  The loop reads the list
-    # it appends to: a queue, so heights never decrease.
-    pairings = list(entries)
-    for k, (b, _, _) in enumerate(tree):
-        for i, p in enumerate(pairings[k]):
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    steps = {b: (None, i) for i, b in enumerate(simple)}  # root -> (parent root, simple root)
+    # Walked by height: each root travels with its pairings C b against the
+    # simple roots; C is symmetric, so C (b + e_i) = C b + entries[i].  The
+    # loop reads the list it appends to, a queue.
+    queue = list(zip(simple, entries))
+    for b, pairings in queue:
+        for i, p in enumerate(pairings):
             if p == -1:
                 cand = b[:i] + (b[i] + 1,) + b[i + 1:]
-                if cand not in seen:
-                    seen.add(cand)
-                    tree.append((cand, k, i))
-                    pairings.append(tuple(map(add, pairings[k], entries[i])))
-    return tuple(tree)
+                if cand not in steps:
+                    steps[cand] = (b, i)
+                    queue.append((cand, tuple(map(add, pairings, entries[i]))))
+    order = sorted(steps)
+    index = {b: k for k, b in enumerate(order)}
+    return tuple((b, index.get(steps[b][0]), steps[b][1]) for b in order)
 
 
 def positive_roots(diagram):
     """All coefficient vectors b >= 0 with b^T C b = 2, sorted; see :func:`root_tree`."""
-    return tuple(sorted(b for b, _, _ in root_tree(diagram)))
+    return tuple(b for b, _, _ in root_tree(diagram))
 
 
 def simple_reflection(diagram, i, x):

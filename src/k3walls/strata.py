@@ -14,7 +14,6 @@ from operator import add, index, mul, sub
 
 from . import mukai as mk
 from . import roots
-from .linalg import mat_mul_vec
 from .errors import (Inconsistent, InvariantError, MarksMismatch, NodeOutOfRange,
                      TriplePoint, _Record)
 
@@ -66,34 +65,41 @@ class SingularityReport(_Record):
         """The origin walls inside the stratum span: ``Psi_+`` and ``v - Psi_+``.
 
         ``Psi_+`` holds ``u = sum_k b_k u_k`` over the positive roots ``b`` of
-        the finite diagram, ordered by ``b``.  They are built along
-        :func:`roots.root_tree`: each ``u`` is its parent plus one retained
-        class, and carries ``G c1(u)`` built by the same additions, so the
-        exact ``<u, u> = c1(u) . G c1(u) - 2 rk u s(u)`` of the vector built
-        is one dot product.  Every element and every ``v - u`` is checked:
-        ``<u, u> = -2`` and ``0 < rk u < rk v``.
+        the finite diagram, in the order of :func:`roots.root_tree` (by ``b``,
+        parents first): each ``u`` is its parent plus one retained class, and
+        carries ``G c1(u)`` built by the same additions.  So the exact
+        ``<u, u> = c1(u) . G c1(u) - 2 rk u s(u)`` of the vector built is one
+        dot product, and that of the built ``w = v - u`` is another,
+        ``c1(w) . (G c1(v) - G c1(u)) - 2 rk w s(w)``.  Every element and every
+        ``v - u`` is checked: ``<u, u> = -2`` and ``0 < rk u < rk v``.  When
+        ``v`` and the retained classes have only ``int`` components, so has
+        every output, which is then built without renormalising.
         """
-        v = self.data.v
-        for u in self.retained:
+        v, retained = self.data.v, self.retained
+        for u in retained:
             v._check_ambient(u)
-        gram = v.lattice.gram
-        simple = [(u.r, u.c1, u.s, mat_mul_vec(gram, u.c1)) for u in self.retained]
-        tree = roots.root_tree(self.finite)
-        built = list(simple)  # the tree starts with the simple roots, e_i at index i
-        for _, parent, i in tree[len(simple):]:
-            (pr, pc1, ps, pg), (r, c1, s, g) = built[parent], simple[i]
-            built.append((pr + r, tuple(map(add, pc1, c1)), ps + s, tuple(map(add, pg, g))))
-        vg = mat_mul_vec(gram, v.c1)
-        psi = [built[k] for k in sorted(range(len(tree)), key=lambda k: tree[k][0])]
-        comp = [(v.r - r, tuple(map(sub, v.c1, c1)), v.s - s, tuple(map(sub, vg, g)))
-                for r, c1, s, g in psi]
-        for r, c1, s, g in psi + comp:
-            square = sum(map(mul, c1, g)) - 2 * r * s
-            if square != -2 or not 0 < r < v.r:
+        rows, lattice = v.lattice.gram, v.lattice
+        integral = all(type(x) is int for u in (v, *retained) for x in (u.r, u.s, *u.c1))
+        new = mk.MukaiVector._from_fields if integral else mk.MukaiVector
+        simple = [(u.r, u.c1, u.s, mk.gram_image(rows, enumerate(u.c1))) for u in retained]
+        vr, vc1, vs, vg = v.r, v.c1, v.s, mk.gram_image(rows, enumerate(v.c1))
+        built, checked = [], []
+        for _, parent, i in roots.root_tree(self.finite):
+            r, c1, s, g = simple[i]
+            if parent is not None:
+                pr, pc1, ps, pg = built[parent]
+                r, c1, s, g = pr + r, tuple(map(add, pc1, c1)), ps + s, list(map(add, pg, g))
+            built.append((r, c1, s, g))
+            wc1 = tuple(map(sub, vc1, c1))
+            checked.append((r, c1, s, sum(map(mul, c1, g))))
+            checked.append((vr - r, wc1, vs - s, sum(map(mul, wc1, map(sub, vg, g)))))
+        for r, c1, s, cgc in checked:
+            square = cgc - 2 * r * s
+            if square != -2 or not 0 < r < vr:
                 raise InvariantError(f"Psi element (r={r}, c1={list(c1)}, s={s}) has <u, u> = "
-                                     f"{square}; expected -2 and 0 < rk u < {v.r}")
-        return ([mk.MukaiVector(r, c1, s, v.lattice) for r, c1, s, _ in psi],
-                [mk.MukaiVector(r, c1, s, v.lattice) for r, c1, s, _ in comp])
+                                     f"{square}; expected -2 and 0 < rk u < {vr}")
+        out = [new(r, c1, s, lattice) for r, c1, s, _ in checked]
+        return out[::2], out[1::2]
 
 
 def validate_stratum(data):

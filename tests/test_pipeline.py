@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import oracles
+from conftest import clear_library_caches
 from k3walls import cli, families, linalg, pipeline, roots, walls
 from k3walls import strata as st
 from k3walls.errors import InvalidTwist, SchemaError
@@ -173,9 +174,11 @@ def test_report_writer_rejects_non_json_values(value):
 def test_one_classification_pass_per_report(monkeypatch):
     # The report classifies its stratum once; Psi-sets and chamber location
     # read the diagrams it holds.  A second pass creeping back in fails here
-    # before it shows up as time.
+    # before it shows up as time.  The caches start cold, so node deletion,
+    # memoized per matrix, reaches classify_finite.
     inst = families.generate_example(families.ExampleSpec("A", 3, 1, 1))
     doc = pipeline.instance_document(inst, alpha_scale=1)
+    clear_library_caches()
     calls = {}
 
     def count(module, name):

@@ -191,18 +191,19 @@ def _check_tree(diagram):
     """The structure ``root_tree`` promises; returns its set of roots."""
     n = diagram.matrix.n_nodes
     tree = roots.root_tree(diagram)
-    heights = [sum(b) for b, _, _ in tree]
-    assert heights == sorted(heights)
+    found = [b for b, _, _ in tree]
+    assert all(a < b for a, b in zip(found, found[1:]))  # lexicographic, so no root twice
+    assert roots.positive_roots(diagram) == tuple(found)
+    simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     for k, (b, parent, i) in enumerate(tree):
-        if k < n:
-            assert parent is None and i == k and b == tuple(int(j == i) for j in range(n))
+        if b in simple:
+            assert parent is None and b == simple[i]
         else:
             assert parent is not None and 0 <= parent < k
             before = tree[parent][0]
             assert b == before[:i] + (before[i] + 1,) + before[i + 1:]
-    found = {b for b, _, _ in tree}
-    assert len(found) == len(tree)
-    return found
+    assert sum(parent is None for _, parent, _ in tree) == n
+    return set(found)
 
 
 def test_root_tree_against_box_oracle():
@@ -242,6 +243,8 @@ def test_memoized_classify_affine_matches_the_uncached(type_, data):
     first = roots.classify_affine(m)
     assert first == roots.classify_affine.__wrapped__(m)
     assert roots.classify_affine(roots.CartanMatrix(m.entries)) is first
+    for node in [k for k, mark in enumerate(first.marks) if mark == 1]:
+        assert roots.delete_node(first, node) == roots._delete_node.__wrapped__(m, node)
 
 
 @settings(max_examples=80, deadline=None)
@@ -322,9 +325,9 @@ def test_root_tree_refuses_affine_diagrams():
 def test_clear_library_caches_empties_every_memo():
     roots.root_tree(finite("E", 6))
     assert clear_library_caches() == [
-        "families._type_data", "roots._root_tree", "roots._standard_marks",
-        "roots.classify_affine", "roots.classify_finite", "roots.standard_affine_matrix",
-        "roots.standard_finite_matrix"]
+        "families._type_data", "roots._delete_node", "roots._root_tree",
+        "roots._standard_marks", "roots.classify_affine", "roots.classify_finite",
+        "roots.standard_affine_matrix", "roots.standard_finite_matrix"]
     assert all(memo.cache_info().currsize == 0 for memo in MEMOS)
 
 

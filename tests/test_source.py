@@ -118,9 +118,9 @@ def test_every_public_function_is_reached():
 def test_records_set_fields_only_through_the_base():
     """Outside ``errors.py`` every slotted class is a ``_Record``, and nothing writes
     to an object: no ``object.__setattr__`` or ``setattr`` call, no ``__setattr__``
-    definition and no assignment to an attribute.  ``_Record.__init__`` fills the
-    slots, a validating record ends its own ``__init__`` with ``super().__init__(...)``,
-    and no object changes after that."""
+    definition and no assignment to an attribute.  ``_Record.__init__`` and
+    ``_Record._from_fields`` fill the slots, a validating record ends its own
+    ``__init__`` with ``super().__init__(...)``, and no object changes after that."""
     records, found = [], []
     for path in SOURCES:
         if path.name == "errors.py":

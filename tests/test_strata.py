@@ -1,8 +1,11 @@
+import contextlib
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles
 from conftest import clear_library_caches
@@ -248,13 +251,16 @@ def test_marks_equal_multiplicities_and_dimension_identity(a2_instance, d4_insta
 
 
 def test_mark_two_node_is_mark_not_one_for_both_calls():
-    # node 2 of the D~4 instance is the centre, of mark 2
+    # node 2 of the D~4 instance is the centre, of mark 2; the mark is checked
+    # before the node deletion memo, which the refusals leave untouched
     data = _d4_stratum_center_request()
     assert data.multiplicities[2] == 2
+    before = roots._delete_node.cache_info()
     with pytest.raises(MarkNotOne):
         st.classify_singularity(data, deleted_node=2)
     with pytest.raises(MarkNotOne):
         st.psi_sets(data, 2)
+    assert roots._delete_node.cache_info() == before
 
 
 def _combination(coeffs, triples):
@@ -388,26 +394,55 @@ def test_one_type_is_recognised_once(monkeypatch):
     assert roots._root_tree.cache_info().misses == 1
 
 
+@contextlib.contextmanager
+def _counting_builds(monkeypatch):
+    """Counts ``mukai_pairing`` calls and the vectors each Mukai vector constructor builds."""
+    calls = {"pairing": 0, "__init__": 0, "_from_fields": 0}
+    init, from_fields = mk.MukaiVector.__init__, mk.MukaiVector._from_fields
+
+    def counted_pairing(*args):
+        calls["pairing"] += 1
+
+    def counted_init(self, *args):
+        calls["__init__"] += 1
+        init(self, *args)
+
+    def counted_from_fields(cls, *values):
+        calls["_from_fields"] += 1
+        return from_fields(*values)
+
+    with monkeypatch.context() as m:
+        m.setattr(mk, "mukai_pairing", counted_pairing)
+        m.setattr(mk.MukaiVector, "__init__", counted_init)
+        m.setattr(mk.MukaiVector, "_from_fields", classmethod(counted_from_fields))
+        yield calls
+
+
 def test_psi_sets_pair_nothing_and_build_each_vector_once(monkeypatch):
+    # Integral strata: every output through _from_fields, none renormalised.
     for family, n in [("A", 4), ("D", 6), ("E", 7)]:
         _, rep = _report(family, n, 2)
         count = len(roots.positive_roots(rep.finite))
-        calls = {"pairing": 0, "built": 0}
-        init = mk.MukaiVector.__init__
-
-        def counted_pairing(*args):
-            calls["pairing"] += 1
-
-        def counted_init(self, *args):
-            calls["built"] += 1
-            init(self, *args)
-
-        with monkeypatch.context() as m:
-            m.setattr(mk, "mukai_pairing", counted_pairing)
-            m.setattr(mk.MukaiVector, "__init__", counted_init)
+        with _counting_builds(monkeypatch) as calls:
             psi, comp = rep.psi_sets()
-        assert calls == {"pairing": 0, "built": 2 * count}, (family, n)
+        assert calls == {"pairing": 0, "__init__": 0, "_from_fields": 2 * count}, (family, n)
         assert len(psi) == len(comp) == count
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.sampled_from(families.SWEEP_TYPES), hst.sampled_from((1, 2, 3)), hst.data())
+def test_psi_outputs_are_the_vectors_the_constructor_builds(type_, r, data):
+    # A permuted sweep stratum and a drawn mark-1 node: each Psi output is the
+    # vector MukaiVector(r, c1, s, lattice) builds, down to hash, repr and int components.
+    inst = families.generate_example(families.ExampleSpec(*type_, r, 1))
+    strata = data.draw(hst.permutations(inst.stratum().strata))
+    node = data.draw(hst.sampled_from([k for k, (_, m) in enumerate(strata) if m == 1]))
+    psi, comp = st.psi_sets(st.StratumData(inst.lattice, inst.polarization, inst.v, strata),
+                            node)
+    for u in psi + comp:
+        built = mk.MukaiVector(u.r, u.c1, u.s, inst.lattice)
+        assert u == built and hash(u) == hash(built) and repr(u) == repr(built)
+        assert type(u.c1) is tuple and all(type(x) is int for x in (u.r, u.s, *u.c1))
 
 
 @pytest.mark.parametrize("family, n", [("A", 18), ("D", 18), ("E", 8)])
@@ -431,7 +466,7 @@ def test_psi_sets_against_direct_sums(family, n):
     assert [(u.r, u.c1, u.s) for u in comp] == comp_want
 
 
-def test_psi_sets_with_fraction_components():
+def test_psi_sets_with_fraction_components(monkeypatch):
     # The same instance over the Gram matrix 4 G in the basis e_i / 2: every
     # c1 halves, every pairing stays, and the Psi-sets follow.
     inst, rep = _report("D", 5, 2)
@@ -444,7 +479,11 @@ def test_psi_sets_with_fraction_components():
     data = st.StratumData(half, inst.polarization, halved(inst.v),
                           tuple((halved(u), m) for u, m in inst.stratum().strata))
     assert any(type(c) is Fraction for c in data.v.c1)
-    psi, comp = st.psi_sets(data)
+    halved_rep = st.classify_singularity(data)
+    with _counting_builds(monkeypatch) as calls:
+        psi, comp = halved_rep.psi_sets()
+    # Fraction components: every output through the normalising constructor.
+    assert calls == {"pairing": 0, "__init__": 2 * len(psi), "_from_fields": 0}
     want_psi, want_comp = rep.psi_sets()
     assert psi == [halved(u) for u in want_psi]
     assert comp == [halved(u) for u in want_comp]
