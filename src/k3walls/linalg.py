@@ -10,8 +10,9 @@ descent, one walk per pair ``+-x``.  :func:`signature` runs on integers as well.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import floor, gcd, isqrt, lcm, prod
-from operator import index, mul, neg
+from operator import add, index, mul, neg
 
 from .errors import InvariantError, _Record
 
@@ -306,61 +307,58 @@ class QuadraticForm(_Record):
         return len(self.minors)
 
 
-def _descent(form, bound):
-    """Fincke-Pohst descent over ``{x : Q(x) <= bound}`` on integers, origin included.
+def _descent(form, bound, images=None):
+    """Fincke-Pohst descent over ``{x : Q(x) <= bound}`` on integers, one recursive walk.
 
     Level i contributes ``w_i^2 / (minors[i-1] minors[i])`` with
     ``w_i = upper[i] . x``; every level is rescaled to one common
     denominator ``scale``, so the budget, the terms and the coordinate ranges
     are integers.  Coordinates are fixed from the last to the first, each in
-    increasing order; as ``Q(x) = Q(-x)``, only x with last nonzero coordinate
-    positive are walked.  Yields ``(x, Q(x))``, ``Q(x)`` an ``int``: the origin
-    first, then each walked x followed by -x.  ``bound`` is floored (Q is integral).
+    increasing order; as ``Q(x) = Q(-x)``, only the nonzero x with last nonzero coordinate
+    positive are walked.  Returns that half as a list of ``(y, Q(x))``, ``Q(x)`` an ``int``:
+    ``y = tuple(x)``, or ``x . images`` for ``images`` (one row per coordinate), carried down
+    the levels by one row add per node as the partial ``w`` are.  ``bound`` is floored.
     """
     n = form.rank
     bound = floor(bound)
-    if bound < 0:
-        return
-    yield (0,) * n, 0
-    if n == 0:
-        return
+    walked = []
+    if bound < 0 or n == 0:
+        return walked
     minors, upper = form.minors, form.upper
     dens = [a * b for a, b in zip((1,) + minors, minors)]
     scale = lcm(*dens)
     weight = [scale // d for d in dens]
-    # shift[k] is w_k without its own term minors[k] * x_k; fixing x_i
-    # (i > k) adds upper[k][i] * x_i to it.
-    shift = [0] * n
     cols = [[upper[k][i] for k in range(i)] for i in range(n)]
     total = bound * scale
     x = [0] * n
 
-    def descend(i, remaining, half):
-        # half: every coordinate above i is 0 (so is shift[i]), and x_i > 0 here.
+    def descend(i, remaining, half, shift, image):
+        # shift[k] (k <= i): w_k without minors[k] * x_k, and image: x . images, both over
+        # the coordinates above i; x_i adds x_i cols[i] and x_i images[i] to them.  half:
+        # every coordinate above i is 0 (so is shift[i]), and x_i > 0 here.
         t, st, wt, col = shift[i], minors[i], weight[i], cols[i]
+        row = None if images is None else images[i]
         w_max = isqrt(remaining // wt)
         # Exactly the x_i with |st * x_i + t| <= w_max, i.e. wt * w^2 <= remaining.
         for xi in range(1 if half else -((w_max + t) // st), (w_max - t) // st + 1):
             w = st * xi + t
             rest = remaining - wt * w * w
             x[i] = xi
-            if i == 0:
-                value, rem = divmod(total - rest, scale)
-                if rem:
-                    raise InvariantError(f"Q{tuple(x)} = {total - rest}/{scale} is not an integer")
-                yield tuple(x), value
-                yield tuple(map(neg, x)), value
-            else:
-                for k in range(i):
-                    shift[k] += col[k] * xi
-                yield from descend(i - 1, rest, False)
-                for k in range(i):
-                    shift[k] -= col[k] * xi
+            y = image if row is None or not xi else tuple(map(add, image, map(mul, row, repeat(xi))))
+            if i:
+                descend(i - 1, rest, False,
+                        tuple(map(add, shift, map(mul, col, repeat(xi)))) if xi else shift, y)
+                continue
+            value, rem = divmod(total - rest, scale)
+            if rem:
+                raise InvariantError(f"Q{tuple(x)} = {total - rest}/{scale} is not an integer")
+            walked.append((tuple(x) if row is None else y, value))
         x[i] = 0
         if half and i:
-            yield from descend(i - 1, remaining, True)
+            descend(i - 1, remaining, True, shift, image)
 
-    yield from descend(n - 1, total, True)
+    descend(n - 1, total, True, (0,) * n, None if images is None else (0,) * len(images[0]))
+    return walked
 
 
 def short_vectors(form, bound):
@@ -370,15 +368,21 @@ def short_vectors(form, bound):
     :func:`_descent`); the zero vector does not appear.  No basis reduction,
     which is unnecessary at the ranks this library targets.
     """
-    vectors = _descent(form, bound)
-    next(vectors, None)  # the origin
-    yield from vectors
+    for x, value in _descent(form, bound):
+        yield x, value
+        yield tuple(map(neg, x)), value
 
 
-def coset_vectors(form, bound):
+def coset_vectors(form, bound, images=None):
     """All integer x with ``Q(x) <= bound`` for a :class:`QuadraticForm`, the origin included.
 
-    ``bound`` may be rational.  Yields ``(x, Q(x))`` pairs, ``Q(x)`` an ``int``:
-    the origin first, then each x followed by -x (see :func:`_descent`).
+    ``bound`` may be rational.  Yields ``(y, Q(x))`` pairs, ``Q(x)`` an ``int``:
+    the origin first, then each walked y followed by -y (see :func:`_descent`).
+    ``y`` is x (the default: the coset search itself), or ``x . images`` for n rows of one width,
+    carried by the descent with no dot product per vector (as :func:`enumerate_walls` uses it).
     """
-    yield from _descent(form, bound)
+    if floor(bound) >= 0:
+        yield (0,) * (len(images[0]) if images else form.rank), 0
+    for y, value in _descent(form, bound, images):
+        yield y, value
+        yield tuple(map(neg, y)), value

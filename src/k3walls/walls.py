@@ -12,7 +12,7 @@ numerical stability notions.
 """
 
 from fractions import Fraction
-from operator import mul, neg
+from operator import mul
 
 from . import lattice as lat
 from . import linalg
@@ -32,10 +32,11 @@ WALL_RANK_CAP = 10 ** 4
 
 
 class WallVector(_Record):
-    """A (-2)-class cutting a wall for the active ``(v, H)`` pair, with the
-    integer ``<v, u>`` the wall search computed; later steps read it."""
+    """A (-2)-class cutting a wall for the active ``(v, H)`` pair: the search's integer ``<v, u>``
+    and ``normal`` ``D_u = rk v c1(u) - rk u c1(v)`` in H-perp.  The wall is the hyperplane
+    ``(D', D_u) + rk v <v, u> = 0`` of twists ``delta(D')`` (see :func:`locate`)."""
 
-    __slots__ = ("u", "pairing_with_v")
+    __slots__ = ("u", "pairing_with_v", "normal")
 
 
 class ChamberPosition(_Record):
@@ -94,10 +95,11 @@ def enumerate_walls(p, h, v):
     first, it has rows ``(D_i, s_i)`` spanning
     ``M = {D in H-perp : D = -s c1(v) (mod rk v) for some s}`` and one row
     ``(0, t)``, so each D of M carries its ranks as one class ``s mod t``.  One
-    descent enumerates ``-(D, D) <= 2 rk(v)^2`` on M, D and -D as one pair; for
-    each ``s`` of the vector's class in ``(0, rk v)`` the search recovers
-    ``eta`` by the exact division, fixes ``b`` from ``<u, u> = -2``, and keeps u
-    exactly when ``<v, u> <= 0``; each wall carries that integer ``<v, u>``.
+    descent enumerates ``-(D, D) <= 2 rk(v)^2`` on M, D and -D as one pair, and
+    carries each vector's image ``(D, (D, c1 v), s)`` down its levels; for each ``s``
+    of the vector's class in ``(0, rk v)`` the search recovers ``eta`` by the exact
+    division, fixes ``b`` from ``<u, u> = -2``, and keeps u exactly when
+    ``<v, u> <= 0``; each wall carries that integer ``<v, u>`` and D, its normal.
     """
     _check_context(p, h, v)
     if v.r > WALL_RANK_CAP:
@@ -127,36 +129,33 @@ def enumerate_walls(p, h, v):
                              f"signature (1, {rho - 1}, 0)") from None
     if r == 1:
         return []
-    d_cols = [[row[i] for row in rows] for i in range(rho)]
-    s_col = [row[rho] for row in rows]
-    xi_col = [sum(map(mul, row, g_xi)) for row in rows]
-
+    # Rows (D_i, (D_i, xi), s_i): the descent carries D, (D, xi) and the class.
+    images = [(*row[:rho], sum(map(mul, row, g_xi)), row[rho]) for row in rows]
     results = []
 
-    def scan(d2, d, d_xi, c):
-        # The walls of divisor d, of class c = s (mod t), in ranks s of (0, r).
+    def scan(d2, y):
+        # The walls of divisor d = y[:rho], of class s = y[-1] (mod t), in ranks s of (0, r).
+        d_xi, c = y[rho], y[-1]
         for s in range(c % t or t, r, t):
             num = d2 + 2 * s * d_xi + s * s * xi_sq
             if num % (r * r) or (d_xi + s * xi_sq) % r:
-                raise InvariantError(f"divisor {d} is not congruent to -s c1(v) mod rk v")
+                raise InvariantError(f"divisor {y[:rho]} is not congruent to -s c1(v) mod rk v")
             eta_sq = num // (r * r)
             if (eta_sq + 2) % (2 * s):
                 continue
             b = (eta_sq + 2) // (2 * s)
             pv = (d_xi + s * xi_sq) // r - r * b - a_v * s
             if pv <= 0:
-                results.append((s, d, b, pv))
+                results.append((s, y[:rho], b, pv))
 
-    # The origin, then z and -z in turn: D, (D, xi) and the class negate.
-    vectors = linalg.coset_vectors(form, 2 * r * r)
+    # The origin, then each image y and -y in turn.
+    vectors = linalg.coset_vectors(form, 2 * r * r, images)
     next(vectors)
-    scan(0, (0,) * rho, 0, 0)
-    for (z, value), _ in zip(vectors, vectors):
-        d = tuple(sum(map(mul, z, col)) for col in d_cols)
-        d_xi, c = sum(map(mul, z, xi_col)), sum(map(mul, z, s_col))
-        scan(-value, d, d_xi, c)
-        scan(-value, tuple(map(neg, d)), -d_xi, -c)
-    return [WallVector(mk.MukaiVector(s, tuple((e + s * x) // r for e, x in zip(d, xi)), b, p), pv)
+    scan(0, (0,) * (rho + 2))
+    for y, value in vectors:
+        scan(-value, y)
+    wall, vector = WallVector._from_fields, mk.MukaiVector._from_fields  # integral as built
+    return [wall(vector(s, tuple((e + s * x) // r for e, x in zip(d, xi)), b, p), pv, d)
             for s, d, b, pv in sorted(results)]
 
 
@@ -166,17 +165,29 @@ def u_prime(walls, v):
 
 
 def locate(alpha, walls, v, singularity=None):
-    """Exact chamber position of a twist parameter against a wall list.
+    """Exact chamber position of a twist parameter against the walls of ``v``.
 
-    The signs are those of :func:`k3walls.mukai.scaled_pairings` of the walls
-    with ``v + alpha``, whose scale is positive.  With ``singularity`` (a
-    :class:`k3walls.strata.SingularityReport`), the position also carries the
-    Weyl word reducing ``alpha`` into the closed fundamental chamber of the
-    report's finite diagram; the values reduced are the pairings of
-    ``alpha`` with the report's retained classes.
+    ``walls`` is :func:`enumerate_walls` of ``v`` (else ValueError, as seen on its first wall).
+    Each sign is that of ``<v + alpha, u>``: with ``q alpha = (R, C, S)`` integral, ``q > 0``,
+    and ``rk v c1(u) = D_u + rk u c1(v)``, ``q rk v <v + alpha, u> = q rk v <v, u> + (C, D_u)
+    + rk u ((C, c1 v) - rk v S) - rk v R s(u)``, so ``<alpha, u> = (D', D_u)/rk v`` for a twist
+    ``delta(D')``.  With ``singularity`` (a :class:`k3walls.strata.SingularityReport`), the
+    position also carries the Weyl word reducing ``alpha`` into the closed fundamental chamber
+    of the report's finite diagram; the values reduced are the pairings of ``alpha`` with the
+    report's retained classes.
     """
     a = alpha.alpha if isinstance(alpha, mk.TwistParameter) else alpha
-    _, values = mk.scaled_pairings([w.u for w in walls], v + a)
+    for x in (a, *(w.u for w in walls)):
+        v._check_ambient(x)
+    for w in walls[:1]:  # the first record stands for the list enumerate_walls built for v
+        if (w.normal != tuple(v.r * c - w.u.r * x for c, x in zip(w.u.c1, v.c1))
+                or [w.pairing_with_v] != mk.scaled_pairings([w.u], v)[1]):
+            raise ValueError("the walls were not enumerated for this Mukai vector v")
+    q, (*c, r, s) = linalg.clear_denominators((*a.c1, a.r, a.s))
+    g_c = linalg.mat_mul_vec(v.lattice.gram, c)
+    scale, rank_term, point_term = q * v.r, sum(map(mul, v.c1, g_c)) - v.r * s, v.r * r
+    values = [scale * w.pairing_with_v + sum(map(mul, w.normal, g_c)) + w.u.r * rank_term
+              - point_term * w.u.s for w in walls]
     signs = tuple((val > 0) - (val < 0) for val in values)
     position = (tuple(walls), signs, tuple(k for k, sign in enumerate(signs) if not sign))
     if singularity is None:

@@ -11,8 +11,11 @@ the standard-library encoder its report writer replaced,
 :func:`dataclass_twin`, the frozen dataclass its record classes replaced,
 :func:`h_perp_identities`, the general H-perp check the model
 instances replaced, :func:`stratum_identities`, the Mukai Gram they
-read their stratum identities from before, and :func:`phi_image_facts`,
-the sublattice their type facts came from before.
+read their stratum identities from before, :func:`phi_image_facts`,
+the sublattice their type facts came from before, and
+:func:`dot_product_walls`, :func:`dot_product_images` and
+:func:`scaled_pairing_position`, the wall search and chamber signs as they
+ran before the descent carried each wall's normal and ``locate`` read it.
 """
 
 import dataclasses
@@ -25,7 +28,8 @@ from math import isqrt, lcm
 from k3walls import lattice as lat
 from k3walls import linalg
 from k3walls import mukai as mk
-from k3walls.walls import WallVector
+from k3walls import roots
+from k3walls.walls import ChamberPosition, WallVector
 
 
 def det_fraction(rows):
@@ -437,7 +441,85 @@ def per_rank_walls(p, h, v):
             if pv <= 0:
                 results.append((s, d, b, pv, eta))
     results.sort()
-    return [WallVector(mk.MukaiVector(s, eta, b, p), pv) for s, d, b, pv, eta in results]
+    # Each normal from its definition, D_u = rk v c1(u) - rk u c1(v).
+    return [WallVector(mk.MukaiVector(s, eta, b, p), pv,
+                       tuple(r * e - s * x for e, x in zip(eta, xi)))
+            for s, d, b, pv, eta in results]
+
+
+def dot_product_images(form, bound, images):
+    """``linalg.coset_vectors(form, bound)`` with each x mapped to ``x . images``.
+
+    One dot product per coordinate of the image for every vector, as the wall
+    search computed its divisors before the descent carried the images.
+    """
+    cols = list(zip(*images))
+    for x, value in linalg.coset_vectors(form, bound):
+        yield tuple(sum(a * b for a, b in zip(x, col)) for col in cols), value
+
+
+def dot_product_walls(p, h, v):
+    """The single-descent wall search as :func:`k3walls.walls.enumerate_walls` once ran it.
+
+    Same lattice of pairs ``(D, s)`` and the same descent, but each vector's
+    divisor, ``(D, c1 v)`` and class come from dot products with the reduced
+    rows, and each wall is built by the normalising constructors, its normal
+    given as the divisor ``D``.
+    """
+    r = int(v.r)
+    xi = tuple(int(c) for c in v.c1)
+    rho = p.rank
+    g_xi = [sum(g * c for g, c in zip(row, xi)) for row in p.gram]
+    xi_sq = sum(a * b for a, b in zip(xi, g_xi))
+    g_h = [sum(g * c for g, c in zip(row, h)) for row in p.gram]
+    lam = linalg.integer_kernel(
+        [[r * e for e in g_h] + [-sum(a * b for a, b in zip(xi, g_h))]], rho + 1)
+    cols = [[r * x[i] - x[rho] * xi[i] for x in lam] for i in range(rho)]
+    cols.append([x[rho] for x in lam])
+    *rows, last = [row for _, row in linalg.IntegerSystem(cols, len(lam)).pivot_rows()]
+    t = abs(last[rho])
+    gram = [[-lat.pairing(p, a[:rho], b[:rho]) for b in rows] for a in rows]
+    form = linalg.QuadraticForm(gram)
+    if r == 1:
+        return []
+    d_cols = [[row[i] for row in rows] for i in range(rho)]
+    xi_col = [lat.pairing(p, row[:rho], xi) for row in rows]
+    s_col = [row[rho] for row in rows]
+    results = []
+    for z, value in linalg.coset_vectors(form, 2 * r * r):
+        d = tuple(sum(a * b for a, b in zip(z, col)) for col in d_cols)
+        d_xi, c = (sum(a * b for a, b in zip(z, col)) for col in (xi_col, s_col))
+        for s in range(c % t or t, r, t):
+            num = -value + 2 * s * d_xi + s * s * xi_sq
+            if num % (r * r) or (d_xi + s * xi_sq) % r:
+                raise AssertionError(f"divisor {d} is not congruent to -s c1(v) mod rk v")
+            eta_sq = num // (r * r)
+            if (eta_sq + 2) % (2 * s):
+                continue
+            b = (eta_sq + 2) // (2 * s)
+            pv = (d_xi + s * xi_sq) // r - r * b - int(v.s) * s
+            if pv <= 0:
+                results.append((s, d, b, pv))
+    return [WallVector(mk.MukaiVector(s, tuple((e + s * x) // r for e, x in zip(d, xi)), b, p),
+                       pv, d) for s, d, b, pv in sorted(results)]
+
+
+def scaled_pairing_position(alpha, walls, v, singularity=None):
+    """:func:`k3walls.walls.locate` as it ran before it read the wall normals.
+
+    Every wall's sign from :func:`k3walls.mukai.scaled_pairings` of the walls
+    with ``v + alpha``; the Weyl word from the scaled pairings of ``alpha``
+    with the report's retained classes.
+    """
+    a = alpha.alpha if isinstance(alpha, mk.TwistParameter) else alpha
+    _, values = mk.scaled_pairings([w.u for w in walls], v + a)
+    signs = tuple((val > 0) - (val < 0) for val in values)
+    position = (tuple(walls), signs, tuple(k for k, sign in enumerate(signs) if not sign))
+    if singularity is None:
+        return ChamberPosition(*position)
+    q, values = mk.scaled_pairings(singularity.retained, a)
+    return ChamberPosition(*position, *roots.reduce_to_fundamental(
+        singularity.finite, [Fraction(n, q) for n in values]))
 
 
 def h_perp_identities(lattice, h):

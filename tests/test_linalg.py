@@ -19,6 +19,7 @@ import oracles
 from k3walls import lattice as lat
 from k3walls import linalg
 from k3walls import roots
+from k3walls.errors import InvariantError
 
 
 def random_positive_definite(rng, n):
@@ -116,6 +117,28 @@ def test_descent_yields_each_pair_in_turn(seed, n, bound):
         assert [a for a in x if a][-1] > 0
         assert y == tuple(-a for a in x) and other == value
     assert list(linalg.short_vectors(form, bound)) == pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 5), st.integers(0, 4), bounds)
+def test_descent_carries_images_in_walk_order(seed, n, width, bound):
+    # coset_vectors with images is coset_vectors mapped through them by dot
+    # products, order included: the origin's zero image, then each y and -y.
+    rng = random.Random(seed)
+    form = linalg.QuadraticForm(random_positive_definite(rng, n))
+    images = [tuple(rng.randint(-5, 5) for _ in range(width)) for _ in range(n)]
+    got = list(linalg.coset_vectors(form, bound, images))
+    assert got == list(oracles.dot_product_images(form, bound, images))
+    assert [value for _, value in got] == [value for _, value in linalg.coset_vectors(form, bound)]
+
+
+def test_descent_refuses_a_non_integral_value():
+    # Factors that no integer Gram has: Q(0, 1) = 1/2 + 2/2.  The descent raises
+    # explicitly, with or without images.
+    form = linalg.QuadraticForm._from_fields((2, 2), ((2, 1), (0, 2)))
+    for images in (None, [(1, 0), (0, 1)]):
+        with pytest.raises(InvariantError, match="is not an integer"):
+            list(linalg.coset_vectors(form, 5, images))
 
 
 def test_descent_on_rank_zero_and_negative_bound():

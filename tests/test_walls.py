@@ -1,6 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,106 @@ def test_walls_match_brute_force_on_random_lattices(seed, rho):
     assert {w.u for w in walls} == oracles.brute_force_walls(p, h, v)
     assert len(walls) == len({w.u for w in walls})
     assert all(wall_constraints_hold(p, h, v, w) for w in walls)
+
+
+def _normal(wall, v):
+    return tuple(v.r * c - wall.u.r * x for c, x in zip(wall.u.c1, v.c1))
+
+
+def _assert_walls_match_dot_product_search(p, h, v):
+    # The records built from the carried images, without renormalising, are
+    # the ones the per-vector dot products and the normalising constructors
+    # build: same order, ==, hash and repr, all-int fields, and each normal
+    # is rk v c1(u) - rk u c1(v).
+    walls = wl.enumerate_walls(p, h, v)
+    expected = oracles.dot_product_walls(p, h, v)
+    assert walls == expected
+    assert [hash(w) for w in walls] == [hash(w) for w in expected]
+    assert repr(walls) == repr(expected)
+    for w in walls:
+        assert w.normal == _normal(w, v)
+        fields = (w.u.r, *w.u.c1, w.u.s, w.pairing_with_v, *w.normal)
+        assert all(type(f) is int for f in fields), w
+    return walls
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.integers(0, 10 ** 6), hst.integers(1, 4))
+def test_wall_records_match_dot_product_search(seed, rho):
+    _assert_walls_match_dot_product_search(*random_wall_context(random.Random(seed), rho))
+
+
+def test_wall_records_match_dot_product_search_on_sweep():
+    for (family, n), (r, a) in zip(families.SWEEP_TYPES, itertools.cycle([(2, 1), (3, 2), (3, 3)])):
+        inst = families.generate_example(families.ExampleSpec(family, n, r, a))
+        assert _assert_walls_match_dot_product_search(
+            inst.lattice, inst.polarization, inst.v), (family, n, r, a)
+
+
+def _random_twist_divisor(rng, p, h):
+    """A random rational divisor in H-perp."""
+    perp = lat.orthogonal_complement(p, [h]).basis
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in perp]
+    return tuple(sum(t * e[i] for t, e in zip(coeffs, perp)) for i in range(p.rank))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.integers(0, 10 ** 6), hst.integers(1, 4))
+def test_twist_pairing_is_read_off_the_normal(seed, rho):
+    # alpha = delta(D') with D' in H-perp: q rk v <v + alpha, u> = q rk v <v, u> + (q D', D_u),
+    # q clearing the denominators of D', against the Mukai pairing.
+    rng = random.Random(seed)
+    p, h, v = random_wall_context(rng, rho)
+    d = _random_twist_divisor(rng, p, h)
+    q = lcm(*(c.denominator for c in map(Fraction, d)))
+    alpha = mk.delta_map(v, d)
+    for w in wl.enumerate_walls(p, h, v):
+        lhs = q * v.r * mk.mukai_pairing(v + alpha, w.u)
+        assert lhs == q * v.r * w.pairing_with_v + lat.pairing(p, [q * c for c in d], w.normal)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.integers(0, 10 ** 6), hst.integers(1, 4))
+def test_zero_normal_exactly_when_c1_proportional(seed, rho):
+    # D_u = 0 exactly when c1(u) = (rk u / rk v) c1(v).  When (c1 v, H) != 0 that is
+    # exactly when c1(u) is proportional to c1(v): D_u = (rk v t - rk u) c1(v) for
+    # c1(u) = t c1(v) lies in H-perp.  With (c1 v, H) = 0 a proportional c1(u) may
+    # still have D_u != 0.  An empty wall has <v, u> < 0.
+    p, h, v = random_wall_context(random.Random(seed), rho)
+    xi = v.c1
+    for w in wl.enumerate_walls(p, h, v):
+        c = w.u.c1
+        empty = not any(w.normal)
+        assert empty == (tuple(v.r * e for e in c) == tuple(w.u.r * x for x in xi))
+        proportional = (all(c[i] * xi[j] == c[j] * xi[i] for i in range(rho) for j in range(i))
+                        and (any(xi) or not any(c)))
+        if lat.pairing(p, h, xi):
+            assert empty == proportional
+        if empty:
+            assert w.pairing_with_v < 0
+
+
+def test_sweep_walls_lie_on_hyperplanes_in_pairs():
+    # Grouped by the primitive +-(D_u, rk v <v, u>), the walls of the 36 sweep types at
+    # r = a = 3 lie on 3,289 hyperplanes, each cut by exactly {u, v - u}
+    # (D_{v-u} = -D_u, <v, v - u> = -<v, u>); none is empty.
+    n_walls = n_planes = 0
+    for family, n in families.SWEEP_TYPES:
+        inst = families.generate_example(families.ExampleSpec(family, n, 3, 3))
+        v = inst.v
+        walls = wl.enumerate_walls(inst.lattice, inst.polarization, v)
+        planes = {}
+        for w in walls:
+            assert any(w.normal), (family, n, w)
+            key = (*w.normal, v.r * w.pairing_with_v)
+            key = linalg.sign_normalize(tuple(k // gcd(*key) for k in key))
+            planes.setdefault(key, set()).add(w.u)
+        for cut in planes.values():
+            u = next(iter(cut))
+            assert cut == {u, v - u}, (family, n)
+        n_walls += len(walls)
+        n_planes += len(planes)
+    assert (n_walls, n_planes) == (6578, 3289)
 
 
 def test_walls_constraints_reverified(a2_instance, d4_instance):
@@ -374,13 +475,83 @@ def test_locate_and_wall_pairings_match_oracle(seed, rho, on_wall):
     expected = [_sign(oracles.mukai_pairing(p.gram, x, _triple(w.u))) for w in walls]
     assert list(pos.signs) == expected
     assert list(pos.on_walls) == [k for k, sg in enumerate(expected) if sg == 0]
+    assert pos == oracles.scaled_pairing_position(alpha, walls, v)
     if target is not None:
         assert target in pos.on_walls
 
 
+def test_locate_matches_scaled_pairing_oracle():
+    # Signs, on-walls, Weyl word and reduced values read off the normals are the
+    # ones the scaled pairings with v + alpha give, with and without a report.
+    for (family, n), (r, a) in zip(families.SWEEP_TYPES, itertools.cycle([(2, 1), (3, 3)])):
+        inst = families.generate_example(families.ExampleSpec(family, n, r, a))
+        walls = wl.enumerate_walls(inst.lattice, inst.polarization, inst.v)
+        report = st.classify_singularity(inst.stratum())
+        for scale in (1, Fraction(7, 3)):
+            alpha = families.fundamental_alpha(inst, scale)
+            for singularity in (None, report):
+                expected = oracles.scaled_pairing_position(alpha, walls, inst.v, singularity)
+                assert wl.locate(alpha, walls, inst.v, singularity) == expected, (family, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.integers(0, 10 ** 6), hst.integers(1, 4))
+def test_locate_raw_alpha_matches_scaled_pairing_oracle(seed, rho):
+    # Any rational alpha, rank and point components included, is signed through the
+    # normals as the scaled pairings with v + alpha sign it.
+    rng = random.Random(seed)
+    p, h, v = random_wall_context(rng, rho)
+    walls = wl.enumerate_walls(p, h, v)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    for _ in range(5):
+        alpha = mk.MukaiVector(rational(), [rational() for _ in range(rho)], rational(), p)
+        assert wl.locate(alpha, walls, v) == oracles.scaled_pairing_position(alpha, walls, v)
+
+
+def test_locate_twist_of_another_v_pairs_with_v_plus_alpha(a2_instance):
+    # A TwistParameter of another v' is delta_{v'}(D), not delta_v(D): locate pairs
+    # its alpha with v + alpha like a raw Mukai vector.
+    inst = a2_instance
+    walls = wl.enumerate_walls(inst.lattice, inst.polarization, inst.v)
+    d = tuple(12 * c for c in families.fundamental_alpha(inst).alpha.c1)
+    other = mk.MukaiVector(1, d, 0, inst.lattice)
+    twist = mk.TwistParameter(mk.delta_map(other, d), other, inst.polarization)
+    pos = wl.locate(twist, walls, inst.v)
+    assert pos == oracles.scaled_pairing_position(twist.alpha, walls, inst.v)
+    assert pos == wl.locate(twist.alpha, walls, inst.v)
+    # The normals would have given the signs of delta_v(D).
+    own = wl.locate(mk.TwistParameter(mk.delta_map(inst.v, d), inst.v, inst.polarization),
+                    walls, inst.v)
+    assert own.signs != pos.signs
+
+
+def test_locate_refuses_walls_of_another_v():
+    # The signs are read off each wall's <v, u> and normal, so walls enumerated for
+    # another v are refused, whichever of the two records of the first wall is off.
+    inst = families.generate_example(families.ExampleSpec("D", 4, 2, 1))
+    p, h, v = inst.lattice, inst.polarization, inst.v
+    walls = wl.enumerate_walls(p, h, v)
+    alpha = families.fundamental_alpha(inst)
+    flipped = mk.MukaiVector(v.r, [-c for c in v.c1], v.s, p)  # isotropic, other normals
+    shifted = mk.MukaiVector(v.r, v.c1, v.s + 1, p)  # the same normals, other <v, u>
+    flipped_walls = wl.enumerate_walls(p, h, flipped)
+    assert walls and flipped_walls
+    assert walls[0].normal == tuple(shifted.r * c - walls[0].u.r * x
+                                    for c, x in zip(walls[0].u.c1, shifted.c1))
+    for other in (flipped, shifted):
+        with pytest.raises(ValueError, match="not enumerated"):
+            wl.locate(alpha, walls, other)
+    with pytest.raises(ValueError, match="not enumerated"):
+        wl.locate(alpha.alpha, flipped_walls, v)
+    assert wl.locate(alpha, [], shifted).signs == ()
+
+
 def test_no_per_wall_mukai_arithmetic(monkeypatch):
     # Origin walls, report entries, small-twist checks and chamber signs read
-    # the search's <v, u> and one functional: no pairing and at most one sum.
+    # the search's <v, u> and normals and one G D': no pairing and no sum.
     from k3walls import pipeline
     inst = families.generate_example(families.ExampleSpec("D", 8, 2, 1))
     alpha = families.fundamental_alpha(inst, 1)
@@ -405,7 +576,7 @@ def test_no_per_wall_mukai_arithmetic(monkeypatch):
     entries = [pipeline._wall_json(w) for w in walls]
     pos = wl.locate(alpha, walls, inst.v)
     assert not wl.small_twist_violations(pos, inst.v)
-    assert calls == {"pairing": 0, "add": 1}
+    assert calls == {"pairing": 0, "add": 0}
     assert len(origin) == len(walls) and len(entries) == len(walls)
 
     def refuse(*args):
@@ -415,7 +586,7 @@ def test_no_per_wall_mukai_arithmetic(monkeypatch):
     # read from alpha's scaled pairings.
     pos = wl.locate(alpha, walls, inst.v, singularity=report)
     assert pos.reduced_values == roots.reduce_to_fundamental(report.finite, values)[1]
-    assert calls == {"pairing": 0, "add": 2}
+    assert calls == {"pairing": 0, "add": 0}
 
     monkeypatch.setattr(mk.MukaiVector, "__add__", refuse)
     monkeypatch.setattr(mk.MukaiVector, "__rmul__", refuse)
@@ -436,6 +607,10 @@ def test_locate_rejects_other_lattice(a2_instance):
     foreign_v = mk.MukaiVector(inst.v.r, inst.v.c1, inst.v.s, other)
     with pytest.raises(ValueError):
         wl.locate(foreign_alpha, walls, foreign_v)
+    # A twist of v read through the normals: the walls of another lattice are refused too
+    foreign_walls = wl.enumerate_walls(other, inst.polarization, foreign_v)
+    with pytest.raises(ValueError):
+        wl.locate(families.fundamental_alpha(inst), foreign_walls, inst.v)
     with pytest.raises(ValueError):
         wl.slope_condition(foreign_alpha, inst.v, inst.stratum().strata)
 
