@@ -8,8 +8,7 @@ from .errors import (CapExceeded, DomainError, Inconsistent, InvalidMukaiVector,
                      RankZeroImage, SchemaError, TriplePoint, UOnUPrime,
                      WrongSignature)
 from .lattice import (PicardLattice, Sublattice, enumerate_norm_vectors,
-                      is_negative_definite, orthogonal_complement, pairing,
-                      signature)
+                      is_negative_definite, orthogonal_complement, pairing)
 from .mukai import (MukaiVector, TwistParameter, delta_map, is_primitive,
                     mukai_pairing, mukai_square, rho)
 from .roots import (AffineDiagram, CartanMatrix, FiniteDiagram,

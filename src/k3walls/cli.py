@@ -219,18 +219,19 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json",
                         help="output format (default: json)")
+    document = argparse.ArgumentParser(add_help=False, parents=[common])
+    document.add_argument("input", help="instance JSON path, or - for stdin")
+    node = argparse.ArgumentParser(add_help=False, parents=[document])
+    node.add_argument("--delete-node", type=_integer, default=0,
+                      help="mark-1 node to delete (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("walls", parents=[common],
+    p = sub.add_parser("walls", parents=[document],
                        help="enumerate the wall set for (Pic, H, v)")
-    p.add_argument("input", help="instance JSON path, or - for stdin")
     p.set_defaults(func=cmd_walls)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[node],
                        help="validate strata and classify the singularity")
-    p.add_argument("input", help="instance JSON path, or - for stdin")
-    p.add_argument("--delete-node", type=_integer, default=0,
-                   help="mark-1 node to delete (default 0)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("example", parents=[common],
@@ -244,27 +245,22 @@ def build_parser():
                    help="also emit a fundamental-chamber alpha with this scale")
     p.set_defaults(func=cmd_example)
 
-    p = sub.add_parser("chamber", parents=[common],
+    p = sub.add_parser("chamber", parents=[node],
                        help="locate a twist parameter against the wall set")
-    p.add_argument("input", help="instance JSON path, or - for stdin")
     p.add_argument("--alpha-file", default=None,
                    help="JSON file {\"c1\": [...]} overriding the instance alpha")
-    p.add_argument("--delete-node", type=_integer, default=0)
     p.set_defaults(func=cmd_chamber)
 
-    p = sub.add_parser("reflect", parents=[common],
+    p = sub.add_parser("reflect", parents=[document],
                        help="cross a wall: reflect v in the k-th wall vector")
-    p.add_argument("input", help="instance JSON path, or - for stdin")
     p.add_argument("--u-index", type=_integer, required=True,
                    help="index into the enumerated wall list")
     p.set_defaults(func=cmd_reflect)
 
-    p = sub.add_parser("dual-graph", parents=[common],
+    p = sub.add_parser("dual-graph", parents=[node],
                        help="emit the exceptional dual graph as DOT")
-    p.add_argument("input", help="instance JSON path, or - for stdin")
     p.add_argument("--dot", default=None, metavar="OUT",
                    help="write DOT to this file instead of stdout")
-    p.add_argument("--delete-node", type=_integer, default=0)
     p.set_defaults(func=cmd_dual_graph)
     return parser
 

@@ -153,7 +153,7 @@ class InvalidMukaiVector(DomainError, ValueError):
 
 
 class NodeOutOfRange(DomainError):
-    """Node deletion requested at an index outside the stratum list."""
+    """Node deletion requested at an index outside the stratum list or the diagram."""
 
 
 class InvariantError(RuntimeError):

@@ -1,4 +1,4 @@
-"""Even integer lattices: Gram arithmetic, signatures, complements, enumeration.
+"""Even integer lattices: Gram arithmetic, complements, enumeration.
 
 A :class:`PicardLattice` is an abstract even lattice given by a symmetric
 integer Gram matrix with labelled basis vectors; a :class:`Sublattice` reduces
@@ -78,11 +78,6 @@ def pairing(lattice, x, y):
         if xi != 0:
             total += xi * sum(map(mul, row, y))
     return normalize_number(total)
-
-
-def signature(lattice):
-    """Inertia ``(pos, neg, null)`` of the Gram matrix, computed exactly."""
-    return linalg.signature([list(row) for row in lattice.gram])
 
 
 def _restricted_gram(ambient, basis):

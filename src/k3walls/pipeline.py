@@ -28,8 +28,6 @@ from . import walls as wl
 from .errors import SchemaError, _Record
 from .linalg import normalize_number
 
-TOP_LEVEL_KEYS = ("picard", "polarization", "mukai_vector", "strata", "alpha")
-
 CAVEAT = ("lattice-level computation only; existence of a K3 surface realizing "
           "this Picard lattice (a primitive embedding into (-E8)^2 + U^3) is "
           "assumed, not verified")
@@ -77,12 +75,17 @@ def _expect_list(value, path, length=None):
     return value
 
 
-def _expect_object(value, path, allowed):
+def _expect_object(value, path, required, optional=()):
+    """``value`` as an object holding every ``required`` key and no key outside ``required``
+    and ``optional``; an unexpected key is reported before a missing one."""
     if not isinstance(value, dict):
         raise SchemaError(path, f"expected an object, got {type(value).__name__}")
     for key in value:
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise SchemaError(f"{path}.{key}", "unexpected key")
+    for key in required:
+        if key not in value:
+            raise SchemaError(f"{path}.{key}", "missing")
     return value
 
 
@@ -93,9 +96,6 @@ def _parse_rational_vector(value, path, length):
 
 def parse_mukai_vector(doc, lattice, path):
     _expect_object(doc, path, ("r", "c1", "s"))
-    for key in ("r", "c1", "s"):
-        if key not in doc:
-            raise SchemaError(f"{path}.{key}", "missing")
     r = rational_from_json(doc["r"], f"{path}.r")
     c1 = _parse_rational_vector(doc["c1"], f"{path}.c1", lattice.rank)
     s = rational_from_json(doc["s"], f"{path}.s")
@@ -125,14 +125,8 @@ class ParsedInstance(_Record):
 
 def parse_instance(doc):
     """Validate an input document against the contract; SchemaError on failure."""
-    _expect_object(doc, "$", TOP_LEVEL_KEYS)
-    for key in ("picard", "polarization", "mukai_vector"):
-        if key not in doc:
-            raise SchemaError(f"$.{key}", "missing")
+    _expect_object(doc, "$", ("picard", "polarization", "mukai_vector"), ("strata", "alpha"))
     picard = _expect_object(doc["picard"], "$.picard", ("basis", "gram"))
-    for key in ("basis", "gram"):
-        if key not in picard:
-            raise SchemaError(f"$.picard.{key}", "missing")
     basis = _expect_list(picard["basis"], "$.picard.basis")
     for k, label in enumerate(basis):
         if not isinstance(label, str):
@@ -161,9 +155,6 @@ def parse_instance(doc):
         pairs = []
         for k, entry in enumerate(raw):
             _expect_object(entry, f"$.strata[{k}]", ("u", "mult"))
-            for key in ("u", "mult"):
-                if key not in entry:
-                    raise SchemaError(f"$.strata[{k}].{key}", "missing")
             u = parse_mukai_vector(entry["u"], lattice, f"$.strata[{k}].u")
             m = _expect_int(entry["mult"], f"$.strata[{k}].mult", minimum=1)
             pairs.append((u, m))
@@ -172,8 +163,6 @@ def parse_instance(doc):
     alpha_c1 = None
     if "alpha" in doc:
         alpha = _expect_object(doc["alpha"], "$.alpha", ("c1",))
-        if "c1" not in alpha:
-            raise SchemaError("$.alpha.c1", "missing")
         alpha_c1 = _parse_rational_vector(alpha["c1"], "$.alpha.c1", rank)
 
     return ParsedInstance(lattice, h, v, strata, alpha_c1)
@@ -206,17 +195,6 @@ def instance_document(example, alpha_scale=None):
     return serialize_instance(parsed)
 
 
-def _affine_json(diagram):
-    return {
-        "family": diagram.family,
-        "rank": diagram.rank,
-        "type": diagram.type_name(),
-        "node_perm": list(diagram.node_perm),
-        "affine_node": diagram.affine_node,
-        "marks_standard": list(diagram.marks_standard()),
-    }
-
-
 def _finite_json(diagram):
     return {
         "family": diagram.family,
@@ -226,77 +204,71 @@ def _finite_json(diagram):
     }
 
 
+def _affine_json(diagram):
+    return {**_finite_json(diagram), "affine_node": diagram.affine_node,
+            "marks_standard": list(diagram.marks_standard())}
+
+
 def _wall_json(wall):
     return {"u": mukai_to_json(wall.u), "pairing_with_v": wall.pairing_with_v}
 
 
-def pipeline_classify(doc, deleted_node=0):
-    """Full deterministic report for an input document.
+def pipeline_classify(parsed, deleted_node=0):
+    """Full deterministic report for a :class:`ParsedInstance`.
 
     Wall data is always computed; stratum classification and chamber location
-    appear when the document supplies ``strata`` and ``alpha``.  Identical
+    appear when the instance supplies ``strata`` and ``alpha``.  Identical
     input bytes give identical report bytes.
     """
-    parsed = doc if isinstance(doc, ParsedInstance) else parse_instance(doc)
-    report = {"tool": "k3walls", "report_version": 1}
+    report = {"tool": "k3walls", "report_version": 1,
+              **dict.fromkeys(("validation", "affine", "marks", "deleted_node", "finite",
+                               "dual_graph", "psi_plus_count", "walls", "chamber")),
+              "caveat": CAVEAT}
 
     wall_list = wl.enumerate_walls(parsed.lattice, parsed.polarization, parsed.v)
-    origin = wl.u_prime(wall_list, parsed.v)
+    report["walls"] = {
+        "count": len(wall_list),
+        "origin_count": len(wl.u_prime(wall_list, parsed.v)),
+        "vectors": [_wall_json(w) for w in wall_list],
+    }
 
-    validation = None
-    affine_json = marks_json = finite_json = graph_json = psi_count = deleted_json = None
     stratum = parsed.stratum_data()
     result = None
     if stratum is not None:
         violations = st.validate_stratum(stratum)
-        validation = {"ok": not violations, "violations": violations}
+        report["validation"] = {"ok": not violations, "violations": violations}
         if not violations:
             result = st.classify_singularity(stratum, deleted_node)
-            affine_json = _affine_json(result.affine)
-            marks_json = list(result.marks)
-            finite_json = _finite_json(result.finite)
-            deleted_json = result.deleted_node
-            graph_json = {
-                "nodes": list(result.dual_graph.nodes),
-                "labels": list(result.dual_graph.node_labels()),
-                "edges": [list(e) for e in result.dual_graph.edges],
-                "self_intersection": result.dual_graph.self_intersection,
-            }
-            # |Psi_+| = |Phi_+| = n h / 2, h = sum of the affine marks the Coxeter number;
-            # the passed stratum checks imply the Psi-set checks.
-            psi_count = result.finite.rank * sum(result.marks) // 2
+            graph = result.dual_graph
+            report.update(
+                affine=_affine_json(result.affine),
+                marks=list(result.marks),
+                deleted_node=result.deleted_node,
+                finite=_finite_json(result.finite),
+                dual_graph={
+                    "nodes": list(graph.nodes),
+                    "labels": list(graph.node_labels()),
+                    "edges": [list(e) for e in graph.edges],
+                    "self_intersection": graph.self_intersection,
+                },
+                # |Psi_+| = |Phi_+| = n h / 2, h = sum of the affine marks the Coxeter
+                # number; the passed stratum checks imply the Psi-set checks.
+                psi_plus_count=result.finite.rank * sum(result.marks) // 2)
 
-    chamber_json = None
     twist = parsed.twist()
     if twist is not None:
         position = wl.locate(twist, wall_list, parsed.v, singularity=result)
-        chamber_json = {
+        chamber = report["chamber"] = {
             "signs": list(position.signs),
             "on_walls": list(position.on_walls),
             "generic": position.is_generic,
         }
         if result is not None:
-            chamber_json["weyl_word"] = list(position.weyl_word)
-            chamber_json["reduced_values"] = [rational_to_json(t)
-                                              for t in position.reduced_values]
-            chamber_json["on_chamber_wall"] = position.on_chamber_wall
-            chamber_json["slope_condition"] = wl.slope_condition(
+            chamber["weyl_word"] = list(position.weyl_word)
+            chamber["reduced_values"] = [rational_to_json(t) for t in position.reduced_values]
+            chamber["on_chamber_wall"] = position.on_chamber_wall
+            chamber["slope_condition"] = wl.slope_condition(
                 twist, parsed.v, stratum.strata, deleted_node)
-
-    report["validation"] = validation
-    report["affine"] = affine_json
-    report["marks"] = marks_json
-    report["deleted_node"] = deleted_json
-    report["finite"] = finite_json
-    report["dual_graph"] = graph_json
-    report["psi_plus_count"] = psi_count
-    report["walls"] = {
-        "count": len(wall_list),
-        "origin_count": len(origin),
-        "vectors": [_wall_json(w) for w in wall_list],
-    }
-    report["chamber"] = chamber_json
-    report["caveat"] = CAVEAT
     return report
 
 

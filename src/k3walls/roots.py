@@ -17,8 +17,8 @@ from math import prod
 from operator import add
 
 from . import linalg
-from .errors import (CapExceeded, InvariantError, MarkNotOne, NotAffineADE,
-                     NotFiniteADE, _Record)
+from .errors import (CapExceeded, InvariantError, MarkNotOne, NodeOutOfRange,
+                     NotAffineADE, NotFiniteADE, _Record)
 
 ORBIT_CAP = 10 ** 6
 
@@ -301,8 +301,8 @@ def classify_affine(matrix):
     wrong graph shapes, entries below -1 other than the rank-1 affine A case).
     The input is verified to be the standard matrix relabelled by ``node_perm``,
     so its marks are the standard marks read through ``node_perm``.  Memoized
-    per matrix, as are :func:`classify_finite` and the root tree; a call that
-    raises is not cached.
+    per matrix, as are node deletion and the root tree; a call that raises is
+    not cached.
     """
     try:
         family, rank, perm = _affine_labels(matrix)
@@ -315,7 +315,6 @@ def classify_affine(matrix):
     return AffineDiagram(family, rank, perm, marks, matrix)
 
 
-@lru_cache
 def classify_finite(matrix):
     """Recognize a finite ADE Cartan matrix up to simultaneous permutation."""
     try:
@@ -335,18 +334,19 @@ def marks(matrix):
     return classify_affine(matrix).marks
 
 
+@lru_cache
 def delete_node(diagram, i):
     """Delete mark-1 node ``i`` of an affine diagram; classify the rest in input order.
 
-    Memoized per ``(matrix, i)`` after the mark check, so a call that raises caches nothing."""
+    Raises :class:`NodeOutOfRange` unless ``0 <= i < n`` (negative indices do
+    not wrap), then :class:`MarkNotOne` off a mark-1 node.  Memoized per
+    ``(diagram, i)``; a call that raises caches nothing."""
+    if not 0 <= i < len(diagram.marks):
+        raise NodeOutOfRange(
+            f"node {i} is out of range; the diagram has nodes 0..{len(diagram.marks) - 1}")
     if diagram.marks[i] != 1:
         raise MarkNotOne(f"node {i} has mark {diagram.marks[i]}, expected 1")
-    return _delete_node(diagram.matrix, i)
-
-
-@lru_cache
-def _delete_node(matrix, i):
-    entries = matrix.entries
+    entries = diagram.matrix.entries
     return classify_finite(CartanMatrix(tuple(_without(row, i) for row in _without(entries, i))))
 
 
@@ -355,6 +355,7 @@ def _pairing_with_simple(matrix, x, i):
     return sum(matrix.entries[i][j] * x[j] for j in range(len(x)) if x[j] != 0)
 
 
+@lru_cache
 def root_tree(diagram):
     """The positive roots as ``(b, parent, i)`` triples, in lexicographic order of ``b``.
 
@@ -363,16 +364,12 @@ def root_tree(diagram):
     (b, alpha_i) = -1.  The simple root ``e_i`` has ``parent`` None; every
     other ``parent`` indexes the triple holding ``b - e_i``, which is
     lexicographically smaller and so comes earlier.  An affine root system is
-    infinite: :class:`NotFiniteADE`.
+    infinite: :class:`NotFiniteADE`.  Memoized per diagram; a refusal caches
+    nothing.
     """
     if not isinstance(diagram, FiniteDiagram):
         raise NotFiniteADE(f"{diagram.type_name()} has infinitely many roots")
-    return _root_tree(diagram.matrix)
-
-
-@lru_cache
-def _root_tree(matrix):
-    entries = matrix.entries
+    entries = diagram.matrix.entries
     n = len(entries)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     steps = {b: (None, i) for i, b in enumerate(simple)}  # root -> (parent root, simple root)

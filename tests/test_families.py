@@ -73,7 +73,8 @@ def test_sweep_lattices_have_hyperbolic_signature():
     # The wall search needs signature (1, rho - 1); every sweep type has it at r = a = 1.
     for family, n in families.SWEEP_TYPES:
         inst = families.generate_example(families.ExampleSpec(family, n, 1, 1))
-        assert lat.signature(inst.lattice) == (1, inst.affine_matrix.n_nodes - 1, 0), (family, n)
+        rho = inst.affine_matrix.n_nodes
+        assert linalg.signature(inst.lattice.gram) == (1, rho - 1, 0), (family, n)
 
 
 def test_fundamental_alpha(a2_instance, d4_instance):

@@ -85,6 +85,35 @@ def test_schema_errors_name_fields():
     assert "strata[0].mult" in str(exc.value)
 
 
+#: Each object of the contract: its path, how to reach it, and its required keys.
+CONTRACT_OBJECTS = [
+    ("$", lambda doc: doc, ("picard", "polarization", "mukai_vector")),
+    ("$.picard", lambda doc: doc["picard"], ("basis", "gram")),
+    ("$.mukai_vector", lambda doc: doc["mukai_vector"], ("r", "c1", "s")),
+    ("$.strata[0]", lambda doc: doc["strata"][0], ("u", "mult")),
+    ("$.strata[0].u", lambda doc: doc["strata"][0]["u"], ("r", "c1", "s")),
+    ("$.alpha", lambda doc: doc["alpha"], ("c1",)),
+]
+
+
+@pytest.mark.parametrize("path, reach, required", CONTRACT_OBJECTS,
+                         ids=[path for path, _, _ in CONTRACT_OBJECTS])
+def test_schema_errors_for_missing_and_unexpected_keys(path, reach, required):
+    # An unexpected key is reported before a missing one at the same level.
+    def error(edit):
+        doc = a1_doc(alpha=1)
+        edit(reach(doc))
+        with pytest.raises(SchemaError) as exc:
+            pipeline.parse_instance(doc)
+        return str(exc.value)
+
+    for key in required:
+        assert error(lambda obj: obj.pop(key)) == f"{path}.{key}: missing"
+    unexpected = f"{path}.x: unexpected key"
+    assert error(lambda obj: obj.update(x=1)) == unexpected
+    assert error(lambda obj: (obj.pop(required[0]), obj.update(x=1))) == unexpected
+
+
 def test_alpha_constraint_violation_is_domain_error():
     doc = a1_doc()
     doc["alpha"] = {"c1": [1, 0]}  # (c1, H) != 0
@@ -175,7 +204,7 @@ def test_one_classification_pass_per_report(monkeypatch):
     # The report classifies its stratum once; Psi-sets and chamber location
     # read the diagrams it holds.  A second pass creeping back in fails here
     # before it shows up as time.  The caches start cold, so node deletion,
-    # memoized per matrix, reaches classify_finite.
+    # memoized per diagram and node, reaches classify_finite.
     inst = families.generate_example(families.ExampleSpec("A", 3, 1, 1))
     doc = pipeline.instance_document(inst, alpha_scale=1)
     clear_library_caches()

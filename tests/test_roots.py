@@ -9,7 +9,8 @@ from hypothesis import strategies as hst
 import oracles
 from conftest import clear_library_caches
 from k3walls import roots
-from k3walls.errors import CapExceeded, MarkNotOne, NotAffineADE, NotFiniteADE
+from k3walls.errors import (CapExceeded, MarkNotOne, NodeOutOfRange, NotAffineADE,
+                            NotFiniteADE)
 
 ALL_AFFINE = ([("A", n) for n in range(1, 19)] + [("D", n) for n in range(4, 19)]
               + [("E", n) for n in (6, 7, 8)])
@@ -132,6 +133,20 @@ def test_delete_node_every_mark_one():
                     roots.delete_node(diagram, i)
 
 
+@pytest.mark.parametrize("family, n", [("D", 4), ("A", 3)])
+def test_delete_node_refuses_indices_outside_the_diagram(family, n):
+    # Negative indices do not wrap, and the refusal comes before the mark check.
+    diagram = roots.classify_affine(roots.standard_affine_matrix(family, n))
+    size = len(diagram.marks)
+    before = roots.delete_node.cache_info().currsize
+    for node in (-1, -size, -size - 1, size):
+        with pytest.raises(NodeOutOfRange) as exc:
+            roots.delete_node(diagram, node)
+        assert str(exc.value) == f"node {node} is out of range; the diagram has nodes 0..{size - 1}"
+    assert roots.delete_node.cache_info().currsize == before
+    assert roots.delete_node(diagram, diagram.affine_node).type_name() == f"{family}{n}"
+
+
 def test_classify_finite_rejects():
     with pytest.raises(NotFiniteADE):
         roots.classify_finite(roots.standard_affine_matrix("A", 3))  # cycle
@@ -227,7 +242,7 @@ def test_root_tree_on_permuted_matrices(type_, data):
 
 ALL_FINITE = ([("A", n) for n in range(1, 19)] + [("D", n) for n in range(4, 19)]
               + [("E", n) for n in (6, 7, 8)])
-MEMOS = (roots.classify_affine, roots.classify_finite, roots._root_tree)
+MEMOS = (roots.classify_affine, roots.delete_node, roots.root_tree)
 
 
 def draw_permuted(data, standard):
@@ -244,7 +259,7 @@ def test_memoized_classify_affine_matches_the_uncached(type_, data):
     assert first == roots.classify_affine.__wrapped__(m)
     assert roots.classify_affine(roots.CartanMatrix(m.entries)) is first
     for node in [k for k, mark in enumerate(first.marks) if mark == 1]:
-        assert roots.delete_node(first, node) == roots._delete_node.__wrapped__(m, node)
+        assert roots.delete_node(first, node) == roots.delete_node.__wrapped__(first, node)
 
 
 @settings(max_examples=80, deadline=None)
@@ -255,10 +270,9 @@ def test_memoized_classify_finite_and_tree_match_the_uncached(type_, data):
     std = roots.standard_finite_matrix(*type_)
     m, perm = draw_permuted(data, std)
     diagram = roots.classify_finite(m)
-    assert diagram == roots.classify_finite.__wrapped__(m)
-    assert roots.classify_finite(roots.CartanMatrix(m.entries)) is diagram
     tree = roots.root_tree(diagram)
-    assert tree == roots._root_tree.__wrapped__(m) and roots.root_tree(diagram) is tree
+    assert tree == roots.root_tree.__wrapped__(diagram)
+    assert roots.root_tree(roots.classify_finite(roots.CartanMatrix(m.entries))) is tree
     found = _check_tree(diagram)
     family, n = type_
     if n <= 8:
@@ -271,8 +285,8 @@ def test_memoized_classify_finite_and_tree_match_the_uncached(type_, data):
 @given(hst.sampled_from([t for t in ALL_AFFINE if t[1] >= 3]), hst.booleans(), hst.data())
 def test_non_ade_matrices_raise_on_every_call(type_, add_edge, data):
     # An affine diagram with one edge more, or one edge doubled, is neither
-    # affine nor finite.  A call that raises caches nothing: the second call
-    # misses and raises again.
+    # affine nor finite.  A call that raises caches nothing: the second affine
+    # call misses and raises again.  classify_finite has no memo.
     m, _ = draw_permuted(data, roots.standard_affine_matrix(*type_))
     n = m.n_nodes
     entries = [list(row) for row in m.entries]
@@ -280,15 +294,15 @@ def test_non_ade_matrices_raise_on_every_call(type_, add_edge, data):
                                        if (entries[i][j] == 0) == add_edge]))
     entries[i][j] = entries[j][i] = -1 if add_edge else -2
     junk = roots.CartanMatrix(entries)
+    before = roots.classify_affine.cache_info()
     for classify, error, matrix in ((roots.classify_affine, NotAffineADE, junk),
                                     (roots.classify_finite, NotFiniteADE, junk),
                                     (roots.classify_finite, NotFiniteADE, m)):
-        before = classify.cache_info()
         for _ in range(2):
             with pytest.raises(error):
                 classify(matrix)
-        after = classify.cache_info()
-        assert (after.misses - before.misses, after.currsize) == (2, before.currsize)
+    after = roots.classify_affine.cache_info()
+    assert (after.misses - before.misses, after.currsize) == (2, before.currsize)
 
 
 def test_memos_stay_within_their_bound():
@@ -303,7 +317,8 @@ def test_memos_stay_within_their_bound():
         return list(matrices)
 
     for m in distinct_permutations(roots.standard_affine_matrix("D", 8)):
-        roots.classify_affine(m)
+        affine = roots.classify_affine(m)
+        roots.delete_node(affine, affine.affine_node)
     for m in distinct_permutations(roots.standard_finite_matrix("D", 8)):
         roots.root_tree(roots.classify_finite(m))
     for memo in MEMOS:
@@ -312,22 +327,22 @@ def test_memos_stay_within_their_bound():
 
 
 def test_root_tree_refuses_affine_diagrams():
-    # An affine root system is infinite; the refusal comes before the memo.
-    before = roots._root_tree.cache_info()
+    # An affine root system is infinite; a refusal counts a miss but caches nothing.
+    before = roots.root_tree.cache_info().currsize
     for family, n in ALL_AFFINE:
         diagram = roots.classify_affine(roots.standard_affine_matrix(family, n))
         for func in (roots.root_tree, roots.positive_roots, roots.lie_algebra_dimension):
             with pytest.raises(NotFiniteADE, match="infinitely many roots"):
                 func(diagram)
-    assert roots._root_tree.cache_info() == before
+    assert roots.root_tree.cache_info().currsize == before
 
 
 def test_clear_library_caches_empties_every_memo():
     roots.root_tree(finite("E", 6))
     assert clear_library_caches() == [
-        "families._type_data", "roots._delete_node", "roots._root_tree",
-        "roots._standard_marks", "roots.classify_affine", "roots.classify_finite",
-        "roots.standard_affine_matrix", "roots.standard_finite_matrix"]
+        "families._type_data", "roots._standard_marks", "roots.classify_affine",
+        "roots.delete_node", "roots.root_tree", "roots.standard_affine_matrix",
+        "roots.standard_finite_matrix"]
     assert all(memo.cache_info().currsize == 0 for memo in MEMOS)
 
 

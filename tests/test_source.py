@@ -31,7 +31,6 @@ def test_no_assert_statements():
 #: leaves this list when its function is deleted.
 UNREFERENCED_ALLOWED = {
     "linalg.signature": "bound by name in the benchmark tracer",
-    "lattice.signature": "bound by name in the benchmark tracer",
     "linalg.solve_integer": "bound by name in the benchmark tracer",
     "strata.psi_sets": "bound by the benchmark tracer and called by its strata-batch workload",
     "strata.strata_orthogonality": "pinned by the acceptance tests",
@@ -43,12 +42,12 @@ UNREFERENCED_ALLOWED = {
     "roots.apply_word_dual": "the curve-class strata of ROADMAP item 5 build on it",
     "walls.small_twist_violations": "the small-twist check of ROADMAP item 5",
     "roots.marks": "the benchmark population builds its documents with it",
-    "lattice.orthogonal_complement": "bound by name in the benchmark tracer; item 1's NotAmple "
-                                     "check will reach them",
-    "lattice.is_negative_definite": "bound by name in the benchmark tracer; item 1's NotAmple "
-                                    "check will reach them",
-    "lattice.enumerate_norm_vectors": "bound by name in the benchmark tracer; item 1's "
-                                      "NotAmple check will call it",
+    "lattice.orthogonal_complement": "bound by name in the benchmark tracer; leaves with "
+                                     "ROADMAP item 15(a)",
+    "lattice.is_negative_definite": "bound by name in the benchmark tracer; leaves with "
+                                    "ROADMAP item 15(a)",
+    "lattice.enumerate_norm_vectors": "bound by name in the benchmark tracer; leaves with "
+                                      "ROADMAP item 15(a)",
     "mukai.rho": "the point class, a basic element of the Mukai lattice",
 }
 

@@ -251,16 +251,16 @@ def test_marks_equal_multiplicities_and_dimension_identity(a2_instance, d4_insta
 
 
 def test_mark_two_node_is_mark_not_one_for_both_calls():
-    # node 2 of the D~4 instance is the centre, of mark 2; the mark is checked
-    # before the node deletion memo, which the refusals leave untouched
+    # node 2 of the D~4 instance is the centre, of mark 2; the refusals count
+    # misses in the node deletion memo but cache nothing
     data = _d4_stratum_center_request()
     assert data.multiplicities[2] == 2
-    before = roots._delete_node.cache_info()
+    before = roots.delete_node.cache_info().currsize
     with pytest.raises(MarkNotOne):
         st.classify_singularity(data, deleted_node=2)
     with pytest.raises(MarkNotOne):
         st.psi_sets(data, 2)
-    assert roots._delete_node.cache_info() == before
+    assert roots.delete_node.cache_info().currsize == before
 
 
 def _combination(coeffs, triples):
@@ -391,7 +391,7 @@ def test_one_type_is_recognised_once(monkeypatch):
         pipeline.dot_graph(st.classify_singularity(d).dual_graph)
         st.psi_sets(d)
     assert calls == Counter(_affine_labels=1, _finite_labels=2)
-    assert roots._root_tree.cache_info().misses == 1
+    assert roots.root_tree.cache_info().misses == 1
 
 
 @contextlib.contextmanager
