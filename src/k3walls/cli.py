@@ -160,6 +160,7 @@ def cmd_chamber(args):
         alpha_doc = _read_document(args.alpha_file)
         if not isinstance(alpha_doc, dict) or "c1" not in alpha_doc:
             raise SchemaError("$.c1", "alpha file must be an object with a c1 list")
+        pipeline._expect_object(alpha_doc, "$", ("c1",))
         doc = {**doc, "alpha": {"c1": alpha_doc["c1"]}}
     parsed = pipeline.parse_instance(doc)
     if parsed.alpha_c1 is None:

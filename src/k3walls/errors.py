@@ -8,7 +8,24 @@ the library rather than bad input; it is raised by explicit checks, so it
 survives ``python -O``.
 """
 
+from functools import cache
 from operator import attrgetter
+
+
+@cache
+def _fields_builder(n):
+    """``make(new, cls, *setters)``, whose result builds a ``cls`` from exactly ``n`` values.
+
+    Generated as ``dataclasses`` generates ``__init__``: a fixed-arity function, so a missing
+    or surplus value raises TypeError.  One per arity keeps the import to a few compiles.
+    """
+    xs = [f"x{k}" for k in range(n)]
+    namespace = {}
+    exec(f"def make(new, cls, {', '.join(f'set_{x}' for x in xs)}):\n"
+         f" def from_fields({', '.join(xs)}):\n  self = new(cls)\n"
+         + "".join(f"  set_{x}(self, {x})\n" for x in xs)
+         + "  return self\n return from_fields\n", namespace)
+    return namespace["make"]
 
 
 class _Record:
@@ -19,7 +36,8 @@ class _Record:
     then the class's ``_defaults`` (a slotted class cannot hold a class attribute named
     after a slot); a surplus, unknown, repeated or missing argument raises TypeError.
     A validating or normalising record ends its own ``__init__`` with ``super().__init__``;
-    ``_from_fields`` fills the slots with no ``__init__``, so no check and no normalisation.
+    ``_from_fields(*fields)``, generated per class, takes exactly one value per slot and
+    fills the slots with no ``__init__``, so no check and no normalisation.
     """
 
     __slots__ = ()
@@ -28,6 +46,9 @@ class _Record:
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls.__slots__)  # gives a tuple: records have two fields or more
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        from_fields = _fields_builder(len(cls.__slots__))(object.__new__, cls, *cls._setters)
+        from_fields.__qualname__ = f"{cls.__qualname__}._from_fields"
+        cls._from_fields = staticmethod(from_fields)
 
     def __init__(self, *args, **kwargs):
         setters = self._setters  # slot setters skip __setattr__, faster than object.__setattr__
@@ -42,14 +63,6 @@ class _Record:
             args = [values[name] for name in names]
         for setter, value in zip(setters, args):
             setter(self, value)
-
-    @classmethod
-    def _from_fields(cls, *values):
-        """A record holding ``values`` as given, for values already in normal form."""
-        self = object.__new__(cls)
-        for setter, value in zip(cls._setters, values):
-            setter(self, value)
-        return self
 
     def __setattr__(self, name, value=None):  # also __delattr__, which passes no value
         raise AttributeError(f"{type(self).__name__} is immutable")

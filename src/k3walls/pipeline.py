@@ -20,6 +20,7 @@ integers emitted as integers, non-integers as "p/q"), so
 import json
 import re
 from fractions import Fraction
+from itertools import chain, starmap
 
 from . import lattice as lat
 from . import mukai as mk
@@ -91,6 +92,8 @@ def _expect_object(value, path, required, optional=()):
 
 def _parse_rational_vector(value, path, length):
     items = _expect_list(value, path, length)
+    if set(map(type, items)) == {int}:  # a bool is not an int here
+        return tuple(items)
     return tuple(rational_from_json(x, f"{path}[{k}]") for k, x in enumerate(items))
 
 
@@ -136,7 +139,9 @@ def parse_instance(doc):
     gram = []
     for i, row in enumerate(gram_rows):
         row = _expect_list(row, f"$.picard.gram[{i}]", rank)
-        gram.append([_expect_int(e, f"$.picard.gram[{i}][{j}]") for j, e in enumerate(row)])
+        if set(map(type, row)) != {int}:  # walk the row only to name the entry at fault
+            row = [_expect_int(e, f"$.picard.gram[{i}][{j}]") for j, e in enumerate(row)]
+        gram.append(row)
     try:
         lattice = lat.PicardLattice(gram, basis)
     except ValueError as exc:
@@ -210,7 +215,8 @@ def _affine_json(diagram):
 
 
 def _wall_json(wall):
-    return {"u": mukai_to_json(wall.u), "pairing_with_v": wall.pairing_with_v}
+    u = wall.u  # integral as enumerate_walls builds it: mukai_to_json(u), with no type probe
+    return {"u": {"r": u.r, "c1": list(u.c1), "s": u.s}, "pairing_with_v": wall.pairing_with_v}
 
 
 def pipeline_classify(parsed, deleted_node=0):
@@ -305,11 +311,42 @@ def _write_json(x, indent):
     if kind is dict:  # the escaper raises TypeError on a non-str key
         items = [f"{_encode_str(k)}: {_write_json(v, inner)}" for k, v in x.items()]
         return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
-    if set(map(type, x)) == {int}:  # a bool is not an int here
-        items = map(int.__repr__, x)
-    else:
-        items = [_write_json(v, inner) for v in x]
+    template, columns = _write_column(x, inner)
+    items = map(str, *columns) if template == "{}" else starmap(template.format, zip(*columns))
     return f"[\n{inner}{sep.join(items)}\n{indent}]"
+
+
+def _write_column(values, indent):
+    """``(template, columns)``: ``template.format(*row)`` for the i-th row of ``zip(*columns)``
+    is the JSON text of ``values[i]``, closing at ``indent``.
+
+    A column of ints is ``"{}"`` over itself, int lists of one length get one field per entry,
+    and dicts sharing one tuple of ``str`` keys nest their columns' templates key by key.  A
+    ``bool`` is no ``int`` here; any other column (a dict or str subclass in it, say) is
+    ``"{}"`` over texts written value by value by :func:`_write_json`.
+    """
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return "{}", [values]
+    inner = indent + "  "
+    sep = ",\n" + inner
+    # Lists of one length holding ints only: that length is not 0, or no int would be found.
+    if (kinds == {list} and len(lengths := set(map(len, values))) == 1
+            and set(map(type, chain.from_iterable(values))) == {int}):
+        (n,) = lengths
+        return f"[\n{inner}{sep.join(['{}'] * n)}\n{indent}]", list(zip(*values))
+    if kinds == {dict} and len(keys := set(map(tuple, values))) == 1:
+        (keys,) = keys
+        if set(map(type, keys)) == {str}:  # so at least one key
+            fields, columns = [], []
+            for key, column in zip(keys, zip(*map(dict.values, values))):
+                template, leaves = _write_column(column, inner)
+                # The key's braces are doubled: its text goes into the format template.
+                fields.append(f"{_encode_str(key)}: ".replace("{", "{{").replace("}", "}}")
+                              + template)
+                columns += leaves
+            return f"{{{{\n{inner}{sep.join(fields)}\n{indent}}}}}", columns
+    return "{}", [[_write_json(v, indent) for v in values]]
 
 
 def dot_graph(graph):

@@ -110,6 +110,22 @@ def test_chamber_with_alpha_file_on_a_non_object_is_schema_error(alpha_file, doc
     assert err == f"schema error: $: expected an object, got {type(doc).__name__}\n"
 
 
+@pytest.mark.parametrize("alpha, message", [
+    ({**SEED_DOCS["A~2"]["alpha"], "bogus": 1}, "$.bogus: unexpected key"),
+    ({"bogus": 1}, "$.c1: alpha file must be an object with a c1 list"),
+    ([1, 2], "$.c1: alpha file must be an object with a c1 list"),
+], ids=["extra-key", "no-c1", "list"])
+def test_chamber_alpha_file_keeps_the_alpha_contract(tmp_path, alpha, message):
+    # The alpha file is the document's alpha object: a key beside c1 is a schema error there
+    # as it is in the document, where it exited 0 once.
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(alpha), encoding="utf-8")
+    code, out, err = _main(["chamber", "-", "--alpha-file", str(path)],
+                           json.dumps(SEED_DOCS["A~2"]))
+    assert (code, out) == (2, "")
+    assert err == f"schema error: {message}\n"
+
+
 NINES = "9" * 5000  # past the interpreter's int-to-str digit limit
 
 

@@ -114,6 +114,38 @@ def test_schema_errors_for_missing_and_unexpected_keys(path, reach, required):
     assert error(lambda obj: (obj.pop(required[0]), obj.update(x=1))) == unexpected
 
 
+#: Each integer or rational vector of the contract: its path, and how to reach it.
+CONTRACT_VECTORS = [
+    ("$.picard.gram[1]", lambda doc: doc["picard"]["gram"][1]),
+    ("$.mukai_vector.c1", lambda doc: doc["mukai_vector"]["c1"]),
+    ("$.strata[0].u.c1", lambda doc: doc["strata"][0]["u"]["c1"]),
+    ("$.alpha.c1", lambda doc: doc["alpha"]["c1"]),
+]
+_NOT_AN_INTEGER = [(True, "bool"), (1.0, "float"), ("1", "str"), ("1/2", "str")]
+_NOT_A_RATIONAL = [(False, "expected a rational, got a boolean"),
+                   (2.5, "expected an integer or 'p/q' string, got float")]
+
+
+@pytest.mark.parametrize("path, reach", CONTRACT_VECTORS, ids=[p for p, _ in CONTRACT_VECTORS])
+@pytest.mark.parametrize("k", [0, 1])
+def test_schema_errors_name_the_entry_of_a_vector(path, reach, k):
+    # Rows and vectors of ints skip the entry by entry walk, which runs only to name the
+    # entry at fault: the messages stay those of that walk.
+    def error(value):
+        doc = a1_doc(alpha=1)
+        reach(doc)[k] = value
+        with pytest.raises(SchemaError) as exc:
+            pipeline.parse_instance(doc)
+        return str(exc.value)
+
+    if path == "$.picard.gram[1]":
+        for value, kind in _NOT_AN_INTEGER:
+            assert error(value) == f"{path}[{k}]: expected an integer, got {kind}"
+    else:
+        for value, message in _NOT_A_RATIONAL:
+            assert error(value) == f"{path}[{k}]: {message}"
+
+
 def test_alpha_constraint_violation_is_domain_error():
     doc = a1_doc()
     doc["alpha"] = {"c1": [1, 0]}  # (c1, H) != 0
@@ -171,6 +203,77 @@ _JSON_VALUES = hst.recursive(
 @given(_JSON_VALUES)
 def test_report_writer_against_stdlib(value):
     assert pipeline.dumps_report(value) == oracles.dumps_report_stdlib(value)
+
+
+def _row_of(keys, kinds):
+    """Dicts with the keys ``keys`` in this order, the value at each key drawn from its kind."""
+    return hst.tuples(*kinds).map(lambda values: dict(zip(keys, values)))
+
+
+# A kind is the strategy of one column: every row draws the value at one key from it.  The
+# uniform kinds reach the writer's column paths, the mixed ones its value by value path.
+_INT_ROWS = hst.integers(1, 4).map(
+    lambda n: hst.lists(hst.integers(-2 ** 70, 2 ** 70), min_size=n, max_size=n))
+_COLUMN_KINDS = hst.recursive(
+    hst.sampled_from([hst.integers(-9, 9), hst.integers(2 ** 64, 2 ** 80), hst.booleans(),
+                      hst.none(), _TEXT, hst.just([]), hst.lists(hst.integers(-9, 9), max_size=3),
+                      hst.lists(hst.integers(-2, 2) | hst.booleans(), min_size=1, max_size=3),
+                      hst.lists(hst.integers(), max_size=3).map(tuple), _SCALARS])
+    | _INT_ROWS,
+    lambda inner: hst.lists(hst.tuples(_TEXT, inner), max_size=4, unique_by=lambda kv: kv[0])
+    .map(lambda pairs: _row_of([k for k, _ in pairs], [kind for _, kind in pairs])),
+    max_leaves=8)
+_ROWS = hst.lists(hst.tuples(_TEXT, _COLUMN_KINDS), min_size=1, max_size=5,
+                  unique_by=lambda kv: kv[0]).flatmap(
+    lambda pairs: hst.lists(_row_of([k for k, _ in pairs], [kind for _, kind in pairs]),
+                            min_size=2, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ROWS, hst.integers(0, 2))
+def test_report_writer_on_rows_against_stdlib(rows, depth):
+    """Rows of dicts sharing one key order, as a report's wall list is, at any depth."""
+    value = rows
+    for _ in range(depth):
+        value = {"walls": value, "count": len(rows)}
+    assert pipeline.dumps_report(value) == oracles.dumps_report_stdlib(value)
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), collections.OrderedDict(r=1),
+                                 type("Text", (str,), {})("x"), {1: 2}, [1, 2.0], (1, 2.0)],
+                         ids=["float", "fraction", "dict-subclass", "str-subclass", "int-key",
+                              "float-in-int-row", "float-in-tuple"])
+@pytest.mark.parametrize("where", ["u.r", "u.c1", "pairing_with_v"])
+def test_report_writer_rejects_one_bad_row_of_a_column(bad, where):
+    rows = [{"u": {"r": k, "c1": [k, -k], "s": 0}, "pairing_with_v": 0} for k in range(4)]
+    row = rows[2]["u"] if where.startswith("u.") else rows[2]
+    row[where.removeprefix("u.")] = bad
+    with pytest.raises(TypeError):
+        pipeline.dumps_report({"walls": {"vectors": rows}})
+
+
+@pytest.mark.parametrize("make_bad", [
+    lambda row: collections.OrderedDict(row),
+    lambda row: {**row, "u": collections.OrderedDict(row["u"])},
+    lambda row: {**row, 1: 0},
+    lambda row: {**row, "u": {0: 0, "c1": [0, 0], "s": 0}},
+], ids=["row-subclass", "u-subclass", "row-int-key", "u-int-key"])
+def test_report_writer_rejects_one_bad_dict_in_a_column(make_bad):
+    rows = [{"u": {"r": k, "c1": [k, -k], "s": 0}, "pairing_with_v": 0} for k in range(4)]
+    rows[2] = make_bad(rows[2])
+    with pytest.raises(TypeError):
+        pipeline.dumps_report(rows)
+
+
+def test_wall_json_is_mukai_to_json_of_the_wall():
+    for family, n in families.SWEEP_TYPES:
+        parsed = pipeline.parse_instance(pipeline.instance_document(
+            families.generate_example(families.ExampleSpec(family, n, 3, 3))))
+        wall_list = walls.enumerate_walls(parsed.lattice, parsed.polarization, parsed.v)
+        rows = [pipeline._wall_json(w) for w in wall_list]
+        assert rows == [{"u": pipeline.mukai_to_json(w.u), "pairing_with_v": w.pairing_with_v}
+                        for w in wall_list], (family, n)
+        assert pipeline.dumps_report(rows) == oracles.dumps_report_stdlib(rows)
 
 
 def test_report_writer_on_sweep_reports():

@@ -6,15 +6,19 @@ frozen dataclass with the same fields does (:func:`oracles.dataclass_twin`),
 refuse to compare with another class, and refuse every mutation.  Every class
 on the base copies and pickles: the three value classes with their own equality
 and the four that compute their fields (``Sublattice``, ``QuadraticForm``,
-``IntegerSystem`` and ``TwistParameter``) included.
+``IntegerSystem`` and ``TwistParameter``) included, and each class's generated
+``_from_fields`` takes exactly one value per slot.
 """
 
 import copy
+import importlib
 import itertools
 import pickle
+import pkgutil
 
 import pytest
 
+import k3walls
 import oracles
 from k3walls import errors, families, linalg, pipeline, roots, strata, walls
 from k3walls import lattice as lat
@@ -164,10 +168,11 @@ def test_value_classes_keep_their_own_equality_and_refuse_mutation(a2_instance):
     assert (v.r, p.rank, m.n_nodes) == (3, 3, 3)
 
 
-@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
-                                       lambda x: pickle.loads(pickle.dumps(x))],
-                         ids=["copy", "deepcopy", "pickle"])
-def test_records_copy_and_pickle(records, duplicate):
+@pytest.fixture(scope="module")
+def one_of_each(records):
+    """One record of every ``_Record`` subclass in the package, every module imported."""
+    for module in pkgutil.iter_modules(k3walls.__path__):
+        importlib.import_module(f"k3walls.{module.name}")
     inst = records[families.ExampleInstance][0]
     samples = [xs[0] for xs in records.values()]
     samples += [inst.v, inst.lattice, inst.affine_matrix]
@@ -176,11 +181,32 @@ def test_records_copy_and_pickle(records, duplicate):
                 families.fundamental_alpha(inst)]
     assert {type(x) for x in samples} == set(errors._Record.__subclasses__())
     assert len(samples) == 18
-    for x in samples:
+    return samples
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_records_copy_and_pickle(one_of_each, duplicate):
+    for x in one_of_each:
         y = duplicate(x)
         assert type(y) is type(x) and y == x and _hash(y) == _hash(x)
         with pytest.raises(AttributeError):
             setattr(y, type(x).__slots__[0], None)
+
+
+def test_from_fields_takes_exactly_one_value_per_slot(one_of_each):
+    """``_from_fields(*fields)`` is the record with those fields, the very objects in its
+    slots; one value too few or too many is a TypeError, never a record with a slot unset
+    or a value dropped."""
+    for x in one_of_each:
+        cls, fields = type(x), _fields(x)
+        y = cls._from_fields(*fields)
+        assert type(y) is cls and y == x and _hash(y) == _hash(x) and repr(y) == repr(x)
+        assert all(a is b for a, b in zip(_fields(y), fields))
+        for values in (fields[:-1], (*fields, None)):
+            with pytest.raises(TypeError, match=f"{cls.__name__}._from_fields"):
+                cls._from_fields(*values)
 
 
 def test_sublattice_is_a_record_of_its_basis(a2_instance):

@@ -340,7 +340,7 @@ def test_root_tree_refuses_affine_diagrams():
 def test_clear_library_caches_empties_every_memo():
     roots.root_tree(finite("E", 6))
     assert clear_library_caches() == [
-        "families._type_data", "roots._standard_marks", "roots.classify_affine",
+        "errors._fields_builder", "families._type_data", "roots._standard_marks", "roots.classify_affine",
         "roots.delete_node", "roots.root_tree", "roots.standard_affine_matrix",
         "roots.standard_finite_matrix"]
     assert all(memo.cache_info().currsize == 0 for memo in MEMOS)
