@@ -57,14 +57,7 @@ class ExampleSpec(_Record):
         if any(isinstance(x, bool) for x in (n, r, a)):  # index() refuses floats and strings
             raise TypeError("n, r and a must be integers, got bool")
         n, r, a = index(n), index(r), index(a)
-        if family not in ("A", "D", "E"):
-            raise ValueError(f"family must be A, D or E, got {family!r}")
-        if family == "A" and n < 1:
-            raise ValueError("extended A needs n >= 1")
-        if family == "D" and n < 4:
-            raise ValueError("extended D needs n >= 4")
-        if family == "E" and n not in (6, 7, 8):
-            raise ValueError("extended E needs n in {6, 7, 8}")
+        roots.check_type(family, n)  # not finite_edges: no n-sized list before EXAMPLE_N_CAP
         if r < 1 or a < 1:
             raise ValueError("r and a must be positive integers")
         super().__init__(family, n, r, a)

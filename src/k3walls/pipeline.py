@@ -234,7 +234,7 @@ def pipeline_classify(parsed, deleted_node=0):
     wall_list = wl.enumerate_walls(parsed.lattice, parsed.polarization, parsed.v)
     report["walls"] = {
         "count": len(wall_list),
-        "origin_count": len(wl.u_prime(wall_list, parsed.v)),
+        "origin_count": len(wl.u_prime(wall_list)),
         "vectors": [_wall_json(w) for w in wall_list],
     }
 

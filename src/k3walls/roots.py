@@ -36,12 +36,11 @@ class CartanMatrix(_Record):
                 raise ValueError("Cartan matrix must be square")
             if entries[i][i] != 2:
                 raise ValueError(f"diagonal entry {i} must be 2, got {entries[i][i]}")
-            for j in range(n):
-                if i != j:
-                    if entries[i][j] != entries[j][i]:
-                        raise ValueError(f"Cartan matrix not symmetric at ({i},{j})")
-                    if entries[i][j] > 0:
-                        raise ValueError(f"off-diagonal entry ({i},{j}) must be <= 0")
+            for j in range(i + 1, n):  # a pair (i, j) with j < i was checked at row j
+                if entries[i][j] != entries[j][i]:
+                    raise ValueError(f"Cartan matrix not symmetric at ({i},{j})")
+                if entries[i][j] > 0:
+                    raise ValueError(f"off-diagonal entry ({i},{j}) must be <= 0")
         super().__init__(n, entries)
 
     def __eq__(self, other):
@@ -91,22 +90,27 @@ class FiniteDiagram(_Record):
         return f"{self.family}{self.rank}"
 
 
+def check_type(family, n):
+    """The one type table of X_n and X~n: ``ValueError`` unless A n >= 1, D n >= 4 or E n in 6..8."""
+    if family not in ("A", "D", "E"):
+        raise ValueError(f"family must be A, D or E, got {family!r}")
+    if family == "A" and n < 1:
+        raise ValueError(f"family A needs n >= 1, got {n}")
+    if family == "D" and n < 4:
+        raise ValueError(f"family D needs n >= 4, got {n}")
+    if family == "E" and n not in (6, 7, 8):
+        raise ValueError(f"family E needs n in {{6, 7, 8}}, got {n}")
+
+
 def finite_edges(family, n):
-    """Edge list of the finite ADE diagram on Bourbaki labels 1..n."""
+    """Edge list of the finite ADE diagram on Bourbaki labels 1..n; see :func:`check_type`."""
+    check_type(family, n)
     if family == "A":
-        if n < 1:
-            raise ValueError("A_n needs n >= 1")
         return [(i, i + 1) for i in range(1, n)]
     if family == "D":
-        if n < 4:
-            raise ValueError("D_n needs n >= 4")
         return [(i, i + 1) for i in range(1, n - 2)] + [(n - 2, n - 1), (n - 2, n)]
-    if family == "E":
-        if n not in (6, 7, 8):
-            raise ValueError("E_n needs n in {6, 7, 8}")
-        chain = [(1, 3)] + [(i, i + 1) for i in range(3, n)]
-        return chain + [(2, 4)]
-    raise ValueError(f"unknown family {family!r}")
+    chain = [(1, 3)] + [(i, i + 1) for i in range(3, n)]
+    return chain + [(2, 4)]
 
 
 def affine_edges(family, n):
@@ -157,20 +161,6 @@ def _without(items, i):
     return items[:i] + items[i + 1:]
 
 
-def _is_connected(adj):
-    n = len(adj)
-    if n == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
-
-
 def _arms(adj, center):
     """Paths walking outward from ``center``, shortest first; :class:`_NotADE` on a branch."""
     arms = []
@@ -198,34 +188,31 @@ def _finite_labels(adj):
     is read; callers verify the labelling against the standard matrix.
     """
     n = len(adj)
-    if not _is_connected(adj):
-        raise _NotADE
     degrees = [len(a) for a in adj]
     if sum(degrees) != 2 * (n - 1) or max(degrees) > 3:
         raise _NotADE
     perm = [None] * n
     if 3 not in degrees:
         start = degrees.index(min(degrees))  # the lower end, or the lone node of A1
-        walk = [start] + [node for arm in _arms(adj, start) for node in arm]
-        for std, node in enumerate(walk, start=1):
-            perm[node] = std
-        return "A", n, tuple(perm)
-    if degrees.count(3) > 1:
-        raise _NotADE
-    center = degrees.index(3)
-    arms = _arms(adj, center)
-    lengths = tuple(len(a) for a in arms)
-    if lengths[1] == 1:
-        family, perm[center] = "D", n - 2
-        labels = ((1,), (3,), (4,)) if n == 4 else ((n - 1,), (n,), range(n - 3, 0, -1))
-    elif lengths in ((1, 2, 2), (1, 2, 3), (1, 2, 4)):
-        family, perm[center] = "E", 4
-        labels = ((2,), (3, 1), range(5, n + 1))
+        family, labels = "A", (range(1, n + 1),)
+        arms = ([start] + [node for arm in _arms(adj, start) for node in arm],)
     else:
-        raise _NotADE
+        center = degrees.index(3)  # _arms refuses a second branch node in its component
+        arms = _arms(adj, center)
+        lengths = tuple(len(a) for a in arms)
+        if lengths[1] == 1:
+            family, perm[center] = "D", n - 2
+            labels = ((1,), (3,), (4,)) if n == 4 else ((n - 1,), (n,), range(n - 3, 0, -1))
+        elif lengths in ((1, 2, 2), (1, 2, 3), (1, 2, 4)):
+            family, perm[center] = "E", 4
+            labels = ((2,), (3, 1), range(5, n + 1))
+        else:
+            raise _NotADE
     for arm, stds in zip(arms, labels):
         for node, std in zip(arm, stds):
             perm[node] = std
+    if None in perm:  # the walk labels one component: the graph has another
+        raise _NotADE
     return family, n, tuple(perm)
 
 
@@ -257,8 +244,6 @@ def _affine_labels(matrix):
     n = matrix.n_nodes
     if n == 2 and matrix.entries == ((2, -2), (-2, 2)):
         return "A", 1, (0, 1)
-    if n < 3:
-        raise _NotADE
     adj = _adjacency(matrix)
     degrees = [len(a) for a in adj]
     branches = [i for i, d in enumerate(degrees) if d > 2]
@@ -415,8 +400,6 @@ def dual_reflection(diagram, i, values):
         raise ValueError(f"reflection index {i} out of range 1..{n}")
     k = i - 1
     t = values[k]
-    if t == 0:
-        return tuple(values)
     return tuple(v - diagram.matrix.entries[j][k] * t for j, v in enumerate(values))
 
 

@@ -167,9 +167,9 @@ def classify_singularity(data, deleted_node=0):
     constructed strata this cannot happen).  ``deleted_node`` designates
     which mark-1 node to remove; extended diagrams with several mark-1 nodes
     genuinely depend on this choice only up to diagram symmetry, so the
-    choice is surfaced rather than hidden.
+    choice is surfaced rather than hidden; a node outside the diagram raises
+    :class:`NodeOutOfRange` in :func:`roots.delete_node`.
     """
-    check_node(data.strata, deleted_node)
     affine = roots.classify_affine(cartan_matrix_of(data))
     if affine.marks != data.multiplicities:
         raise MarksMismatch(

@@ -159,7 +159,7 @@ def enumerate_walls(p, h, v):
             for s, d, b, pv in sorted(results)]
 
 
-def u_prime(walls, v):
+def u_prime(walls):
     """The sub-collection of walls through the origin: ``<v, u> = 0``."""
     return [w for w in walls if w.pairing_with_v == 0]
 
@@ -197,7 +197,7 @@ def locate(alpha, walls, v, singularity=None):
         singularity.finite, [Fraction(n, q) for n in values]))
 
 
-def small_twist_violations(position, v):
+def small_twist_violations(position):
     """Indices of walls separating the located twist from the origin.
 
     Walls through the origin never separate (the sign of ``<v + t a, u>`` is

@@ -173,7 +173,7 @@ def test_criterion_06_psi_decomposition():
         inst = families.generate_example(families.ExampleSpec(fam, n, 1, 1))
         data = inst.stratum()
         walls = wl.enumerate_walls(inst.lattice, inst.polarization, inst.v)
-        origin = {w.u for w in wl.u_prime(walls, inst.v)}
+        origin = {w.u for w in wl.u_prime(walls)}
         in_span = {u for u in origin if _in_z_span(inst.v_list, u)}
         psi, comp = st.psi_sets(data)
         assert set(psi) & set(comp) == set()

@@ -63,6 +63,13 @@ def test_invalid_specs():
     for family, n in [("B", 2), ("D", 3), ("E", 5), ("E", 9), ("A", 0)]:
         with pytest.raises(ValueError):
             families.ExampleSpec(family, n, 1, 1)
+    # The type table's own text, as roots.finite_edges gives it.
+    for family, n in [("A", 0), ("D", 3), ("E", 9), ("F", 4)]:
+        with pytest.raises(ValueError) as exc:
+            families.ExampleSpec(family, n, 1, 1)
+        with pytest.raises(ValueError) as table:
+            roots.check_type(family, n)
+        assert str(exc.value) == str(table.value)
     with pytest.raises(ValueError):
         families.ExampleSpec("A", 1, 0, 1)
     with pytest.raises(ValueError):
@@ -115,6 +122,10 @@ def test_example_rank_cap(monkeypatch):
         families.generate_example(spec)
     monkeypatch.setattr(families, "EXAMPLE_N_CAP", 5)
     assert all(families.generate_example(spec).verification.values())
+    # A spec past the cap is refused before anything of size n is built.
+    monkeypatch.setattr(roots, "finite_edges", None)
+    with pytest.raises(CapExceeded):
+        families.generate_example(families.ExampleSpec("A", 10 ** 9, 1, 1))
 
 
 def test_example_digit_cap():

@@ -45,6 +45,10 @@ def test_constructor_rejects_bad_gram():
         lat.PicardLattice([[0, 1, 5], [1, 1, 7], [3, 7, 0]])
     with pytest.raises(ValueError, match=r"gram\[1\]\[1\] = 1 is odd"):
         lat.PicardLattice([[0, 1, 5], [1, 1, 7], [5, 4, 0]])
+    with pytest.raises(ValueError, match=r"^gram row 1 has length 1, expected 2$"):
+        lat.PicardLattice([[0, 1], [1]])
+    with pytest.raises(ValueError, match="^basis_labels length does not match rank$"):
+        lat.PicardLattice([[0, 1], [1, 0]], ["x"])
 
 
 def test_basis_vector_bounds():

@@ -91,6 +91,15 @@ def test_twist_parameter_constraints(a1_instance):
         mk.TwistParameter(mk.delta_map(v, (1, 0)), v, h)  # (c1, H) != 0
     with pytest.raises(InvalidTwist):
         mk.TwistParameter(mk.MukaiVector(0, (1, -1), 5, inst.lattice), v, h)  # bad s
+    rank_zero = mk.MukaiVector(0, v.c1, v.s, inst.lattice)
+    with pytest.raises(ValueError, match="context vector of positive rank"):
+        mk.TwistParameter(good, rank_zero, h)
+
+
+def test_constructor_refuses_c1_of_the_wrong_length(a1_instance):
+    for c1 in ((), (1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="^c1 length does not match Picard rank$"):
+            mk.MukaiVector(1, c1, 0, a1_instance.lattice)
 
 
 def _oracle_pairing(x, y):

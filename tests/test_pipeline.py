@@ -84,6 +84,12 @@ def test_schema_errors_name_fields():
         pipeline.parse_instance(doc)
     assert "strata[0].mult" in str(exc.value)
 
+    doc = a1_doc()
+    doc["strata"] = []
+    with pytest.raises(SchemaError) as exc:
+        pipeline.parse_instance(doc)
+    assert str(exc.value) == "$.strata: must be non-empty when present"
+
 
 #: Each object of the contract: its path, how to reach it, and its required keys.
 CONTRACT_OBJECTS = [
@@ -477,6 +483,9 @@ def test_cli_schema_error_exit_code(tmp_path):
                                 "mukai_vector": {"r": 1, "c1": [0], "s": 0}}))
     res = run_cli(["walls", str(path)])
     assert res.returncode == 2
+    res = run_cli(["example", "--family", "E", "--n", "9", "--r", "1", "--a", "1"])
+    assert res.returncode == 2
+    assert res.stderr.startswith("schema error: arguments: ") and "Traceback" not in res.stderr
 
 
 def _main_in_process(text, command):

@@ -39,6 +39,36 @@ def test_cartan_matrix_refuses_infinite_and_nan_entries():
             roots.CartanMatrix([[2, bad], [bad, 2]])
 
 
+@pytest.mark.parametrize("entries, fault", [
+    ([[2, -1], [-1, 2, 0]], "Cartan matrix must be square"),
+    ([[2, 0, 0], [0, 3, 0], [0, 0, 2]], "diagonal entry 1 must be 2, got 3"),
+    ([[2, 1], [0, 2]], "Cartan matrix not symmetric at (0,1)"),
+    ([[2, 0, 1], [0, 2, 0], [1, 0, 2]], "off-diagonal entry (0,2) must be <= 0"),
+    # Row 0's pairs come before row 1's diagonal and row 1's pairs.
+    ([[2, -1, 0], [0, 5, 0], [0, 0, 2]], "Cartan matrix not symmetric at (0,1)"),
+    ([[2, 0, 1], [0, 2, -1], [1, 0, 2]], "off-diagonal entry (0,2) must be <= 0"),
+    # Row 0's diagonal before the pair (1,2).
+    ([[3, -1, 0], [-1, 2, -1], [0, 0, 2]], "diagonal entry 0 must be 2, got 3"),
+])
+def test_cartan_matrix_names_the_first_fault_in_row_order(entries, fault):
+    with pytest.raises(ValueError) as exc:
+        roots.CartanMatrix(entries)
+    assert str(exc.value) == fault
+
+
+@pytest.mark.parametrize("family, n, text", [
+    ("A", 0, "family A needs n >= 1, got 0"),
+    ("D", 3, "family D needs n >= 4, got 3"),
+    ("E", 9, "family E needs n in {6, 7, 8}, got 9"),
+    ("F", 4, "family must be A, D or E, got 'F'"),
+])
+def test_type_table_refuses_types_that_do_not_exist(family, n, text):
+    for check in (roots.check_type, roots.finite_edges, roots.affine_edges):
+        with pytest.raises(ValueError) as exc:
+            check(family, n)
+        assert str(exc.value) == text
+
+
 def test_classify_affine_examples():
     d = roots.classify_affine(roots.CartanMatrix([[2, -2], [-2, 2]]))
     assert (d.family, d.rank, d.marks) == ("A", 1, (1, 1))
@@ -58,6 +88,9 @@ def test_classify_affine_rejects_junk():
     with pytest.raises(NotAffineADE):  # hyperbolic loop with a tail
         roots.classify_affine(roots.CartanMatrix(
             [[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]]))
+    for entries in ([], [[2]], [[2, -1], [-1, 2]]):  # fewer than 3 nodes, not A~1
+        with pytest.raises(NotAffineADE):
+            roots.classify_affine(roots.CartanMatrix(entries))
 
 
 def test_classification_recovers_random_permutations():
@@ -147,6 +180,28 @@ def test_delete_node_refuses_indices_outside_the_diagram(family, n):
     assert roots.delete_node(diagram, diagram.affine_node).type_name() == f"{family}{n}"
 
 
+def _diagram(n, edges):
+    g = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = -1
+    return roots.CartanMatrix(g)
+
+
+#: Candidates with n - 1 edges and no degree above 3 that are not finite ADE:
+#: disconnected, or with two branch nodes.
+NOT_FINITE = {
+    "path+cycle": (5, [(0, 1), (2, 3), (3, 4), (4, 2)]),
+    "cycle+path": (5, [(0, 1), (1, 2), (2, 0), (3, 4)]),
+    "node+cycle": (4, [(1, 2), (2, 3), (3, 1)]),
+    "D4+node": (5, [(0, 1), (0, 2), (0, 3)]),
+    "star+cycle": (8, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (6, 7), (7, 4)]),
+    "two branches, one component": (7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6)]),
+    "two branches, H shape": (6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]),
+    "star+branched cycle": (8, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (6, 4), (6, 7)]),
+    "branched cycle+star": (8, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (4, 6), (4, 7)]),
+}
+
+
 def test_classify_finite_rejects():
     with pytest.raises(NotFiniteADE):
         roots.classify_finite(roots.standard_affine_matrix("A", 3))  # cycle
@@ -154,6 +209,9 @@ def test_classify_finite_rejects():
         roots.classify_finite(roots.standard_affine_matrix("E", 8))  # affine tree
     with pytest.raises(NotFiniteADE):
         roots.classify_finite(roots.CartanMatrix([[2, 0], [0, 2]]))  # disconnected
+    for n, edges in NOT_FINITE.values():
+        with pytest.raises(NotFiniteADE):
+            roots.classify_finite(_diagram(n, edges))
 
 
 def finite(family, n):
@@ -413,6 +471,16 @@ def test_weyl_group_order_against_enumeration():
         diagram = finite(family, n)
         assert roots.weyl_group_order(diagram) == oracles.weyl_group_order_bfs(
             diagram.matrix.entries), (family, n)
+
+
+def test_dual_reflection():
+    d = finite("A", 3)
+    for i in (0, 4):
+        with pytest.raises(ValueError, match=rf"^reflection index {i} out of range 1\.\.3$"):
+            roots.dual_reflection(d, i, (1, 2, 3))
+    assert roots.dual_reflection(d, 1, (-1, 0, 2)) == (1, -1, 2)
+    # A zero value reflects to the vector it came from.
+    assert roots.dual_reflection(d, 2, (5, 0, Fraction(-7, 2))) == (5, 0, Fraction(-7, 2))
 
 
 def test_reduce_to_fundamental():

@@ -58,6 +58,17 @@ def test_validate_reports_all_failures(a1_instance):
     violations = st.validate_stratum(wrong_norm)
     assert any("expected -2" in msg for msg in violations)
     assert sum(1 for _ in violations) >= 1
+    p, h, v = inst.lattice, inst.polarization, inst.v
+    assert st.validate_stratum(st.StratumData(p, h, v, ())) == ["stratum list is empty"]
+    violations = st.validate_stratum(st.StratumData(p, h, v, ((v0, 0), (v1, -1))))
+    assert violations[:2] == ["multiplicity 0 is not positive", "multiplicity 1 is not positive"]
+    half = mk.MukaiVector(Fraction(1, 2), v0.c1, v0.s, p)
+    assert "stratum vector 0 is not integral" in st.validate_stratum(
+        st.StratumData(p, h, v, ((half, 1), (v1, 1))))
+    for r in (0, -1):
+        u = mk.MukaiVector(r, v1.c1, v1.s, p)
+        assert f"stratum vector 1 has rank {r}, expected > 0" in st.validate_stratum(
+            st.StratumData(p, h, v, ((v0, 1), (u, 1))))
 
 
 def test_validate_refuses_v_without_positive_rank(a2_instance):
@@ -233,7 +244,7 @@ def test_psi_sets_subset_of_walls(a1_instance, a2_instance):
     for inst in (a1_instance, a2_instance):
         psi, comp = st.psi_sets(inst.stratum())
         walls = wl.enumerate_walls(inst.lattice, inst.polarization, inst.v)
-        origin = {w.u for w in wl.u_prime(walls, inst.v)}
+        origin = {w.u for w in wl.u_prime(walls)}
         assert set(psi) | set(comp) <= origin
 
 

@@ -268,7 +268,7 @@ def test_wall_count_matches_root_count_at_scale():
     from k3walls import roots
     inst = families.generate_example(families.ExampleSpec("E", 6, 1, 1))
     walls = wl.enumerate_walls(inst.lattice, inst.polarization, inst.v)
-    origin = wl.u_prime(walls, inst.v)
+    origin = wl.u_prime(walls)
     assert len(walls) == len(origin) == 72  # 2 * 36 roots of the rank-6 type
     psi, comp = st.psi_sets(inst.stratum())
     assert {w.u for w in origin} == set(psi) | set(comp)
@@ -354,10 +354,10 @@ def test_invalid_mukai_vector_is_domain_error(elliptic):
 def test_u_prime(elliptic, a1_instance):
     p, h, v = elliptic
     walls = wl.enumerate_walls(p, h, v)
-    assert wl.u_prime(walls, v) == []  # both elliptic walls have <v,u> = -1
+    assert wl.u_prime(walls) == []  # both elliptic walls have <v,u> = -1
     inst = a1_instance
     walls = wl.enumerate_walls(inst.lattice, inst.polarization, inst.v)
-    origin = wl.u_prime(walls, inst.v)
+    origin = wl.u_prime(walls)
     assert all(mk.mukai_pairing(inst.v, w.u) == 0 for w in origin)
     assert set(inst.v_list) <= {w.u for w in origin}
 
@@ -408,8 +408,7 @@ def test_locate_single_wall(a2_instance):
 
 def test_locate_scaling_invariance(a2_instance):
     inst = a2_instance
-    walls = wl.u_prime(
-        wl.enumerate_walls(inst.lattice, inst.polarization, inst.v), inst.v)
+    walls = wl.u_prime(wl.enumerate_walls(inst.lattice, inst.polarization, inst.v))
     alpha = families.fundamental_alpha(inst, 1)
     scaled = families.fundamental_alpha(inst, Fraction(7, 5))
     a_pos = wl.locate(alpha, walls, inst.v)
@@ -429,7 +428,7 @@ def test_small_twist_detection(elliptic):
             cand = -cand
         alpha = mk.TwistParameter(cand, v, h)
         pos = wl.locate(alpha, walls, v)
-        assert (not wl.small_twist_violations(pos, v)) == expect_small
+        assert (not wl.small_twist_violations(pos)) == expect_small
 
 
 def _sign(x):
@@ -572,10 +571,10 @@ def test_no_per_wall_mukai_arithmetic(monkeypatch):
 
     monkeypatch.setattr(mk, "mukai_pairing", counted_pairing)
     monkeypatch.setattr(mk.MukaiVector, "__add__", counted_add)
-    origin = wl.u_prime(walls, inst.v)
+    origin = wl.u_prime(walls)
     entries = [pipeline._wall_json(w) for w in walls]
     pos = wl.locate(alpha, walls, inst.v)
-    assert not wl.small_twist_violations(pos, inst.v)
+    assert not wl.small_twist_violations(pos)
     assert calls == {"pairing": 0, "add": 0}
     assert len(origin) == len(walls) and len(entries) == len(walls)
 
@@ -675,6 +674,14 @@ def test_normalize_mod_v_on_rational_ranks(elliptic, r, c, s):
     assert 0 <= rep.r < v.r
     k = Fraction(rep.r - x.r) / v.r
     assert k.denominator == 1 and rep == x + int(k) * v
+
+
+def test_normalize_mod_v_needs_positive_rank(elliptic):
+    _, _, v = elliptic
+    for r in (0, -2):
+        w = mk.MukaiVector(r, v.c1, v.s, v.lattice)
+        with pytest.raises(ValueError, match="^normalization needs rk v > 0$"):
+            wl.normalize_mod_v(w, v)
 
 
 def test_curve_classes_reflection(a1_instance):
