@@ -102,7 +102,12 @@ def gram(xs):
         xs[0]._check_ambient(z)
     rows = xs[0].lattice.gram if xs else ()
     support = [[(k, c) for k, c in enumerate(x.c1) if c] for x in xs]
-    images = [gram_image(rows, sup) for sup in support]
+    images = []
+    for sup in support:
+        image = [0] * len(rows)
+        for k, c in sup:
+            image = [a + c * e for a, e in zip(image, rows[k])]
+        images.append(image)
     out = [[0] * len(xs) for _ in xs]
     for i, (x, sup) in enumerate(zip(xs, support)):
         for j in range(i, len(xs)):
@@ -110,15 +115,6 @@ def gram(xs):
             out[i][j] = out[j][i] = normalize_number(
                 sum([c * gy[k] for k, c in sup]) - x.r * y.s - x.s * y.r)
     return out
-
-
-def gram_image(rows, coordinates):
-    """``G c1`` as a list, summed from the Gram ``rows`` at the nonzero ``(k, c1[k])`` pairs."""
-    image = [0] * len(rows)
-    for k, c in coordinates:
-        if c:
-            image = [a + c * e for a, e in zip(image, rows[k])]
-    return image
 
 
 def mukai_square(x):

@@ -31,9 +31,9 @@ class CartanMatrix(_Record):
     def __init__(self, entries):
         entries = linalg.integer_rows(entries, "Cartan matrix")
         n = len(entries)
-        for i, row in enumerate(entries):
-            if len(row) != n:
-                raise ValueError("Cartan matrix must be square")
+        if any(len(row) != n for row in entries):  # before the pair loop reads later rows
+            raise ValueError("Cartan matrix must be square")
+        for i in range(n):
             if entries[i][i] != 2:
                 raise ValueError(f"diagonal entry {i} must be 2, got {entries[i][i]}")
             for j in range(i + 1, n):  # a pair (i, j) with j < i was checked at row j

@@ -9,6 +9,7 @@ dual graph of the exceptional curves with intersection numbers
 ``(C_i, C_j) = <u_i, u_j>`` and self-intersection -2.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from operator import add, index, mul, sub
 
@@ -66,40 +67,42 @@ class SingularityReport(_Record):
 
         ``Psi_+`` holds ``u = sum_k b_k u_k`` over the positive roots ``b`` of
         the finite diagram, in the order of :func:`roots.root_tree` (by ``b``,
-        parents first): each ``u`` is its parent plus one retained class, and
-        carries ``G c1(u)`` built by the same additions.  So the exact
-        ``<u, u> = c1(u) . G c1(u) - 2 rk u s(u)`` of the vector built is one
-        dot product, and that of the built ``w = v - u`` is another,
-        ``c1(w) . (G c1(v) - G c1(u)) - 2 rk w s(w)``.  Every element and every
-        ``v - u`` is checked: ``<u, u> = -2`` and ``0 < rk u < rk v``.  When
-        ``v`` and the retained classes have only ``int`` components, so has
-        every output, which is then built without renormalising.
+        parents first): each ``u`` is its parent plus one retained class ``u_i``.
+        The exact checks, ``<u, u> = -2`` and ``0 < rk u < rk v`` for every ``u``
+        and every ``v - u``, run in root coordinates: ``u`` carries ``h = G b``
+        for the ``b`` built, ``G = -finite.matrix``, so ``<u, u>`` steps by
+        ``2 h_i + G_ii`` and ``q <v, u>`` by the ``q <u_i, v>`` of one
+        :func:`mukai.scaled_pairings`; together they give ``q <v - u, v - u>``.
+        When ``v`` and the retained classes have only ``int`` components, so
+        has every output, which is then built without renormalising.
         """
         v, retained = self.data.v, self.retained
-        for u in retained:
-            v._check_ambient(u)
-        rows, lattice = v.lattice.gram, v.lattice
+        q, (*pairings, vv) = mk.scaled_pairings((*retained, v), v)
+        gram = [[-e for e in row] for row in self.finite.matrix.entries]
         integral = all(type(x) is int for u in (v, *retained) for x in (u.r, u.s, *u.c1))
         new = mk.MukaiVector._from_fields if integral else mk.MukaiVector
-        simple = [(u.r, u.c1, u.s, mk.gram_image(rows, enumerate(u.c1))) for u in retained]
-        vr, vc1, vs, vg = v.r, v.c1, v.s, mk.gram_image(rows, enumerate(v.c1))
-        built, checked = [], []
-        for _, parent, i in roots.root_tree(self.finite):
-            r, c1, s, g = simple[i]
-            if parent is not None:
-                pr, pc1, ps, pg = built[parent]
-                r, c1, s, g = pr + r, tuple(map(add, pc1, c1)), ps + s, list(map(add, pg, g))
-            built.append((r, c1, s, g))
+        vr, vc1, vs, lattice = v.r, v.c1, v.s, v.lattice
+        built, psi, comp, zero = [], [], [], (0, lattice.zero(), 0, 0, 0, [0] * len(gram))
+        for _, parent, i in roots.root_tree(self.finite):  # a simple root's parent is zero
+            u, row = retained[i], gram[i]
+            r, c1, s, sq, pv, h = zero if parent is None else built[parent]
+            r, c1, s = r + u.r, tuple(map(add, c1, u.c1)), s + u.s
+            sq, pv, h = sq + 2 * h[i] + row[i], pv + pairings[i], list(map(add, h, row))
+            built.append((r, c1, s, sq, pv, h))
+            if sq != -2 or not 0 < r < vr:
+                _not_a_root(r, c1, s, sq, vr)
             wc1 = tuple(map(sub, vc1, c1))
-            checked.append((r, c1, s, sum(map(mul, c1, g))))
-            checked.append((vr - r, wc1, vs - s, sum(map(mul, wc1, map(sub, vg, g)))))
-        for r, c1, s, cgc in checked:
-            square = cgc - 2 * r * s
-            if square != -2 or not 0 < r < vr:
-                raise InvariantError(f"Psi element (r={r}, c1={list(c1)}, s={s}) has <u, u> = "
-                                     f"{square}; expected -2 and 0 < rk u < {vr}")
-        out = [new(r, c1, s, lattice) for r, c1, s, _ in checked]
-        return out[::2], out[1::2]
+            scaled = q * sq - 2 * pv + vv  # q <v - u, v - u>
+            if scaled != -2 * q:  # rk (v - u) lies in (0, rk v) when rk u does
+                _not_a_root(vr - r, wc1, vs - s, Fraction(scaled, q), vr)
+            psi.append(new(r, c1, s, lattice))
+            comp.append(new(vr - r, wc1, vs - s, lattice))
+        return psi, comp
+
+
+def _not_a_root(r, c1, s, square, vr):
+    raise InvariantError(f"Psi element (r={r}, c1={list(c1)}, s={s}) has <u, u> = {square}; "
+                         f"expected -2 and 0 < rk u < {vr}")
 
 
 def validate_stratum(data):

@@ -15,7 +15,9 @@ read their stratum identities from before, :func:`phi_image_facts`,
 the sublattice their type facts came from before, and
 :func:`dot_product_walls`, :func:`dot_product_images` and
 :func:`scaled_pairing_position`, the wall search and chamber signs as they
-ran before the descent carried each wall's normal and ``locate`` read it.
+ran before the descent carried each wall's normal and ``locate`` read it, and
+:func:`dot_product_psi_sets`, the Psi-set builder as it checked each root by
+Picard-length dot products before the checks moved to root coordinates.
 """
 
 import dataclasses
@@ -29,6 +31,7 @@ from k3walls import lattice as lat
 from k3walls import linalg
 from k3walls import mukai as mk
 from k3walls import roots
+from k3walls.errors import InvariantError
 from k3walls.walls import ChamberPosition, WallVector
 
 
@@ -520,6 +523,48 @@ def scaled_pairing_position(alpha, walls, v, singularity=None):
     q, values = mk.scaled_pairings(singularity.retained, a)
     return ChamberPosition(*position, *roots.reduce_to_fundamental(
         singularity.finite, [Fraction(n, q) for n in values]))
+
+
+def dot_product_psi_sets(report):
+    """:meth:`k3walls.strata.SingularityReport.psi_sets` as it ran before its
+    checks moved to root coordinates.
+
+    Each ``u`` of the root tree is its parent plus one retained class and
+    carries ``G c1(u)`` built by the same additions; ``<u, u>`` of every
+    element and of every ``v - u`` is one dot product of Picard length, and
+    each must be -2 with ``0 < rk u < rk v``.  Returns the two lists.
+    """
+    v, retained = report.data.v, report.retained
+    for u in retained:
+        v._check_ambient(u)
+    rows, lattice = v.lattice.gram, v.lattice
+
+    def image(c1):
+        return [sum(c * e for c, e in zip(c1, col)) for col in zip(*rows)]
+
+    integral = all(type(x) is int for u in (v, *retained) for x in (u.r, u.s, *u.c1))
+    new = mk.MukaiVector._from_fields if integral else mk.MukaiVector
+    simple = [(u.r, u.c1, u.s, image(u.c1)) for u in retained]
+    vr, vc1, vs, vg = v.r, v.c1, v.s, image(v.c1)
+    built, checked = [], []
+    for _, parent, i in roots.root_tree(report.finite):
+        r, c1, s, g = simple[i]
+        if parent is not None:
+            pr, pc1, ps, pg = built[parent]
+            r, c1, s = pr + r, tuple(a + b for a, b in zip(pc1, c1)), ps + s
+            g = [a + b for a, b in zip(pg, g)]
+        built.append((r, c1, s, g))
+        wc1 = tuple(a - b for a, b in zip(vc1, c1))
+        checked.append((r, c1, s, sum(a * b for a, b in zip(c1, g))))
+        checked.append((vr - r, wc1, vs - s,
+                        sum(a * (b - c) for a, b, c in zip(wc1, vg, g))))
+    for r, c1, s, cgc in checked:
+        square = cgc - 2 * r * s
+        if square != -2 or not 0 < r < vr:
+            raise InvariantError(f"Psi element (r={r}, c1={list(c1)}, s={s}) has <u, u> = "
+                                 f"{square}; expected -2 and 0 < rk u < {vr}")
+    out = [new(r, c1, s, lattice) for r, c1, s, _ in checked]
+    return out[::2], out[1::2]
 
 
 def h_perp_identities(lattice, h):

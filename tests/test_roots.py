@@ -56,6 +56,21 @@ def test_cartan_matrix_names_the_first_fault_in_row_order(entries, fault):
     assert str(exc.value) == fault
 
 
+@pytest.mark.parametrize("entries", [
+    [[2, -1, 0], [-1, 2, 0], [0]],  # a later row shorter than an earlier pair index
+    [[2, -1, 0], [-1, 2], [0, 0, 2]],
+    [[2, -1], [-1]],
+    [[2], []],
+    [[2, 0, 0], [0, 2, 0, 0], [0, 0, 2]],
+    [[3, -1, 0], [-1, 2, 0], [0]],  # row lengths come before row 0's diagonal
+    [[]],
+])
+def test_cartan_matrix_refuses_ragged_shapes(entries):
+    with pytest.raises(ValueError) as exc:
+        roots.CartanMatrix(entries)
+    assert str(exc.value) == "Cartan matrix must be square"
+
+
 @pytest.mark.parametrize("family, n, text", [
     ("A", 0, "family A needs n >= 1, got 0"),
     ("D", 3, "family D needs n >= 4, got 3"),

@@ -431,13 +431,29 @@ def _counting_builds(monkeypatch):
 
 def test_psi_sets_pair_nothing_and_build_each_vector_once(monkeypatch):
     # Integral strata: every output through _from_fields, none renormalised.
+    # The checks read the report's own Gram and one scaled_pairings call: no
+    # Mukai Gram and no pairing.  (mukai.gram_image, with which the
+    # Picard-length checks summed G c1, is folded into mukai.gram.)
+    counts = Counter()
+
+    def counting(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        return counted
+
+    for name in ("scaled_pairings", "gram"):
+        monkeypatch.setattr(mk, name, counting(name, getattr(mk, name)))
     for family, n in [("A", 4), ("D", 6), ("E", 7)]:
         _, rep = _report(family, n, 2)
         count = len(roots.positive_roots(rep.finite))
+        counts.clear()
         with _counting_builds(monkeypatch) as calls:
             psi, comp = rep.psi_sets()
         assert calls == {"pairing": 0, "__init__": 0, "_from_fields": 2 * count}, (family, n)
+        assert counts == {"scaled_pairings": 1}, (family, n)
         assert len(psi) == len(comp) == count
+    assert not hasattr(mk, "gram_image")
 
 
 @settings(max_examples=40, deadline=None)
@@ -498,6 +514,53 @@ def test_psi_sets_with_fraction_components(monkeypatch):
     want_psi, want_comp = rep.psi_sets()
     assert psi == [halved(u) for u in want_psi]
     assert comp == [halved(u) for u in want_comp]
+
+
+def test_psi_sets_match_the_dot_product_oracle_on_the_sweep():
+    # The root-coordinate checks against the Picard-length builder they
+    # replaced, element by element and in order, on all 324 sweep specs.
+    for family, n in families.SWEEP_TYPES:
+        for r in (1, 2, 3):
+            for a in (1, 2, 3):
+                rep = st.classify_singularity(families.generate_example(
+                    families.ExampleSpec(family, n, r, a)).stratum())
+                assert rep.psi_sets() == oracles.dot_product_psi_sets(rep), (family, n, r, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.sampled_from(families.SWEEP_TYPES), hst.sampled_from((1, 2, 3)),
+       hst.sampled_from((1, 2, 3)), hst.data())
+def test_psi_sets_match_the_dot_product_oracle_on_permuted_strata(type_, r, a, data):
+    # Shuffled strata and a drawn mark-1 node: the retained Gram comes in the
+    # shuffled order, and both builders must still agree on every output.
+    inst = families.generate_example(families.ExampleSpec(*type_, r, a))
+    strata = data.draw(hst.permutations(inst.stratum().strata))
+    node = data.draw(hst.sampled_from([k for k, (_, m) in enumerate(strata) if m == 1]))
+    rep = st.classify_singularity(
+        st.StratumData(inst.lattice, inst.polarization, inst.v, strata), node)
+    assert rep.psi_sets() == oracles.dot_product_psi_sets(rep)
+
+
+def test_psi_sets_name_the_complement_that_fails():
+    # With v + rho for v, every element still has <u, u> = -2 and its rank,
+    # but its complement w = v + rho - u has <w, w> = -2 - 2 rk w, since
+    # <x, rho> = -rk x.  The first root of the tree fails on its complement,
+    # and the message names the complement's own (r, c1, s).
+    inst, _ = _report("D", 5, 2)
+    v = inst.v + mk.rho(inst.lattice)
+    shifted = st.classify_singularity(
+        st.StratumData(inst.lattice, inst.polarization, v, inst.stratum().strata))
+    _, parent, i = roots.root_tree(shifted.finite)[0]
+    assert parent is None
+    u = shifted.retained[i]
+    w = v - u
+    assert mk.mukai_square(u) == -2 and mk.mukai_square(w) == -2 - 2 * w.r != -2
+    message = (f"Psi element (r={w.r}, c1={list(w.c1)}, s={w.s}) has <u, u> = "
+               f"{-2 - 2 * w.r}; expected -2 and 0 < rk u < {v.r}")
+    for build in (st.SingularityReport.psi_sets, oracles.dot_product_psi_sets):
+        with pytest.raises(InvariantError) as exc:
+            build(shifted)
+        assert str(exc.value) == message
 
 
 def test_stratum_checks_pair_each_class_once(monkeypatch):
