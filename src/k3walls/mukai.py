@@ -9,6 +9,7 @@ integrality is a predicate, not a type split.  The pairing is
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import mul
 
@@ -63,9 +64,12 @@ class MukaiVector(_Record):
         if self.lattice != other.lattice:
             raise ValueError("Mukai vectors live over different Picard lattices")
 
+    def int_typed(self):
+        """True iff every component is an ``int``, which makes the vector integral."""
+        return type(self.r) is int and type(self.s) is int and set(map(type, self.c1)) <= {int}
+
     def is_integral(self):
-        return (self.r == int(self.r) and self.s == int(self.s)
-                and all(c == int(c) for c in self.c1))
+        return self.int_typed() or all(c == int(c) for c in (self.r, self.s, *self.c1))
 
 
 def rho(lattice):
@@ -95,26 +99,36 @@ def scaled_pairings(xs, y):
 def gram(xs):
     """The symmetric ``[[<x, y> for y in xs] for x in xs]``, exact as :func:`mukai_pairing`.
 
-    One ``G c1(y)`` per ``y`` from the Gram rows at its nonzero coordinates, each pairing
-    summed over the nonzero coordinates of ``c1(x)``, one triangle computed and mirrored.
+    A one-coordinate class ``c e_k`` takes ``c G[k]`` as ``G c1`` (the Gram row itself when
+    ``c = 1``) and pairs by the one entry ``c (G c1 y)[k]``; any other class forms ``G c1`` by
+    :func:`mat_mul_vec` and pairs by a ``map`` dot product.  One triangle is computed and
+    mirrored, and normalized only if an entry is not an ``int``.
     """
     for z in xs:
-        xs[0]._check_ambient(z)
+        if z.lattice is not xs[0].lattice:
+            xs[0]._check_ambient(z)
     rows = xs[0].lattice.gram if xs else ()
-    support = [[(k, c) for k, c in enumerate(x.c1) if c] for x in xs]
-    images = []
-    for sup in support:
-        image = [0] * len(rows)
-        for k, c in sup:
-            image = [a + c * e for a, e in zip(image, rows[k])]
-        images.append(image)
-    out = [[0] * len(xs) for _ in xs]
-    for i, (x, sup) in enumerate(zip(xs, support)):
-        for j in range(i, len(xs)):
-            y, gy = xs[j], images[j]
-            out[i][j] = out[j][i] = normalize_number(
-                sum([c * gy[k] for k, c in sup]) - x.r * y.s - x.s * y.r)
-    return out
+    basis, images = [], []
+    for x in xs:
+        if x.c1.count(0) == len(rows) - 1:
+            k = next(i for i, c in enumerate(x.c1) if c)
+            c = x.c1[k]
+            basis.append((k, c))
+            images.append(rows[k] if c == 1 else vec_scale(c, rows[k]))
+        else:
+            basis.append(None)
+            images.append(mat_mul_vec(rows, x.c1))
+    rs, ss, tri = [x.r for x in xs], [x.s for x in xs], []
+    for i, (x, b) in enumerate(zip(xs, basis)):
+        ys, r, s = range(i, len(xs)), x.r, x.s
+        if b is None:
+            tri.append([sum(map(mul, x.c1, images[j])) - r * ss[j] - s * rs[j] for j in ys])
+        else:
+            k, c = b
+            tri.append([c * images[j][k] - r * ss[j] - s * rs[j] for j in ys])
+    if not set(map(type, chain.from_iterable(tri))) <= {int}:
+        tri = [list(map(normalize_number, row)) for row in tri]
+    return [[tri[j][i - j] for j in range(i)] + row for i, row in enumerate(tri)]
 
 
 def mukai_square(x):

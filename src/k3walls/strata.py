@@ -20,15 +20,19 @@ from .errors import (Inconsistent, InvariantError, MarksMismatch, NodeOutOfRange
 
 
 class StratumData(_Record):
-    """Context ``(P, H, v)`` plus the list of ``(u_i, multiplicity)`` pairs."""
+    """Context ``(P, H, v)`` and ``(u_i, multiplicity)`` pairs, all over P (else ``ValueError``)."""
 
     __slots__ = ("lattice", "polarization", "v", "strata")
 
     def __init__(self, lattice, polarization, v, strata):
-        strata = tuple(strata)
+        strata, polarization = tuple(strata), tuple(polarization)
         if any(isinstance(m, bool) for _, m in strata):  # index() refuses floats and strings
             raise TypeError("multiplicities must be integers, got bool")
-        super().__init__(lattice, tuple(polarization), v, tuple((u, index(m)) for u, m in strata))
+        if len(polarization) != lattice.rank:
+            raise ValueError(f"polarization length does not match Picard rank {lattice.rank}")
+        if any(u.lattice != lattice for u in (v, *(u for u, _ in strata))):
+            raise ValueError("v and every stratum vector must lie over the stratum's lattice")
+        super().__init__(lattice, polarization, v, tuple((u, index(m)) for u, m in strata))
 
     @property
     def vectors(self):
@@ -79,7 +83,7 @@ class SingularityReport(_Record):
         v, retained = self.data.v, self.retained
         q, (*pairings, vv) = mk.scaled_pairings((*retained, v), v)
         gram = [[-e for e in row] for row in self.finite.matrix.entries]
-        integral = all(type(x) is int for u in (v, *retained) for x in (u.r, u.s, *u.c1))
+        integral = all(map(mk.MukaiVector.int_typed, (v, *retained)))
         new = mk.MukaiVector._from_fields if integral else mk.MukaiVector
         vr, vc1, vs, lattice = v.r, v.c1, v.s, v.lattice
         built, psi, comp, zero = [], [], [], (0, lattice.zero(), 0, 0, 0, [0] * len(gram))
@@ -136,8 +140,7 @@ def validate_stratum(data):
     for i, j in combinations(range(len(vecs)), 2):
         if g[i][j] < 0:
             violations.append(f"<u_{i}, u_{j}> = {g[i][j]}, expected >= 0")
-    # sum a_i u_i by integer dot products, as in psi_sets; mk.gram above has
-    # already checked that every u lies over v's lattice.
+    # sum a_i u_i by integer dot products, as in psi_sets; StratumData puts every u over P.
     total = (sum(map(mul, mults, (u.r for u in vecs))),
              tuple(sum(map(mul, mults, col)) for col in zip(*(u.c1 for u in vecs))),
              sum(map(mul, mults, (u.s for u in vecs))))

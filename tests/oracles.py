@@ -17,7 +17,9 @@ the sublattice their type facts came from before, and
 :func:`scaled_pairing_position`, the wall search and chamber signs as they
 ran before the descent carried each wall's normal and ``locate`` read it, and
 :func:`dot_product_psi_sets`, the Psi-set builder as it checked each root by
-Picard-length dot products before the checks moved to root coordinates.
+Picard-length dot products before the checks moved to root coordinates, and
+:func:`support_gram`, the Mukai Gram as it summed every class over its
+nonzero coordinates before each class was paired at its density.
 """
 
 import dataclasses
@@ -565,6 +567,32 @@ def dot_product_psi_sets(report):
                                  f"{square}; expected -2 and 0 < rk u < {vr}")
     out = [new(r, c1, s, lattice) for r, c1, s, _ in checked]
     return out[::2], out[1::2]
+
+
+def support_gram(xs):
+    """:func:`k3walls.mukai.gram` as it ran before each class was paired at its density.
+
+    One ``G c1(y)`` per ``y`` from the Gram rows at its nonzero coordinates, each
+    pairing summed over the nonzero coordinates of ``c1(x)`` and normalized, one
+    triangle computed and mirrored.
+    """
+    for z in xs:
+        xs[0]._check_ambient(z)
+    rows = xs[0].lattice.gram if xs else ()
+    support = [[(k, c) for k, c in enumerate(x.c1) if c] for x in xs]
+    images = []
+    for sup in support:
+        image = [0] * len(rows)
+        for k, c in sup:
+            image = [a + c * e for a, e in zip(image, rows[k])]
+        images.append(image)
+    out = [[0] * len(xs) for _ in xs]
+    for i, (x, sup) in enumerate(zip(xs, support)):
+        for j in range(i, len(xs)):
+            y, gy = xs[j], images[j]
+            out[i][j] = out[j][i] = linalg.normalize_number(
+                sum([c * gy[k] for k, c in sup]) - x.r * y.s - x.s * y.r)
+    return out
 
 
 def h_perp_identities(lattice, h):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import oracles
+from k3walls import families
 from k3walls import lattice as lat
+from k3walls import linalg
 from k3walls import mukai as mk
 from k3walls.errors import InvalidTwist
 
@@ -106,20 +108,28 @@ def _oracle_pairing(x, y):
     return oracles.mukai_pairing(x.lattice.gram, (x.r, x.c1, x.s), (y.r, y.c1, y.s))
 
 
-_GRAM_LATTICES = (lat.PicardLattice([[-2, 1], [1, 0]]),  # the elliptic lattice, and A~3's model
-                  lat.PicardLattice([[0, 3, 2, 3], [3, 0, 3, 2], [2, 3, 0, 3], [3, 2, 3, 0]]))
+# The elliptic lattice, A~3's model and A~7's, on which a class with 2 or 3
+# nonzero coordinates is sparse but not one basis class.
+_GRAM_LATTICES = (lat.PicardLattice([[-2, 1], [1, 0]]),
+                  lat.PicardLattice([[0, 3, 2, 3], [3, 0, 3, 2], [2, 3, 0, 3], [3, 2, 3, 0]]),
+                  families.generate_example(families.ExampleSpec("A", 7, 1, 1)).lattice)
 _SMALL = hst.integers(-6, 6)
 _RATIONAL = hst.builds(Fraction, hst.integers(-6, 6), hst.integers(1, 4))
 
 
 @hst.composite
 def _mukai_vectors(draw, p):
-    """A basis class ``c e_k`` (sparse), a dense integer class, or one with Fraction components."""
-    kind = draw(hst.sampled_from(("basis", "dense", "rational")))
+    """A basis class ``c e_k``, a class with 2-3 nonzero coordinates, a dense integer
+    class, or one with Fraction components."""
+    kind = draw(hst.sampled_from(("basis", "sparse", "dense", "rational")))
     number = _RATIONAL if kind == "rational" else _SMALL
     if kind == "basis":
         k, c = draw(hst.integers(0, p.rank - 1)), draw(_SMALL)
         c1 = tuple(c if i == k else 0 for i in range(p.rank))
+    elif kind == "sparse":
+        at = draw(hst.lists(hst.integers(0, p.rank - 1), min_size=2, max_size=3, unique=True))
+        c1 = tuple(draw((_SMALL | _RATIONAL).filter(bool)) if i in at else 0
+                   for i in range(p.rank))
     else:
         c1 = tuple(draw(number) for _ in range(p.rank))
     return mk.MukaiVector(draw(number), c1, draw(number), p)
@@ -137,12 +147,47 @@ def test_gram_matches_the_oracle_pairing(data):
             assert got[i][j] == got[j][i] == _oracle_pairing(x, y)
             # integral entries come back as int, as from mukai_pairing
             assert type(got[i][j]) is int or got[i][j].denominator != 1
+    assert _typed(got) == _typed(oracles.support_gram(xs))
+
+
+def _typed(rows):
+    return [[(type(e), e) for e in row] for row in rows]
+
+
+def test_gram_matches_the_support_oracle_on_the_sweep():
+    # All 324 sweep lists (*v_list, v, H^): basis classes, then two dense ones.
+    for family, n in families.SWEEP_TYPES:
+        for r in (1, 2, 3):
+            for a in (1, 2, 3):
+                inst = families.generate_example(families.ExampleSpec(family, n, r, a))
+                xs = (*inst.v_list, inst.v, mk.delta_map(inst.v, inst.polarization))
+                assert _typed(mk.gram(xs)) == _typed(oracles.support_gram(xs)), (family, n, r, a)
+
+
+def test_gram_zero_class_and_half_supports():
+    # The zero class pairs to 0 with everything; classes with floor(n/2) and
+    # floor(n/2) + 1 nonzero coordinates pair as the support oracle does.
+    a3 = lat.PicardLattice([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+    for p in (*_GRAM_LATTICES, a3):
+        n = p.rank
+        zero = mk.MukaiVector(0, p.zero(), 0, p)
+        half = mk.MukaiVector(1, [3] * (n // 2) + [0] * (n - n // 2), -1, p)
+        more = mk.MukaiVector(2, [-1] * (n // 2 + 1) + [0] * (n - n // 2 - 1), 5, p)
+        xs = (zero, half, more, mk.rho(p))
+        got = mk.gram(xs)
+        assert got[0] == [0, 0, 0, 0] and [row[0] for row in got] == [0, 0, 0, 0]
+        assert _typed(got) == _typed(oracles.support_gram(xs))
 
 
 def test_gram_empty_and_mixed(elliptic, a1_instance):
     _, _, v = elliptic
     assert mk.gram([]) == [] and mk.gram(()) == []
     assert mk.gram((v,)) == [[0]]
+    # an equal lattice that is another object is the same ambient
+    twin = mk.MukaiVector(v.r, v.c1, v.s,
+                          lat.PicardLattice(v.lattice.gram, v.lattice.basis_labels))
+    assert twin.lattice is not v.lattice
+    assert mk.gram((v, twin)) == mk.gram((twin, v)) == [[0, 0], [0, 0]]
     for xs in ([v, a1_instance.v], [v, v, a1_instance.v], (a1_instance.v, v)):
         with pytest.raises(ValueError, match="different Picard lattices"):
             mk.gram(xs)

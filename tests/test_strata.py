@@ -1,5 +1,6 @@
 import contextlib
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -594,3 +595,46 @@ def test_stratum_checks_pair_each_class_once(monkeypatch):
                                    for i in range(19)])
     assert roots.classify_affine(shuffled).type_name() == "D~18"
     assert calls == {"gram": 2}
+
+
+def test_validate_pairs_dense_classes_by_dot_products(monkeypatch):
+    # On D~18 (rho = 19) every u_i is a basis class, whose G c1 is a Gram row,
+    # and only v and H^ are not: the Gram forms G c1 by mat_mul_vec twice.
+    # Every class has int components, so the Gram normalizes nothing.
+    inst = families.generate_example(families.ExampleSpec("D", 18, 2, 3))
+    data = inst.stratum()
+    calls = Counter()
+
+    def count(name):
+        inner = getattr(mk, name)
+
+        def counted(*args):
+            caller = sys._getframe(1).f_code.co_name
+            if caller == "gram":
+                calls[name, caller] += 1
+            return inner(*args)
+        monkeypatch.setattr(mk, name, counted)
+
+    count("mat_mul_vec")
+    count("normalize_number")
+    assert st.validate_stratum(data) == []
+    assert calls == {("mat_mul_vec", "gram"): 2}
+
+
+def test_stratum_data_lies_over_its_lattice(a2_instance):
+    a2 = a2_instance
+    b = families.generate_example(families.ExampleSpec("A", 2, 2, 1))
+    assert b.lattice != a2.lattice
+    with pytest.raises(ValueError, match="^v and every stratum vector must lie over"):
+        st.StratumData(a2.lattice, a2.polarization, b.v, b.stratum().strata)
+    (u0, m0), *rest = a2.stratum().strata
+    foreign = mk.MukaiVector(u0.r, u0.c1, u0.s, b.lattice)
+    with pytest.raises(ValueError, match="^v and every stratum vector must lie over"):
+        st.StratumData(a2.lattice, a2.polarization, a2.v, ((foreign, m0), *rest))
+    with pytest.raises(ValueError, match="^polarization length does not match Picard rank 3$"):
+        st.StratumData(a2.lattice, (*a2.polarization, 1), a2.v, a2.stratum().strata)
+    # an equal lattice that is another object is the same ambient
+    twin = lat.PicardLattice(a2.lattice.gram, a2.lattice.basis_labels)
+    data = st.StratumData(twin, a2.polarization, a2.v, a2.stratum().strata)
+    assert st.validate_stratum(data) == []
+    assert st.classify_singularity(data).affine.type_name() == "A~2"
