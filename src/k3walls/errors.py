@@ -14,17 +14,19 @@ from operator import attrgetter
 
 @cache
 def _fields_builder(n):
-    """``make(new, cls, *setters)``, whose result builds a ``cls`` from exactly ``n`` values.
+    """``make(new, cls, *setters)``, whose result is ``(from_fields, init)``: ``from_fields``
+    builds a ``cls`` from exactly ``n`` values, ``init(self, x0, ...)`` fills them in.
 
-    Generated as ``dataclasses`` generates ``__init__``: a fixed-arity function, so a missing
+    Generated as ``dataclasses`` generates ``__init__``: fixed-arity functions, so a missing
     or surplus value raises TypeError.  One per arity keeps the import to a few compiles.
     """
     xs = [f"x{k}" for k in range(n)]
+    fill = "".join(f"  set_{x}(self, {x})\n" for x in xs)
     namespace = {}
     exec(f"def make(new, cls, {', '.join(f'set_{x}' for x in xs)}):\n"
-         f" def from_fields({', '.join(xs)}):\n  self = new(cls)\n"
-         + "".join(f"  set_{x}(self, {x})\n" for x in xs)
-         + "  return self\n return from_fields\n", namespace)
+         f" def from_fields({', '.join(xs)}):\n  self = new(cls)\n{fill}  return self\n"
+         f" def init(self, {', '.join(xs)}):\n{fill}"
+         " return from_fields, init\n", namespace)
     return namespace["make"]
 
 
@@ -32,37 +34,34 @@ class _Record:
     """Immutable record: its fields are its ``__slots__``; equality, hash and repr go by
     them unless a subclass defines its own.
 
-    The one constructor fills the slots in order from positional arguments, then keywords,
-    then the class's ``_defaults`` (a slotted class cannot hold a class attribute named
-    after a slot); a surplus, unknown, repeated or missing argument raises TypeError.
-    A validating or normalising record ends its own ``__init__`` with ``super().__init__``;
-    ``_from_fields(*fields)``, generated per class, takes exactly one value per slot and
-    fills the slots with no ``__init__``, so no check and no normalisation.
+    A record class without its own ``__init__`` gets one generated: its parameters are the
+    slots, the class's ``_defaults`` trailing (a slotted class cannot hold a class attribute
+    named after a slot).  A validating or normalising record ends its own ``__init__`` with
+    ``super().__init__``, one value per slot.  ``_from_fields(*fields)``, generated per
+    class, takes exactly one value per slot and fills the slots with no ``__init__``, so no
+    check and no normalisation.
     """
 
     __slots__ = ()
     _defaults = {}
 
     def __init_subclass__(cls):
-        cls._key = attrgetter(*cls.__slots__)  # gives a tuple: records have two fields or more
-        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-        from_fields = _fields_builder(len(cls.__slots__))(object.__new__, cls, *cls._setters)
+        names = cls.__slots__
+        cls._key = attrgetter(*names)  # gives a tuple: records have two fields or more
+        setters = [cls.__dict__[name].__set__ for name in names]
+        from_fields, init = _fields_builder(len(names))(object.__new__, cls, *setters)
         from_fields.__qualname__ = f"{cls.__qualname__}._from_fields"
         cls._from_fields = staticmethod(from_fields)
+        if "__init__" not in cls.__dict__:  # Python binds the arguments, as for a dataclass
+            init.__code__ = init.__code__.replace(co_varnames=("self", *names))  # x0 -> slot 0
+            defaulted = names[len(names) - len(cls._defaults):]  # KeyError unless trailing
+            init.__defaults__ = tuple(map(cls._defaults.__getitem__, defaulted))
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = init
 
-    def __init__(self, *args, **kwargs):
-        setters = self._setters  # slot setters skip __setattr__, faster than object.__setattr__
-        if kwargs or len(args) != len(setters):
-            names = self.__slots__
-            values = {**self._defaults, **dict(zip(names, args)), **kwargs}
-            bad = [name for name in kwargs if name not in names or names.index(name) < len(args)]
-            missing = [name for name in names if name not in values]
-            if len(args) > len(names) or bad or missing:
-                raise TypeError(f"{type(self).__name__} takes {names}: got {len(args)} positional, "
-                                f"{bad} unknown or repeated, {missing} missing")
-            args = [values[name] for name in names]
-        for setter, value in zip(setters, args):
-            setter(self, value)
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):  # also __delattr__, which passes no value
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -70,7 +69,7 @@ class _Record:
     __delattr__ = __setattr__
 
     def __setstate__(self, state):  # copy and pickle restore slots from (None, {name: value})
-        _Record.__init__(self, **state[1])
+        _Record.__init__(self, *map(state[1].__getitem__, self.__slots__))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -123,7 +122,8 @@ class MarksMismatch(DomainError):
 
 
 class CapExceeded(DomainError):
-    """An orbit or group enumeration, an example rank or a wall search's rk v outgrew its cap."""
+    """An orbit or group enumeration, an example rank, a wall search's rk v or an output's
+    digit count (CPython's int-to-str limit) outgrew its cap."""
 
 
 class NotMinusTwo(DomainError):

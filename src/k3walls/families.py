@@ -40,8 +40,9 @@ EMBEDDING_CAVEAT = (
 #: 0.13-0.16 s; a first instance of rank 100 takes 70-125 ms.  The sweep stops at 18.
 EXAMPLE_N_CAP = 64
 
-#: Most decimal digits of ``r * a`` that :func:`generate_example` accepts: every
-#: number of its document, alpha included, then prints within CPython's 4,300-digit limit.
+#: Most decimal digits of ``r * a`` that :func:`generate_example` accepts: every number
+#: of its instance then prints within CPython's 4,300-digit limit.  An alpha scale can
+#: still carry the alpha past it, and the report writers then raise CapExceeded.
 EXAMPLE_RA_DIGIT_CAP = 1000
 
 #: (family, n) pairs covered by the standard sweep.

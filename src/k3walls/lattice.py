@@ -48,7 +48,7 @@ class PicardLattice(_Record):
                 raise ValueError("basis_labels must be distinct")
         super().__init__(n, gram, basis_labels)
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # the identity fast path runs under every MukaiVector._check_ambient
         return self is other or (isinstance(other, PicardLattice) and self.gram == other.gram
                                  and self.basis_labels == other.basis_labels)
 

@@ -33,12 +33,7 @@ class MukaiVector(_Record):
         super().__init__(r if type(r) is int else normalize_number(Fraction(r)), c1,
                          s if type(s) is int else normalize_number(Fraction(s)), lattice)
 
-    def __eq__(self, other):
-        return (isinstance(other, MukaiVector) and self.r == other.r
-                and self.c1 == other.c1 and self.s == other.s
-                and self.lattice == other.lattice)
-
-    def __hash__(self):
+    def __hash__(self):  # leaves out the lattice, whose hash walks its whole Gram
         return hash((self.r, self.c1, self.s))
 
     def __repr__(self):

@@ -26,7 +26,7 @@ from . import lattice as lat
 from . import mukai as mk
 from . import strata as st
 from . import walls as wl
-from .errors import SchemaError, _Record
+from .errors import CapExceeded, SchemaError, _Record
 from .linalg import normalize_number
 
 CAVEAT = ("lattice-level computation only; existence of a K3 surface realizing "
@@ -35,11 +35,17 @@ CAVEAT = ("lattice-level computation only; existence of a K3 surface realizing "
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
+#: Why a report cannot be written: int to str raises ValueError past CPython's digit limit.
+_TOO_LONG = "a number of the output has more digits than the interpreter writes"
+
 
 def rational_to_json(q):
     if type(q) is not int:
         q = normalize_number(Fraction(q))
-    return q if isinstance(q, int) else f"{q.numerator}/{q.denominator}"
+    try:
+        return q if isinstance(q, int) else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise CapExceeded(_TOO_LONG) from None
 
 
 def rational_from_json(value, path):
@@ -285,9 +291,13 @@ def dumps_report(report):
     plus a newline, written by :func:`_write_json`.  Report values are dicts
     with ``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and ``None``;
     anything else (a float, a Fraction, a set, a non-``str`` key, a subclass
-    of a value type) raises ``TypeError``.
+    of a value type) raises ``TypeError``, and an ``int`` past the interpreter's
+    digit limit ``CapExceeded``.
     """
-    return _write_json(report, "") + "\n"
+    try:
+        return _write_json(report, "") + "\n"
+    except ValueError:  # only int to str raises it: a non-report value is a TypeError
+        raise CapExceeded(_TOO_LONG) from None
 
 
 _encode_str = json.encoder.encode_basestring  # the C escaper of ensure_ascii=False

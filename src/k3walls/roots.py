@@ -14,7 +14,7 @@ equality after permutation, so a malformed shape can never be mislabelled.
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import prod
-from operator import add
+from operator import add, mul
 
 from . import linalg
 from .errors import (CapExceeded, InvariantError, MarkNotOne, NodeOutOfRange,
@@ -42,12 +42,6 @@ class CartanMatrix(_Record):
                 if entries[i][j] > 0:
                     raise ValueError(f"off-diagonal entry ({i},{j}) must be <= 0")
         super().__init__(n, entries)
-
-    def __eq__(self, other):
-        return isinstance(other, CartanMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"CartanMatrix({[list(r) for r in self.entries]})"
@@ -335,11 +329,6 @@ def delete_node(diagram, i):
     return classify_finite(CartanMatrix(tuple(_without(row, i) for row in _without(entries, i))))
 
 
-def _pairing_with_simple(matrix, x, i):
-    """(x, alpha_i) for x in root coordinates."""
-    return sum(matrix.entries[i][j] * x[j] for j in range(len(x)) if x[j] != 0)
-
-
 @lru_cache
 def root_tree(diagram):
     """The positive roots as ``(b, parent, i)`` triples, in lexicographic order of ``b``.
@@ -379,13 +368,22 @@ def positive_roots(diagram):
     return tuple(b for b, _, _ in root_tree(diagram))
 
 
-def simple_reflection(diagram, i, x):
-    """Reflection in the i-th simple root (1-based), in root coordinates."""
-    n = diagram.matrix.n_nodes
+def _simple_row(diagram, x, i=1):
+    """Row ``i - 1`` of the Cartan matrix, the pairings of the ``i``-th simple root (1-based)
+    with the others; ValueError unless ``x`` has one entry per node and ``i`` names a node."""
+    entries = diagram.matrix.entries
+    n = len(entries)
+    if len(x) != n:
+        raise ValueError(f"vector of length {len(x)} for a diagram of {n} nodes")
     if not 1 <= i <= n:
         raise ValueError(f"reflection index {i} out of range 1..{n}")
+    return entries[i - 1]
+
+
+def simple_reflection(diagram, i, x):
+    """Reflection in the i-th simple root (1-based), in root coordinates."""
+    c = sum(map(mul, _simple_row(diagram, x, i), x))  # (x, alpha_i)
     k = i - 1
-    c = _pairing_with_simple(diagram.matrix, x, k)
     return tuple(v - c if j == k else v for j, v in enumerate(x))
 
 
@@ -393,21 +391,20 @@ def dual_reflection(diagram, i, values):
     """Action of the i-th reflection (1-based) on pairing-value vectors.
 
     ``values[j]`` is the pairing of the j-th simple root against a point;
-    reflecting the point sends values to ``t_j - C[j][i] * t_i``.
+    reflecting the point sends values to ``t_j - C[j][i] * t_i`` (C is symmetric).
     """
-    n = diagram.matrix.n_nodes
-    if not 1 <= i <= n:
-        raise ValueError(f"reflection index {i} out of range 1..{n}")
-    k = i - 1
-    t = values[k]
-    return tuple(v - diagram.matrix.entries[j][k] * t for j, v in enumerate(values))
+    row = _simple_row(diagram, values, i)
+    t = values[i - 1]
+    return tuple(v - c * t for c, v in zip(row, values))
 
 
 def apply_word_dual(diagram, word, values):
     """Apply a Weyl word to a value vector, rightmost letter first."""
+    values = tuple(values)
+    _simple_row(diagram, values)  # the length check, which an empty word would skip
     for letter in reversed(word):
         values = dual_reflection(diagram, letter, values)
-    return tuple(values)
+    return values
 
 
 def weyl_orbit(diagram, x):
@@ -459,6 +456,7 @@ def reduce_to_fundamental(diagram, values):
     """
     n = diagram.matrix.n_nodes
     values = tuple(linalg.normalize_number(Fraction(v)) for v in values)
+    _simple_row(diagram, values)  # the length check, which a reduced input would skip
     word = []
     guard = 0
     while True:

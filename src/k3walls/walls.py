@@ -287,16 +287,21 @@ def slope_condition(alpha, v, strata, deleted=0):
 
         <v_i, alpha>/rk v_i  >  <v + sum_j a_j v_j, alpha> / rk(v + sum a_j v_j).
 
-    A node outside ``range(len(strata))`` raises :class:`NodeOutOfRange`.
+    A node outside ``range(len(strata))`` raises :class:`NodeOutOfRange`, a rank 0 on
+    either side ValueError: a slope divides by it.
     """
     check_node(strata, deleted)
     a = alpha.alpha if isinstance(alpha, mk.TwistParameter) else alpha
     retained = [(u, m) for k, (u, m) in enumerate(strata) if k != deleted]
+    total_rank = v.r + sum(m * u.r for u, m in retained)
+    if total_rank == 0 or any(u.r == 0 for u, _ in retained):
+        raise ValueError("a slope needs a nonzero rank: of each retained u_i and of "
+                         "v + sum a_j u_j")
     # Each pairing with alpha scaled by the same q > 0, which cancels in every inequality.
     _, (va, *pairs) = mk.scaled_pairings([v, *(u for u, _ in retained)], a)
     # <total, alpha> and rk total by linearity, total = v + sum a_j v_j.
     total_pair = va + sum(m * ua for (_, m), ua in zip(retained, pairs))
-    rhs = Fraction(total_pair) / Fraction(v.r + sum(m * u.r for u, m in retained))
+    rhs = Fraction(total_pair) / Fraction(total_rank)
     for (u, _), ua in zip(retained, pairs):
         lhs = Fraction(ua) / Fraction(u.r)
         if not lhs > rhs:

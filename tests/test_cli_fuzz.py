@@ -2,7 +2,8 @@
 
 Valid A~2 and D~4 documents (with strata and alpha) are mutated by
 hypothesis: values replaced by wrong types, floats, bools, ``"1/0"`` and
-other junk, keys and list entries dropped, strata duplicated.  Whatever the
+other junk, keys and list entries dropped, strata duplicated; an A~3
+document's alpha has entries of 3,000-digit denominators.  Whatever the
 document, ``cli.main`` run in-process must return 0, 2 or 3 and let no
 exception escape.  The same holds when argparse's help cannot reach stdout
 or an error line cannot reach stderr.  A bad argument is one short schema
@@ -30,6 +31,12 @@ SEED_DOCS = {
         families.generate_example(families.ExampleSpec(family, n, 1, 1)), alpha_scale=1)
     for name, family, n in (("A~2", "A", 2), ("D~4", "D", 4))
 }
+
+BIG_P, BIG_Q = 10 ** 3000 + 19, 10 ** 3000 + 21
+#: Each entry parses, but reduced values past the interpreter's int-to-str digit limit follow.
+SEED_DOCS["A~3 big alpha"] = {
+    **pipeline.instance_document(families.generate_example(families.ExampleSpec("A", 3, 1, 1))),
+    "alpha": {"c1": [f"1/{BIG_P}", f"-1/{BIG_P}", f"1/{BIG_Q}", f"-1/{BIG_Q}"]}}
 
 JUNK = (None, True, False, 0, -1, 2, 10 ** 6, 1.5, -0.0, "1/0", "3/2", "x", "",
         [], {}, [1], {"r": 1})
@@ -189,6 +196,20 @@ def test_cli_error_line_to_unwritable_stderr_keeps_exit_code(tmp_path, argv, cod
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     res = _run_cli(argv, "stderr", open_stderr())
     assert (res.returncode, res.stdout) == (code, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "-"], ["chamber", "-"], ["chamber", "-", "--format", "text"],
+    ["example", "--family", "E", "--n", "8", "--r", "7", "--a", "5", "--alpha", "9" * 4299],
+    ["example", "--family", "D", "--n", "18", "--r", "7", "--a", "5", "--alpha", "9" * 4299],
+], ids=lambda argv: " ".join(a[:12] for a in argv))
+def test_cli_output_past_the_digit_limit_is_cap_exceeded(argv):
+    # A number past the interpreter's int-to-str digit limit once ended these with a
+    # ValueError traceback (exit 1), or for D~18 with a schema error (exit 2) that told
+    # the user to raise the limit.
+    code, out, err = _main(argv, json.dumps(SEED_DOCS["A~3 big alpha"]))
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error: CapExceeded: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

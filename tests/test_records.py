@@ -3,15 +3,18 @@
 The eleven record classes share one slotted base.  On the records that sweep
 instances and their classify runs build, each must print, compare and hash as a
 frozen dataclass with the same fields does (:func:`oracles.dataclass_twin`),
-refuse to compare with another class, and refuse every mutation.  Every class
-on the base copies and pickles: the three value classes with their own equality
-and the four that compute their fields (``Sublattice``, ``QuadraticForm``,
-``IntegerSystem`` and ``TwistParameter``) included, and each class's generated
-``_from_fields`` takes exactly one value per slot.
+refuse to compare with another class, and refuse every mutation; a class
+without its own ``__init__`` takes its slots as parameters.  Every class on the
+base copies and pickles: the three value classes (``MukaiVector``,
+``PicardLattice`` and ``CartanMatrix``) and the four that compute their fields
+(``Sublattice``, ``QuadraticForm``, ``IntegerSystem`` and ``TwistParameter``)
+included, and each class's generated ``_from_fields`` takes exactly one value
+per slot.
 """
 
 import copy
 import importlib
+import inspect
 import itertools
 import pickle
 import pkgutil
@@ -119,6 +122,21 @@ def test_record_binds_arguments_as_its_dataclass_twin(records, cls):
             twin(*args, **kwargs)
 
 
+def test_generated_init_takes_the_slots(one_of_each):
+    """A record class without its own ``__init__`` has one whose parameters are its slots,
+    each positional or keyword, with its ``_defaults`` as trailing defaults: Python binds
+    the arguments, as it does for the dataclass twin."""
+    classes = [cls for cls in errors._Record.__subclasses__()  # no __init__ in its source
+               if cls.__init__.__code__.co_filename != inspect.getsourcefile(cls)]
+    assert len(classes) == 9
+    for cls in classes:
+        params = inspect.signature(cls).parameters.values()
+        assert [(p.name, p.kind) for p in params] == [
+            (name, inspect.Parameter.POSITIONAL_OR_KEYWORD) for name in cls.__slots__]
+        defaults = [(p.name, p.default) for p in params if p.default is not p.empty]
+        assert defaults == list(cls._defaults.items())
+
+
 def test_record_defaults_and_keywords():
     assert repr(walls.ChamberPosition((), (), ())) == (
         "ChamberPosition(walls=(), signs=(), on_walls=(), weyl_word=None, "
@@ -154,7 +172,8 @@ def test_stratum_data_normalises_and_rejects_as_before(d4_instance):
 
 
 def test_value_classes_keep_their_own_equality_and_refuse_mutation(a2_instance):
-    """MukaiVector, PicardLattice and CartanMatrix take only immutability from the base."""
+    """MukaiVector and PicardLattice keep their own hash and repr, PicardLattice its own
+    equality too; CartanMatrix keeps its repr and compares and hashes by its fields."""
     v, p, m = a2_instance.v, a2_instance.lattice, a2_instance.affine_matrix
     assert hash(v) == hash((v.r, v.c1, v.s)) and repr(v) == "MukaiVector(r=3, c1=[1, 1, 1], s=3)"
     assert p == lat.PicardLattice(p.gram, p.basis_labels)

@@ -449,7 +449,7 @@ def test_simple_reflection():
         y = roots.simple_reflection(d5, i, x)
         assert roots.simple_reflection(d5, i, y) == x
         assert oracles.root_norm(d5.matrix.entries, y) == oracles.root_norm(d5.matrix.entries, x)
-        if roots._pairing_with_simple(d5.matrix, x, i - 1) == 0:
+        if sum(c * xj for c, xj in zip(d5.matrix.entries[i - 1], x)) == 0:  # (x, alpha_i)
             assert y == x
     with pytest.raises(ValueError):
         roots.simple_reflection(a2, 3, (1, 0))
@@ -496,6 +496,25 @@ def test_dual_reflection():
     assert roots.dual_reflection(d, 1, (-1, 0, 2)) == (1, -1, 2)
     # A zero value reflects to the vector it came from.
     assert roots.dual_reflection(d, 2, (5, 0, Fraction(-7, 2))) == (5, 0, Fraction(-7, 2))
+
+
+@pytest.mark.parametrize("call, length", [
+    (lambda d: roots.simple_reflection(d, 3, (1, 0)), 2),
+    (lambda d: roots.simple_reflection(d, 1, (1, 0, 0, 0)), 4),
+    (lambda d: roots.dual_reflection(d, 1, (1, 0)), 2),
+    (lambda d: roots.weyl_orbit(d, (1,)), 1),
+    (lambda d: roots.reduce_to_fundamental(d, (1, -1)), 2),
+    (lambda d: roots.reduce_to_fundamental(d, (1, 1)), 2),
+    (lambda d: roots.apply_word_dual(d, [1, 2], (1,)), 1),
+    (lambda d: roots.apply_word_dual(d, [], (1,)), 1),
+], ids=["simple_reflection", "simple_reflection-long", "dual_reflection", "weyl_orbit",
+        "reduce_to_fundamental", "reduce_to_fundamental-reduced", "apply_word_dual",
+        "apply_word_dual-empty-word"])
+def test_wrong_length_vector_is_value_error(call, length):
+    # Each once returned a vector of the wrong length, or an orbit of them, or
+    # raised IndexError: a vector must have one entry per node of the diagram.
+    with pytest.raises(ValueError, match=rf"^vector of length {length} for a diagram of 3 nodes$"):
+        call(finite("A", 3))
 
 
 def test_reduce_to_fundamental():

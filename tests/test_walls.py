@@ -741,6 +741,21 @@ def test_slope_condition_node_out_of_range(a2_instance):
             wl.slope_condition(alpha, inst.v, strata, node)
 
 
+def test_slope_condition_rank_zero_is_value_error(a2_instance):
+    # A slope divides by a rank: a rank-0 retained class, or a v with
+    # rk(v + sum a_j u_j) = 0, once raised ZeroDivisionError.
+    inst = a2_instance
+    alpha = families.fundamental_alpha(inst)
+    strata = inst.stratum().strata  # node 0 is deleted, the others retained
+    (u, m), *others = strata[1:]
+    flat = (strata[0], (mk.MukaiVector(0, u.c1, u.s, inst.lattice), m), *others)
+    v_zero = mk.MukaiVector(-sum(m * u.r for u, m in strata[1:]), inst.v.c1, inst.v.s,
+                            inst.lattice)  # rk(v + sum a_j u_j) = 0
+    for v, pairs in ((inst.v, flat), (v_zero, strata)):
+        with pytest.raises(ValueError, match="nonzero rank"):
+            wl.slope_condition(alpha, v, pairs)
+
+
 def test_slope_condition_skewed(a2_instance):
     # alpha in the fundamental chamber but strongly skewed: direct evaluation
     inst = a2_instance
