@@ -137,10 +137,12 @@ def cmd_example(args):
     scale = None if args.alpha is None else pipeline.rational_from_json(args.alpha, "--alpha")
     try:
         spec = families.ExampleSpec(args.family, args.n, args.r, args.a)
-        instance = families.generate_example(spec)
-        doc = pipeline.instance_document(instance, alpha_scale=scale)
-    except ValueError as exc:
+    except ValueError as exc:  # only a bad argument: a library fault is not a schema error
         raise SchemaError("arguments", str(exc)) from None
+    if scale is not None and scale <= 0:
+        raise SchemaError("arguments", "scale must be positive")
+    instance = families.generate_example(spec)
+    doc = pipeline.instance_document(instance, alpha_scale=scale)
     checks = ", ".join(name for name in instance.verification)
     _emit(doc, args.format, lambda _: (
         f"model instance {spec.family}~{spec.n} (r={spec.r}, a={spec.a})\n"

@@ -10,6 +10,7 @@ dual graph of the exceptional curves with intersection numbers
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from operator import add, index, mul, sub
 
@@ -17,6 +18,7 @@ from . import mukai as mk
 from . import roots
 from .errors import (Inconsistent, InvariantError, MarksMismatch, NodeOutOfRange,
                      TriplePoint, _Record)
+from .linalg import mat_mul_vec, normalize_number, normalize_vector
 
 
 class StratumData(_Record):
@@ -110,7 +112,11 @@ def _not_a_root(r, c1, s, square, vr):
 
 
 def validate_stratum(data):
-    """Check every stratum invariant; returns the full list of violations."""
+    """Check every stratum invariant; returns the full list of violations.
+
+    The classes pair by :func:`stratum_gram`, with ``v`` by one :func:`mukai.scaled_pairings`,
+    and with ``H^ = delta(H)`` as ``rk v <H^, u> = rk v (H, c1 u) - rk u (H, c1 v)`` by one ``G H``.
+    """
     violations = []
     v = data.v
     vecs = data.vectors
@@ -124,7 +130,10 @@ def validate_stratum(data):
     for k, m in enumerate(mults):
         if m <= 0:
             violations.append(f"multiplicity {k} is not positive")
-    g = mk.gram((*vecs, v, mk.delta_map(v, data.polarization)))  # v and H^ pair last
+    g = stratum_gram(data)
+    q, vu = mk.scaled_pairings(vecs, v)
+    gh = mat_mul_vec(data.lattice.gram, normalize_vector(data.polarization))
+    hv = sum(map(mul, v.c1, gh))
     for k, u in enumerate(vecs):
         if not u.is_integral():
             violations.append(f"stratum vector {k} is not integral")
@@ -132,11 +141,12 @@ def validate_stratum(data):
             violations.append(f"stratum vector {k} has rank {u.r}, expected > 0")
         if g[k][k] != -2:
             violations.append(f"<u_{k}, u_{k}> = {g[k][k]}, expected -2")
-        if g[-2][k] != 0:
-            violations.append(f"<v, u_{k}> = {g[-2][k]}, expected 0")
-    for k in range(len(vecs)):
-        if g[-1][k] != 0:
-            violations.append(f"<H^, u_{k}> = {g[-1][k]}, expected 0")
+        if vu[k] != 0:
+            violations.append(f"<v, u_{k}> = {normalize_number(Fraction(vu[k], q))}, expected 0")
+    for k, u in enumerate(vecs):
+        hu = v.r * sum(map(mul, u.c1, gh)) - u.r * hv
+        if hu != 0:
+            violations.append(f"<H^, u_{k}> = {normalize_number(Fraction(hu, v.r))}, expected 0")
     for i, j in combinations(range(len(vecs)), 2):
         if g[i][j] < 0:
             violations.append(f"<u_{i}, u_{j}> = {g[i][j]}, expected >= 0")
@@ -149,9 +159,16 @@ def validate_stratum(data):
     return violations
 
 
+@lru_cache
+def stratum_gram(data):
+    """The Gram ``(<u_i, u_j>)`` of the stratum's classes as row tuples, memoized per stratum:
+    validating, classifying and the triple-point check pair the classes once."""
+    return tuple(map(tuple, mk.gram(data.vectors)))
+
+
 def cartan_matrix_of(data):
     """The candidate affine Cartan matrix ``(-<u_i, u_j>)`` in input order."""
-    return roots.CartanMatrix([[-p for p in row] for row in mk.gram(data.vectors)])
+    return roots.CartanMatrix([[-p for p in row] for row in stratum_gram(data)])
 
 
 def retained_vectors(data, deleted=0):
@@ -222,11 +239,12 @@ def no_triple_point_check(data, deleted=0):
 
     ``<(u_i + u_j + u_k)^2> = 0`` forces three mutual edges, which ADE dual
     graphs exclude; anything >= 0 is reported as :class:`TriplePoint`.  Each
-    square is a sum over the 3x3 block of one Gram of the retained classes.  A
-    node outside the stratum list raises :class:`NodeOutOfRange`.
+    square is a sum over a 3x3 block of :func:`stratum_gram` with the deleted
+    node left out.  A node outside the stratum list raises :class:`NodeOutOfRange`.
     """
     check_node(data.strata, deleted)
-    g = mk.gram(retained_vectors(data, deleted))
+    g = [row[:deleted] + row[deleted + 1:]
+         for k, row in enumerate(stratum_gram(data)) if k != deleted]
     for i, j, k in combinations(range(len(g)), 3):
         sq = g[i][i] + g[j][j] + g[k][k] + 2 * (g[i][j] + g[i][k] + g[j][k])
         if sq >= 0:

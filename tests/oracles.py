@@ -19,7 +19,10 @@ ran before the descent carried each wall's normal and ``locate`` read it, and
 :func:`dot_product_psi_sets`, the Psi-set builder as it checked each root by
 Picard-length dot products before the checks moved to root coordinates, and
 :func:`support_gram`, the Mukai Gram as it summed every class over its
-nonzero coordinates before each class was paired at its density.
+nonzero coordinates before each class was paired at its density, and
+:func:`gram_validate_stratum`, the stratum validation as it read one Gram of
+``(u_0, ..., u_n, v, H^)`` before the classes' Gram was shared with the
+classification.
 """
 
 import dataclasses
@@ -593,6 +596,55 @@ def support_gram(xs):
             out[i][j] = out[j][i] = linalg.normalize_number(
                 sum([c * gy[k] for k, c in sup]) - x.r * y.s - x.s * y.r)
     return out
+
+
+def gram_validate_stratum(data):
+    """:func:`k3walls.strata.validate_stratum` as it ran on one Gram of ``(*u, v, H^)``.
+
+    ``H^ = delta(H) = (0, H, (H, c1 v) / rk v)`` is built by hand, and every pairing
+    of the ``(r, c1, s)`` triples is spelled out as ``c1(x) . G c1(y) - r s' - s r'``
+    with one ``G c1(y)`` per class, then normalized.  Returns the violations in the
+    library's order and wording.
+    """
+    v, vecs, mults = data.v, data.vectors, data.multiplicities
+    if not vecs:
+        return ["stratum list is empty"]
+    if not v.r > 0:
+        return [f"v has rank {v.r}, expected > 0"]
+    violations = []
+    if len(set(vecs)) != len(vecs):
+        violations.append("stratum vectors are not pairwise distinct")
+    violations += [f"multiplicity {k} is not positive" for k, m in enumerate(mults) if m <= 0]
+    columns = list(zip(*data.lattice.gram))
+
+    def image(c1):
+        return [sum(c * e for c, e in zip(c1, col)) for col in columns]
+
+    h = [x if type(x) is int else Fraction(x) for x in data.polarization]
+    h_hat = (0, h, sum(a * b for a, b in zip(h, image(v.c1))) / Fraction(v.r))
+    triples = [(x.r, x.c1, x.s) for x in (*vecs, v)] + [h_hat]
+    images = [image(c1) for _, c1, _ in triples]
+    g = [[linalg.normalize_number(sum(a * b for a, b in zip(cx, gy)) - rx * sy - sx * ry)
+          for (ry, _, sy), gy in zip(triples, images)] for rx, cx, sx in triples]
+    for k, u in enumerate(vecs):
+        if not all(Fraction(c).denominator == 1 for c in (u.r, u.s, *u.c1)):
+            violations.append(f"stratum vector {k} is not integral")
+        if not u.r > 0:
+            violations.append(f"stratum vector {k} has rank {u.r}, expected > 0")
+        if g[k][k] != -2:
+            violations.append(f"<u_{k}, u_{k}> = {g[k][k]}, expected -2")
+        if g[-2][k] != 0:
+            violations.append(f"<v, u_{k}> = {g[-2][k]}, expected 0")
+    violations += [f"<H^, u_{k}> = {g[-1][k]}, expected 0"
+                   for k in range(len(vecs)) if g[-1][k] != 0]
+    violations += [f"<u_{i}, u_{j}> = {g[i][j]}, expected >= 0"
+                   for i, j in itertools.combinations(range(len(vecs)), 2) if g[i][j] < 0]
+    total = (sum(m * u.r for u, m in data.strata),
+             tuple(sum(m * u.c1[i] for u, m in data.strata) for i in range(len(v.c1))),
+             sum(m * u.s for u, m in data.strata))
+    if total != (v.r, v.c1, v.s):
+        violations.append("sum of a_i u_i differs from v")
+    return violations
 
 
 def h_perp_identities(lattice, h):

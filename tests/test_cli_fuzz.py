@@ -167,6 +167,29 @@ def test_cli_argument_error_as_a_process():
     assert res.stderr == "schema error: arguments: argument --r: expected an integer\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "E", "--n", "9"], "family E needs n in {6, 7, 8}, got 9"),
+    (["--family", "A", "--n", "2", "--alpha=0"], "scale must be positive"),
+    (["--family", "A", "--n", "2", "--alpha=-1/2"], "scale must be positive"),
+    (["--family", "E", "--n", "9", "--alpha=0"], "family E needs n in {6, 7, 8}, got 9"),
+])
+def test_cli_example_argument_errors(argv, message):
+    assert _main(["example", *argv, "--r", "1", "--a", "1"]) == (
+        2, "", f"schema error: arguments: {message}\n")
+
+
+@pytest.mark.parametrize("target", ["generate_example", "fundamental_alpha"])
+def test_cli_example_library_fault_is_not_a_schema_error(monkeypatch, target):
+    # Only the arguments are schema errors: a ValueError from inside the
+    # library propagates as the fault it is.
+    def fault(*args, **kwargs):
+        raise ValueError("library fault")
+
+    monkeypatch.setattr(families, target, fault)
+    with pytest.raises(ValueError, match="^library fault$"):
+        _main(["example", "--family", "A", "--n", "2", "--r", "1", "--a", "1", "--alpha", "1"])
+
+
 def _run_cli(argv, stream, fd):
     """Run the CLI as a process with ``stream`` ("stdout" or "stderr") on ``fd``, which
     it closes, and the other stream piped."""

@@ -415,7 +415,7 @@ def test_clear_library_caches_empties_every_memo():
     assert clear_library_caches() == [
         "errors._fields_builder", "families._type_data", "roots._standard_marks", "roots.classify_affine",
         "roots.delete_node", "roots.root_tree", "roots.standard_affine_matrix",
-        "roots.standard_finite_matrix"]
+        "roots.standard_finite_matrix", "strata.stratum_gram"]
     assert all(memo.cache_info().currsize == 0 for memo in MEMOS)
 
 

@@ -565,11 +565,12 @@ def test_psi_sets_name_the_complement_that_fails():
 
 
 def test_stratum_checks_pair_each_class_once(monkeypatch):
-    # validate_stratum and classify_singularity read one Gram each, and the
-    # marks of a type already seen come from its table, not a new kernel.
+    # validate_stratum and classify_singularity read one memoized Gram, and
+    # the marks of a type already seen come from its table, not a new kernel.
     inst = families.generate_example(families.ExampleSpec("D", 18, 1, 1))
     data = st.StratumData(inst.lattice, inst.polarization, inst.v,
                           zip(inst.v_list, inst.marks))
+    clear_library_caches()
     std = roots.standard_affine_matrix("D", 18)
     roots.classify_affine(std)
     calls = Counter()
@@ -588,37 +589,180 @@ def test_stratum_checks_pair_each_class_once(monkeypatch):
     assert st.validate_stratum(data) == []
     report = st.classify_singularity(data)
     assert report.affine.type_name() == "D~18" and report.marks == inst.marks
-    assert calls == {"gram": 2}
+    assert calls == {"gram": 1}
     perm = list(range(19))
     random.Random(18).shuffle(perm)
     shuffled = roots.CartanMatrix([[std.entries[perm[i]][perm[j]] for j in range(19)]
                                    for i in range(19)])
     assert roots.classify_affine(shuffled).type_name() == "D~18"
-    assert calls == {"gram": 2}
+    assert calls == {"gram": 1}
 
 
 def test_validate_pairs_dense_classes_by_dot_products(monkeypatch):
     # On D~18 (rho = 19) every u_i is a basis class, whose G c1 is a Gram row,
-    # and only v and H^ are not: the Gram forms G c1 by mat_mul_vec twice.
-    # Every class has int components, so the Gram normalizes nothing.
+    # so the classes' Gram forms no G c1 by mat_mul_vec.  v pairs with them by
+    # one scaled_pairings, which forms G c1(v), and H^ by one G H product.
+    # Every class has int components, so nothing is normalized.
     inst = families.generate_example(families.ExampleSpec("D", 18, 2, 3))
     data = inst.stratum()
+    clear_library_caches()
     calls = Counter()
 
-    def count(name):
-        inner = getattr(mk, name)
+    def count(module, name):
+        inner = getattr(module, name)
 
         def counted(*args):
-            caller = sys._getframe(1).f_code.co_name
-            if caller == "gram":
-                calls[name, caller] += 1
+            calls[name, sys._getframe(1).f_code.co_name] += 1
             return inner(*args)
-        monkeypatch.setattr(mk, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    count("mat_mul_vec")
-    count("normalize_number")
+    for module in (mk, st):
+        count(module, "mat_mul_vec")
+        count(module, "normalize_number")
+    count(mk, "scaled_pairings")
     assert st.validate_stratum(data) == []
-    assert calls == {("mat_mul_vec", "gram"): 2}
+    assert calls == {("scaled_pairings", "validate_stratum"): 1,
+                     ("mat_mul_vec", "scaled_pairings"): 1,
+                     ("mat_mul_vec", "validate_stratum"): 1}
+
+
+def test_validate_matches_the_gram_oracle_on_the_sweep():
+    # The validation against the one-Gram check it replaced, on all 324 sweep specs.
+    for family, n in families.SWEEP_TYPES:
+        for r in (1, 2, 3):
+            for a in (1, 2, 3):
+                data = families.generate_example(families.ExampleSpec(family, n, r, a)).stratum()
+                assert st.validate_stratum(data) == oracles.gram_validate_stratum(data) == [], \
+                    (family, n, r, a)
+
+
+def _shift(u, draw, fraction=False):
+    """``u`` with its point component or one ``c1`` coordinate moved by a drawn step."""
+    step = draw(hst.integers(-3, 3).filter(bool))
+    if fraction:
+        step = Fraction(step, draw(hst.integers(2, 5)))
+    where = draw(hst.integers(-1, len(u.c1) - 1))
+    if where < 0:
+        return mk.MukaiVector(u.r, u.c1, u.s + step, u.lattice)
+    c1 = list(u.c1)
+    c1[where] += step
+    return mk.MukaiVector(u.r, c1, u.s, u.lattice)
+
+
+PERTURBATIONS = ("shift", "multiplicity", "duplicate", "rank", "polarization",
+                 "fraction in v", "fraction in u")
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from(families.SWEEP_TYPES), hst.sampled_from((1, 2, 3)),
+       hst.sampled_from((1, 2, 3)), hst.lists(hst.sampled_from(PERTURBATIONS), max_size=3),
+       hst.data())
+def test_validate_matches_the_gram_oracle_on_perturbed_strata(type_, r, a, kinds, data):
+    # Each drawn fault moves one part of a sweep stratum; both checks must
+    # report the same violations, in order and in text.
+    inst = families.generate_example(families.ExampleSpec(*type_, r, a))
+    p, h, v, strata = inst.lattice, inst.polarization, inst.v, list(inst.stratum().strata)
+    for kind in kinds:
+        k = data.draw(hst.integers(0, len(strata) - 1))
+        u, m = strata[k]
+        if kind == "shift":
+            strata[k] = _shift(u, data.draw), m
+        elif kind == "multiplicity":
+            strata[k] = u, m + data.draw(hst.integers(-3, 3).filter(bool))
+        elif kind == "duplicate":
+            strata.insert(data.draw(hst.integers(0, len(strata))), strata[k])
+        elif kind == "rank":
+            strata[k] = mk.MukaiVector(data.draw(hst.integers(-2, 0)), u.c1, u.s, p), m
+        elif kind == "polarization":
+            entry = hst.integers(-4, 4) | hst.fractions(-4, 4, max_denominator=5)
+            h = tuple(data.draw(hst.lists(entry, min_size=p.rank, max_size=p.rank)))
+        elif kind == "fraction in v":
+            v = _shift(v, data.draw, fraction=True)
+        else:
+            strata[k] = _shift(u, data.draw, fraction=True), m
+    stratum = st.StratumData(p, h, v, strata)
+    assert st.validate_stratum(stratum) == oracles.gram_validate_stratum(stratum)
+
+
+def test_validate_matches_the_gram_oracle_on_fraction_strata():
+    # The D~5 instance over the Gram 4 G in the basis e_i / 2: every c1 halves,
+    # so every class is non-integral, and v's point component moves by 1/2, so
+    # that <v, u_k> = -rk u_k / 2.  The checks agree in text.
+    inst = families.generate_example(families.ExampleSpec("D", 5, 1, 1))
+    half = lat.PicardLattice([[4 * e for e in row] for row in inst.lattice.gram])
+
+    def halved(u, ds=0):
+        return mk.MukaiVector(u.r, [Fraction(c, 2) for c in u.c1], u.s + ds, half)
+
+    data = st.StratumData(half, inst.polarization, halved(inst.v, Fraction(1, 2)),
+                          tuple((halved(u), m) for u, m in inst.stratum().strata))
+    found = st.validate_stratum(data)
+    assert found == oracles.gram_validate_stratum(data)
+    assert "stratum vector 1 is not integral" in found
+    assert "<v, u_0> = -1/2, expected 0" in found
+
+
+def test_one_gram_per_validated_and_classified_stratum(monkeypatch):
+    # validate -> classify -> psi_sets(data) on one stratum pair its classes
+    # once, and H^ is never built as a Mukai vector.
+    data = families.generate_example(families.ExampleSpec("D", 18, 2, 3)).stratum()
+    clear_library_caches()
+    calls = Counter()
+    for name in ("gram", "delta_map"):
+        inner = getattr(mk, name)
+        monkeypatch.setattr(mk, name, lambda *args, _f=inner, _n=name: (
+            calls.update([_n]), _f(*args))[1])
+    assert st.validate_stratum(data) == []
+    assert st.classify_singularity(data).affine.type_name() == "D~18"
+    st.psi_sets(data)
+    assert calls == {"gram": 1}
+
+
+def test_stratum_gram_memo_is_bounded():
+    inst = families.generate_example(families.ExampleSpec("A", 2, 1, 1))
+    clear_library_caches()
+    for extra in range(200):
+        st.stratum_gram(st.StratumData(inst.lattice, inst.polarization, inst.v,
+                                       ((u, m + extra) for u, m in inst.stratum().strata)))
+    assert st.stratum_gram.cache_info().currsize == 128
+
+
+def test_equal_strata_over_equal_lattices_read_one_gram(a2_instance):
+    twin = lat.PicardLattice(a2_instance.lattice.gram, a2_instance.lattice.basis_labels)
+    assert twin is not a2_instance.lattice
+
+    def over(u):
+        return mk.MukaiVector(u.r, u.c1, u.s, twin)
+
+    first = a2_instance.stratum()
+    second = st.StratumData(twin, a2_instance.polarization, over(a2_instance.v),
+                            tuple((over(u), m) for u, m in first.strata))
+    assert first == second
+    clear_library_caches()
+    assert st.stratum_gram(first) == st.stratum_gram(second) == tuple(
+        map(tuple, mk.gram(second.vectors)))
+    assert st.stratum_gram.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_triple_point_check_reads_the_validated_gram(monkeypatch, d4_instance):
+    p = lat.PicardLattice([[0, 3, 3, 0], [3, 0, 3, 0], [3, 3, 0, 0], [0, 0, 0, 2]])
+    u0, u1, u2 = (mk.MukaiVector(1, p.basis_vector(i), 1, p) for i in range(3))
+    extra = mk.MukaiVector(1, (0, 0, 0, 1), 0, p)
+    triangle = st.StratumData(p, (1, 1, 1, 0), u0 + u1 + u2 + extra,
+                              ((extra, 1), (u0, 1), (u1, 1), (u2, 1)))
+    clear_library_caches()
+    calls = Counter()
+    gram = mk.gram
+    monkeypatch.setattr(mk, "gram", lambda xs: (calls.update(["gram"]), gram(xs))[1])
+    for data in (d4_instance.stratum(), triangle):
+        st.validate_stratum(data)
+        for node in range(len(data.strata)):
+            if data is triangle and node == 0:
+                with pytest.raises(TriplePoint):
+                    st.no_triple_point_check(data, node)
+            else:
+                assert st.no_triple_point_check(data, node)
+    assert calls == {"gram": 2}
 
 
 def test_stratum_data_lies_over_its_lattice(a2_instance):
